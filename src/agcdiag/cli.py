@@ -144,12 +144,13 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
         lines.append("overrides: " + " ".join(overrides))
     lines.append("")
     lines.append("per-index LP results:")
-    lines.append("  block  sign  status      gamma_i        wall_s")
+    lines.append("  block  sign  status      gamma_i        pivots  wall_s")
     for row in design.table:
         block = f"{row.block:5d}" if row.block >= 0 else "   ss"
         sign = f"{row.sign:+4d}" if row.block >= 0 else "    "
+        wall = "mirrored" if row.mirrored else f"{row.wall_time:.4f}"
         lines.append(f"  {block}  {sign}  {row.status:<10s}"
-                     f"  {row.gamma:<13.6g}  {row.wall_time:.4f}")
+                     f"  {row.gamma:<13.6g}  {row.pivots:6d}  {wall}")
     if design.multiplier is not None:
         mult = " ".join(format(v, ".12g") for v in np.atleast_1d(design.multiplier))
         lines.append("")

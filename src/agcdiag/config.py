@@ -160,16 +160,31 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> list[str]:
     return applied
 
 
+def _typed(value, kind, path: str):
+    """``value`` checked against ``kind``; ints pass as floats, bools are
+    always rejected."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(path,
+                          f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _require(section: dict, field: str, kind, path: str):
     if field not in section:
         raise ConfigError(f"{path}.{field}", "missing required field")
-    value = section[field]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}.{field}",
-                          f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+    return _typed(section[field], kind, f"{path}.{field}")
+
+
+def _optional(section: dict, field: str, kind, default, path: str):
+    return _typed(section.get(field, default), kind, f"{path}.{field}")
+
+
+def _float_map(value, path: str) -> dict[str, float]:
+    """A label -> number table, every entry checked."""
+    value = _typed(value, dict, path)
+    return {k: _typed(v, float, f"{path}.{k}") for k, v in value.items()}
 
 
 def design_params(cfg: dict) -> dict:
@@ -179,9 +194,8 @@ def design_params(cfg: dict) -> dict:
     if d_n < 0:
         raise ConfigError("design.d_n", "filter degree must be >= 0")
     eta = _require(d, "eta", float, "design")
-    pole = float(d.get("pole", 0.8)) if isinstance(
-        d.get("pole", 0.8), (int, float)) else None
-    if pole is None or not 0.0 < pole < 1.0:
+    pole = _optional(d, "pole", float, 0.8, "design")
+    if not 0.0 < pole < 1.0:
         raise ConfigError("design.pole", "pole must be a number in (0, 1)")
     kind = d.get("kind", "robust")
     if kind not in ("robust", "steady-state"):
@@ -195,7 +209,9 @@ def design_params(cfg: dict) -> dict:
     if a_pol.ndim != 2 or b_pol.ndim != 1 or a_pol.shape[0] != b_pol.size:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
-    rank_tol = float(d.get("rank_tol", 1e-9))
+    rank_tol = _optional(d, "rank_tol", float, 1e-9, "design")
+    if rank_tol < 0:
+        raise ConfigError("design.rank_tol", "rank tolerance must be >= 0")
     return {"d_n": d_n, "eta": eta, "pole": pole, "kind": kind,
             "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
 
@@ -221,7 +237,8 @@ def build_areas(cfg: dict) -> list[AreaParams]:
             damping=_require(raw, "damping", float, path),
             bias=_require(raw, "bias", float, path),
             agc_gain=_require(raw, "agc_gain", float, path),
-            neighbors={k: float(v) for k, v in raw.get("neighbors", {}).items()},
+            neighbors=_float_map(raw.get("neighbors", {}),
+                                 f"{path}.neighbors"),
             generators=tuple(gens),
         ))
     return areas
@@ -277,19 +294,22 @@ def _noise_table(value, base: float, labels: tuple[str, ...],
     if value == "freq-scaled":
         return noise_pattern(labels, base)
     if isinstance(value, dict):
-        return {k: float(v) for k, v in value.items()}
+        return _float_map(value, path)
     raise ConfigError(path, "expected null, 'freq-scaled', or a label map")
 
 
 def build_scenario(cfg: dict, model: DiscreteLtiModel,
                    attack_f: np.ndarray | None) -> Scenario:
     sc = cfg["scenario"]
-    base = float(sc.get("noise_base", NOISE_BASE))
-    load_std = {k: float(v) for k, v in sc.get("load_std", {}).items()}
+    base = _optional(sc, "noise_base", float, NOISE_BASE, "scenario")
+    load_std = _float_map(sc.get("load_std", {}), "scenario.load_std")
+    seed = _optional(sc, "seed", int, 0, "scenario")
+    if seed < 0:
+        raise ConfigError("scenario.seed", "seed must be >= 0")
     return Scenario(
         horizon_s=_require(sc, "horizon_s", float, "scenario"),
         t_s=_require(sc, "t_s", float, "scenario"),
-        onset_s=float(sc.get("onset_s", 0.0)),
+        onset_s=_optional(sc, "onset_s", float, 0.0, "scenario"),
         attack_f=attack_f,
         load_std=load_std,
         process_noise=_noise_table(sc.get("process_noise"), base,
@@ -298,5 +318,5 @@ def build_scenario(cfg: dict, model: DiscreteLtiModel,
         measurement_noise=_noise_table(sc.get("measurement_noise"), base,
                                        model.measurement_labels,
                                        "scenario.measurement_noise"),
-        seed=int(sc.get("seed", 0)),
+        seed=seed,
     )

@@ -4,15 +4,17 @@ The detectability game is: the designer picks stacked filter coefficients
 Nbar with Nbar @ Hbar = 0 and ||Nbar||_inf <= eta, the attacker picks
 coefficients alpha in the polytope {A a >= b}, and the payoff is
 J = max_j |N_j (F F_b') alpha|. The exact finite reformulation is bilinear,
-so the design solves one small LP per (coefficient block, sign) pair: pin
-block j with sign s to a supporting row of the polytope,
+so the design relaxes it to one small LP per (coefficient block, sign)
+pair: pin block j with sign s to a supporting row of the polytope,
 
     max  b' lam   s.t.  s * N_j F F_b' = lam' A,  lam >= 0,  Nbar feasible,
 
 whose optimum gamma' lower-bounds the game value and certifies detection of
-every admissible attack whenever it is positive. The equality Nbar Hbar = 0
-is eliminated by parameterizing Nbar = theta @ Z over an orthonormal null
-basis Z, which keeps the LPs small and feasibility structural.
+every admissible attack whenever it is positive. The feasible set is
+symmetric, so the (j, -1) LP has the (j, +1) optimum and only the +1 LPs
+are solved. The equality Nbar Hbar = 0 is eliminated by parameterizing
+Nbar = theta @ Z over an orthonormal null basis Z, which keeps the LPs
+small and feasibility structural.
 
 `brute_force_gamma` estimates the true game value directly on instances
 with at most three free parameters (grid over the coefficient ball, attack
@@ -29,10 +31,16 @@ from itertools import combinations
 import numpy as np
 
 from . import lp
-from .errors import DimensionError, EmptyAttackSetError, ValidationError
+from .errors import (DimensionError, EmptyAttackSetError, NumericError,
+                     ValidationError)
 from .linalg import RANK_TOL, left_null_basis
 
 DECOUPLE_TOL = 1e-8
+# post-solve certificate check: relative slack on the eta bound and on
+# b'lam = gamma, absolute slack on lam >= 0 and on the LP equality
+CERT_REL_TOL = 1e-9
+CERT_LAM_TOL = 1e-9
+CERT_EQ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,19 @@ class FeasibleSetBasis:
 
 @dataclass(frozen=True)
 class LpIndexReport:
+    """One row of the design's LP table.
+
+    A ``mirrored`` row was not solved: it copies the status and gamma of
+    the solved row with the opposite sign and carries no pivots or time.
+    """
+
     block: int
     sign: int
     status: str
     gamma: float
     wall_time: float
+    pivots: int
+    mirrored: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,39 +166,78 @@ def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
 
 def design_robust(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
                   pole: float = 0.8) -> FilterDesign:
-    """Run all 2(d_n+1) relaxation LPs and keep the best certificate.
+    """Cover all 2(d_n+1) relaxation LPs and keep the best certificate.
 
-    Ties break toward the smallest block index, then the +1 sign, so the
-    returned design is deterministic. A positive gamma certifies detection
-    of every attack in the polytope; gamma = 0 means no single-block
-    certificate exists and the result carries a diagnostic instead.
+    Only the +1 LP of each block is solved. The feasible set
+    ||theta Z||_inf <= eta is symmetric, so LP(j, -1) is LP(j, +1) under
+    theta -> -theta, with the same optimum; its table row is the +1 row
+    mirrored (flagged ``mirrored``, 0 pivots, no wall time). Ties break
+    toward the smallest block index, then the +1 sign, so a mirrored row
+    never wins and the returned design is deterministic. A positive gamma
+    certifies detection of every attack in the polytope and is re-checked
+    against the solved point (``NumericError`` if it fails); gamma = 0
+    means no single-block certificate exists and the result carries a
+    diagnostic instead.
     """
     best = None
     rows = []
     for j in range(basis.d_n + 1):
-        for s in (1, -1):
-            start = time.perf_counter()
-            gamma_i, nbar_i, lam_i, sol = solve_lp_i(j, s, basis, ffb,
-                                                     a_pol, b_pol)
-            elapsed = time.perf_counter() - start
-            rows.append(LpIndexReport(j, s, sol.status, gamma_i, elapsed))
-            # ties (within solver noise) keep the earlier index
-            if sol.is_optimal and (
-                    best is None
-                    or gamma_i > best[0] + 1e-9 * max(1.0, abs(best[0]))):
-                best = (gamma_i, j, s, nbar_i, lam_i)
+        start = time.perf_counter()
+        gamma_i, nbar_i, lam_i, sol = solve_lp_i(j, 1, basis, ffb,
+                                                 a_pol, b_pol)
+        elapsed = time.perf_counter() - start
+        rows.append(LpIndexReport(j, 1, sol.status, gamma_i, elapsed,
+                                  sol.iterations))
+        rows.append(LpIndexReport(j, -1, sol.status, gamma_i, 0.0, 0,
+                                  mirrored=True))
+        # ties (within solver noise) keep the earlier index
+        if sol.is_optimal and (
+                best is None
+                or gamma_i > best[0] + 1e-9 * max(1.0, abs(best[0]))):
+            best = (gamma_i, j, nbar_i, lam_i)
     if best is None or best[0] <= 0.0:
         nbar = np.zeros(basis.z.shape[1])
         note = ("no relaxation index yields a positive certificate; "
                 "every admissible attack direction can null this filter family")
         gamma = 0.0 if best is None else max(best[0], 0.0)
-        index = None if best is None else (best[1], best[2])
-        mult = None if best is None else best[4]
+        index = None if best is None else (best[1], 1)
+        mult = None if best is None else best[3]
         return FilterDesign(nbar, basis.d_n, pole, gamma, "robust",
                             index, mult, tuple(rows), note)
-    gamma, j, s, nbar, lam = best
+    gamma, j, nbar, lam = best
+    _check_certificate(basis, ffb, a_pol, b_pol, gamma, j, nbar, lam)
     return FilterDesign(nbar, basis.d_n, pole, gamma, "robust",
-                        (j, s), lam, tuple(rows))
+                        (j, 1), lam, tuple(rows))
+
+
+def _check_certificate(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
+                       gamma: float, block: int, nbar, lam) -> None:
+    """Re-verify the optimum of relaxation LP (block, +1) from its point.
+
+    Checks ||Nbar||_inf <= eta, lam >= 0, N_j F F_b' = lam' A and
+    b' lam = gamma, each within its CERT_* tolerance.
+    """
+    ffb = np.asarray(ffb, dtype=float)
+    a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
+    b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
+    where = f"certificate ({block}, +1)"
+    norm = float(np.abs(nbar).max(initial=0.0))
+    if norm > basis.eta * (1 + CERT_REL_TOL):
+        raise NumericError(
+            f"{where}: ||Nbar||_inf = {norm!r} exceeds eta = {basis.eta!r}")
+    lam_min = float(lam.min(initial=0.0))
+    if lam_min < -CERT_LAM_TOL:
+        raise NumericError(f"{where}: multiplier entry {lam_min!r} < 0")
+    n_r = basis.n_rows
+    gain = nbar[block * n_r:(block + 1) * n_r] @ ffb
+    gap = float(np.abs(gain - lam @ a_pol).max(initial=0.0))
+    if gap > CERT_EQ_TOL:
+        raise NumericError(
+            f"{where}: ||N_j F F_b' - lam' A||_inf = {gap:.3g} "
+            f"> {CERT_EQ_TOL:g}")
+    dual = float(b_pol @ lam)
+    if abs(dual - gamma) > CERT_REL_TOL * abs(gamma):
+        raise NumericError(f"{where}: b' lam = {dual!r} != gamma = {gamma!r}")
 
 
 def evaluate_payoff(nbar, ffb, alpha, d_n: int) -> float:
@@ -259,7 +314,8 @@ def design_steady_state(basis: FeasibleSetBasis, fbar, a_pol, b_pol,
                            a_ge=a_ge, b_ge=ball_b, lower=lower)
     sol = lp.solve_lp(problem)
     elapsed = time.perf_counter() - start
-    row = LpIndexReport(-1, 0, sol.status, sol.value or 0.0, elapsed)
+    row = LpIndexReport(-1, 0, sol.status, sol.value or 0.0, elapsed,
+                        sol.iterations)
     if not sol.is_optimal:
         return FilterDesign(np.zeros(basis.z.shape[1]), basis.d_n, pole, 0.0,
                             "steady-state", None, None, (row,),

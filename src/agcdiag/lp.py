@@ -1,14 +1,22 @@
 """Self-contained dense linear-programming solver.
 
-Two-phase primal simplex on a dense tableau with Bland's rule. Problem
-sizes in this package are tiny (tens of variables, a few hundred rows), so
-the implementation favours robustness and determinism over speed:
+Two-phase primal simplex on a dense tableau with Bland's rule. Every step
+of a pivot is an array operation; only the pivot sequence itself is a
+Python loop:
 
 * every inequality is normalised to a nonnegative right-hand side, so rows
   that become ``<=`` get a slack that doubles as the starting basis and only
   the remaining rows need artificial variables in phase 1;
-* Bland's smallest-index rule is used for both entering and leaving
-  variables, which rules out cycling;
+* the variable transform to ``x' >= 0`` is one column map, so all rows are
+  expanded by a single matrix product;
+* Bland's smallest-index rule picks both variables, which rules out
+  cycling: the entering column is the first one with a negative reduced
+  cost, and the leaving row is, among the rows within ``PIVOT_TOL`` of the
+  minimum ratio, the one whose basic variable has the smallest index;
+* the tableau is stored column-major and a pivot rewrites only the columns
+  where the scaled pivot row is nonzero (about a quarter of them on the
+  design LPs); the untouched columns would only have had zero subtracted,
+  so the result matches a full rank-one update;
 * a hard pivot cap converts a hypothetical stall into an error instead of
   an infinite loop.
 
@@ -31,6 +39,10 @@ UNBOUNDED = "unbounded"
 FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-10
 MAX_ITER = 10 ** 6
+
+# row kinds; a row flipped to a nonnegative rhs swaps >= and <=
+_EQ, _GE, _LE = 0, 1, 2
+_SWAP = np.array([_EQ, _LE, _GE])
 
 
 @dataclass(frozen=True)
@@ -104,186 +116,153 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
+def _pivot(tab: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Gauss-Jordan pivot on ``tab[row, col]``, in place; returns the new
+    pivot row.
+
+    Only the columns where the scaled pivot row is nonzero change: every
+    other column would get ``tab[i, k] - factor_i * 0``. In a column-major
+    tableau each of those columns is contiguous, so gathering them is cheap.
+    """
+    prow = tab[row] / tab[row, col]
+    tab[row] = prow
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    cols = prow.nonzero()[0]
+    block = tab[:, cols]
+    # the same products as np.outer, written about twice as fast
+    block -= np.einsum("i,j->ij", factors, prow[cols], order="F")
+    tab[:, cols] = block
+    return prow
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an ``LpProblem``, returning status, optimum, and primal point."""
     n = problem.n_vars
     minimize_c = problem.c if problem.sense == "min" else -problem.c
+    lower, upper = problem.lower, problem.upper
 
     # --- variable transform to x' >= 0 ------------------------------------
     # Each original variable becomes one or two nonnegative columns plus a
-    # constant offset:  x_j = offset_j + col_pos - col_neg.
-    col_of = []           # per variable: (pos_col, neg_col or None)
-    offsets = np.zeros(n)
-    flip = np.ones(n)     # -1 when substituting x = u - x'
-    extra_upper_rows = []  # (var_index, cap) rows for two-sided bounds
-    ncols = 0
-    for j in range(n):
-        lo, up = problem.lower[j], problem.upper[j]
-        if np.isfinite(lo):
-            offsets[j] = lo
-            col_of.append((ncols, None))
-            ncols += 1
-            if np.isfinite(up):
-                extra_upper_rows.append((j, up - lo))
-        elif np.isfinite(up):
-            offsets[j] = up
-            flip[j] = -1.0
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
+    # constant offset:  x_j = offset_j + flip_j * col_pos - col_neg, where
+    # flip_j = -1 substitutes x = u - x' for variables bounded above only
+    # and free variables get the second (negative-part) column.
+    lo_fin, up_fin = np.isfinite(lower), np.isfinite(upper)
+    free = ~(lo_fin | up_fin)
+    width = np.where(free, 2, 1)
+    pos = np.cumsum(width) - width
+    ncols = int(width.sum())
+    flip = np.where(~lo_fin & up_fin, -1.0, 1.0)
+    offsets = np.where(lo_fin, lower, np.where(up_fin, upper, 0.0))
+    colmap = np.zeros((n, ncols))     # row @ colmap expands a row over x'
+    colmap[np.arange(n), pos] = flip
+    colmap[np.flatnonzero(free), pos[free] + 1] = -1.0
 
-    def expand(row):
-        out = np.zeros(ncols)
-        for j in range(n):
-            pos, neg = col_of[j]
-            out[pos] += flip[j] * row[j]
-            if neg is not None:
-                out[neg] -= row[j]
-        return out
-
-    cost = expand(minimize_c)
-
-    rows = []   # (coeffs over x', rhs, kind) with kind in {"eq", "ge", "le"}
-    if problem.a_eq is not None:
-        for a_row, b_val in zip(problem.a_eq, problem.b_eq):
-            rows.append((expand(a_row), b_val - a_row @ offsets, "eq"))
-    if problem.a_ge is not None:
-        for a_row, b_val in zip(problem.a_ge, problem.b_ge):
-            rows.append((expand(a_row), b_val - a_row @ offsets, "ge"))
-    for j, cap in extra_upper_rows:
-        a_row = np.zeros(n)
-        a_row[j] = 1.0
-        # x_j - lo <= cap, already shifted: the expanded column is +1
-        rows.append((expand(a_row), cap, "le"))
+    # Rows: equalities, >= rows, then x_j - lo_j <= up_j - lo_j for every
+    # two-sided bound (already shifted, so its expanded column is +1).
+    two_sided = np.flatnonzero(lo_fin & up_fin)
+    a_rows, rhs, kinds = [], [], []
+    for a, b, kind in ((problem.a_eq, problem.b_eq, _EQ),
+                       (problem.a_ge, problem.b_ge, _GE)):
+        if a is not None:
+            a_rows.append(a)
+            rhs.append(b - a @ offsets)
+            kinds.append(np.full(b.size, kind))
+    a_rows.append(np.eye(n)[two_sided])
+    rhs.append((upper - lower)[two_sided])
+    kinds.append(np.full(two_sided.size, _LE))
+    coeff = np.vstack(a_rows) @ colmap
+    rhs = np.concatenate(rhs)
+    kinds = np.concatenate(kinds)
+    cost = minimize_c @ colmap
 
     # Normalise to nonnegative rhs; >= rows with positive rhs need surplus +
     # artificial, everything that lands as <= gets a basis-ready slack.
-    m = len(rows)
-    coeff = np.zeros((m, ncols))
-    rhs = np.zeros(m)
-    kinds = []
-    for i, (a_row, b_val, kind) in enumerate(rows):
-        if b_val < 0:
-            a_row, b_val = -a_row, -b_val
-            kind = {"ge": "le", "le": "ge", "eq": "eq"}[kind]
-        coeff[i] = a_row
-        rhs[i] = b_val
-        kinds.append(kind)
+    neg = rhs < 0
+    coeff[neg] = -coeff[neg]
+    rhs[neg] = -rhs[neg]
+    kinds[neg] = _SWAP[kinds[neg]]
 
-    n_slack = sum(k != "eq" for k in kinds)
-    n_art = sum(k != "le" for k in kinds)
+    m = rhs.size
+    slack_rows = np.flatnonzero(kinds != _EQ)
+    art_rows = np.flatnonzero(kinds != _LE)
+    n_slack, n_art = slack_rows.size, art_rows.size
     total = ncols + n_slack + n_art
-    tab = np.zeros((m, total + 1))
+    slack_cols = ncols + np.arange(n_slack)
+    art_cols = ncols + n_slack + np.arange(n_art)
+    tab = np.zeros((m, total + 1), order="F")
     tab[:, :ncols] = coeff
     tab[:, -1] = rhs
+    tab[slack_rows, slack_cols] = np.where(kinds[slack_rows] == _LE, 1.0, -1.0)
+    tab[art_rows, art_cols] = 1.0
     basis = np.empty(m, dtype=int)
-    s_at, a_at = ncols, ncols + n_slack
-    art_cols = []
-    for i, kind in enumerate(kinds):
-        if kind == "le":
-            tab[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif kind == "ge":
-            tab[i, s_at] = -1.0
-            s_at += 1
-            tab[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            tab[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
+    rhs_col = tab[:, -1]
 
     iterations = 0
 
     def run_simplex(obj_row):
         """Bland-rule simplex on (tab, basis); returns 'optimal'/'unbounded'."""
         nonlocal iterations
+        reduced = obj_row[:total]
         while True:
             if iterations >= MAX_ITER:
                 raise IterationLimitError(
                     f"simplex exceeded {MAX_ITER} pivots")
-            entering = -1
-            for j in range(total):
-                if obj_row[j] < -PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
+            # entering: the smallest index with a negative reduced cost
+            improving = (reduced < -PIVOT_TOL).nonzero()[0]
+            if improving.size == 0:
                 return "optimal"
+            entering = improving[0]
             col = tab[:, entering]
-            ratio_best = np.inf
-            leave = -1
-            for i in range(m):
-                if col[i] > PIVOT_TOL:
-                    r = tab[i, -1] / col[i]
-                    if (r < ratio_best - PIVOT_TOL
-                            or (abs(r - ratio_best) <= PIVOT_TOL
-                                and (leave < 0 or basis[i] < basis[leave]))):
-                        ratio_best = r
-                        leave = i
-            if leave < 0:
+            # leaving: among the rows within PIVOT_TOL of the minimum ratio,
+            # the one whose basic variable has the smallest index
+            rows = (col > PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
                 return "unbounded"
-            piv = tab[leave, entering]
-            tab[leave] /= piv
-            factors = tab[:, entering].copy()
-            factors[leave] = 0.0
-            tab[:, :] -= np.outer(factors, tab[leave])
-            obj_row -= obj_row[entering] * tab[leave]
+            ratios = rhs_col[rows] / col[rows]
+            ties = rows[ratios <= ratios.min() + PIVOT_TOL]
+            leave = ties[basis[ties].argmin()]
+            prow = _pivot(tab, leave, entering)
+            obj_row -= obj_row[entering] * prow
             basis[leave] = entering
             iterations += 1
 
     # --- phase 1 -----------------------------------------------------------
-    if art_cols:
+    if n_art:
         obj = np.zeros(total + 1)
-        for col in art_cols:
-            obj[col] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                obj -= tab[i]
+        obj[art_cols] = 1.0
+        for i in art_rows:
+            obj -= tab[i]
         status = run_simplex(obj)
         if status != "optimal" or -obj[-1] > FEAS_TOL:
             return LpSolution(INFEASIBLE, None, None, iterations)
         # Drive leftover artificials out of the basis; a row with no usable
         # pivot is redundant and can stay (its rhs is ~0).
-        art_set = set(art_cols)
-        for i in range(m):
-            if basis[i] in art_set:
-                for j in range(ncols + n_slack):
-                    if abs(tab[i, j]) > PIVOT_TOL:
-                        piv = tab[i, j]
-                        tab[i] /= piv
-                        factors = tab[:, j].copy()
-                        factors[i] = 0.0
-                        tab -= np.outer(factors, tab[i])
-                        basis[i] = j
-                        break
-        for col in art_cols:
-            tab[:, col] = 0.0
+        for i in np.flatnonzero(basis >= ncols + n_slack):
+            usable = np.flatnonzero(
+                np.abs(tab[i, :ncols + n_slack]) > PIVOT_TOL)
+            if usable.size:
+                _pivot(tab, i, usable[0])
+                basis[i] = usable[0]
+        tab[:, art_cols] = 0.0
 
     # --- phase 2 -----------------------------------------------------------
+    # Basic columns are exact unit vectors, so pricing out one basic cost
+    # leaves the others untouched and the rows can be picked up front.
     obj = np.zeros(total + 1)
     obj[:ncols] = cost
-    for i in range(m):
-        if obj[basis[i]] != 0.0:
-            obj -= obj[basis[i]] * tab[i]
+    for i in np.flatnonzero(obj[basis] != 0.0):
+        obj -= obj[basis[i]] * tab[i]
     status = run_simplex(obj)
     if status == "unbounded":
         return LpSolution(UNBOUNDED, None, None, iterations)
 
     xprime = np.zeros(total)
-    for i in range(m):
-        xprime[basis[i]] = tab[i, -1]
-    x = offsets.copy()
-    for j in range(n):
-        pos, neg = col_of[j]
-        x[j] += flip[j] * xprime[pos]
-        if neg is not None:
-            x[j] -= xprime[neg]
+    xprime[basis] = rhs_col
+    x = offsets + flip * xprime[pos]
+    x[free] -= xprime[pos[free] + 1]
     value = float(minimize_c @ x)
     if problem.sense == "max":
         value = -value

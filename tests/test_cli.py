@@ -22,6 +22,11 @@ class TestDesignCommand:
                    if ln.strip().startswith(("0", "1", "2", "3"))
                    and "optimal" in ln]
         assert len(lp_rows) == 8
+        # the -1 row of each block mirrors the solved +1 row
+        assert [ln.split()[-1] == "mirrored" for ln in lp_rows] == \
+            [False, True] * 4
+        assert [int(ln.split()[4]) for ln in lp_rows] == \
+            [36, 0, 226, 0, 47, 0, 57, 0]
         payload = json.loads((tmp_path / "filter.json").read_text())
         assert payload["gamma"] > 0
         assert len(payload["nbar"]) == 4 * (19 + 25)
@@ -144,6 +149,32 @@ class TestErrors:
         code, _, err = run_cli(["--config", str(bad), "design"],
                                tmp_path, monkeypatch, capsys)
         assert code == 2
+
+    def test_string_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["--set", 'scenario.seed="abc"', "simulate"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=scenario.seed ")
+        assert len(err.splitlines()) == 1
+
+    def test_string_rank_tol_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["--set", 'design.rank_tol="x"', "design"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=design.rank_tol ")
+        assert len(err.splitlines()) == 1
+
+    def test_bool_degree_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["--set", "design.d_n=true", "design"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=design.d_n ")
+
+    def test_bool_eta_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["--set", "design.eta=true", "design"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=design.eta ")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         sub = tmp_path / "elsewhere"

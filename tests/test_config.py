@@ -61,6 +61,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfgmod.design_params(cfg)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("design", "rank_tol", -1e-9),
+        ("scenario", "seed", -1),
+        ("scenario", "seed", 2.5),
+        ("scenario", "noise_base", False),
+        ("scenario", "onset_s", "soon"),
+    ])
+    def test_bad_scalars_name_their_field(self, chain, section, key, value):
+        cfg = cfgmod.default_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            if section == "design":
+                cfgmod.design_params(cfg)
+            else:
+                cfgmod.build_scenario(cfg, chain.discrete, None)
+        assert err.value.field == f"{section}.{key}"
+
     def test_unknown_basis_width_rejected(self, chain):
         cfg = cfgmod.default_config()
         cfg["attack"]["basis"] = [[0.1, 0.0]]

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from agcdiag import design as designmod
+from agcdiag import lp
 from agcdiag.dae import build_dae, build_fbar, stack_hbar
 from agcdiag.design import (FeasibleSetBasis, beta_for_index,
                             brute_force_gamma, check_reformulation_feasible,
                             design_robust, design_steady_state,
                             evaluate_payoff, feasible_basis,
                             polytope_vertices, solve_lp_i, worst_case_alpha)
-from agcdiag.errors import EmptyAttackSetError, ValidationError
+from agcdiag.errors import EmptyAttackSetError, NumericError, ValidationError
 
+from reference_lp import solve_lp_reference
 from test_dae import toy_model
 
 
@@ -125,6 +128,91 @@ class TestDesignRobust:
         alpha = rng.standard_normal(2)
         assert evaluate_payoff(nbar, ffb, alpha, 1) == \
             evaluate_payoff(-nbar, ffb, alpha, 1)
+
+
+class TestPivotPath:
+    # per-LP pivot counts of the default d_N = 3 relaxations, in
+    # (block, sign) order; they pin Bland's pivot sequence
+    SEED_PIVOTS = [36, 36, 226, 195, 47, 47, 57, 57]
+
+    def test_default_pivot_counts(self, chain):
+        counts = []
+        for j in range(4):
+            for s in (1, -1):
+                _, _, _, sol = solve_lp_i(j, s, chain.basis, chain.ffb,
+                                          chain.space.a, chain.space.b)
+                counts.append(sol.iterations)
+        assert counts == self.SEED_PIVOTS
+
+    def test_table_carries_pivots_and_mirror_flags(self, chain):
+        table = chain.design.table
+        assert [(row.block, row.sign) for row in table] == \
+            [(j, s) for j in range(4) for s in (1, -1)]
+        assert [row.pivots for row in table] == \
+            [p if s > 0 else 0
+             for p, s in zip(self.SEED_PIVOTS, (1, -1) * 4)]
+        assert [row.mirrored for row in table] == [False, True] * 4
+        for solved, mirrored in zip(table[0::2], table[1::2]):
+            assert mirrored.gamma == solved.gamma
+            assert mirrored.status == solved.status
+            assert mirrored.wall_time == 0.0
+
+    def test_relaxations_match_loop_reference(self, chain, monkeypatch):
+        problems = []
+        solve = lp.solve_lp
+
+        def record(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(lp, "solve_lp", record)
+        for j in range(4):
+            for s in (1, -1):
+                solve_lp_i(j, s, chain.basis, chain.ffb, chain.space.a,
+                           chain.space.b)
+        for problem in problems:
+            ours, ref = solve(problem), solve_lp_reference(problem)
+            assert (ours.status, ours.iterations, ours.value) == \
+                (ref.status, ref.iterations, ref.value)
+            assert ours.x.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("d_n", [1, 3])
+    def test_mirrored_rows_match_direct_solves(self, chain, d_n):
+        basis = feasible_basis(stack_hbar(chain.dae, d_n), 10.0, d_n)
+        design = design_robust(basis, chain.ffb, chain.space.a, chain.space.b)
+        mirrored = [row for row in design.table if row.mirrored]
+        assert [row.block for row in mirrored] == list(range(d_n + 1))
+        for row in mirrored:
+            gamma, _, _, sol = solve_lp_i(row.block, -1, basis, chain.ffb,
+                                          chain.space.a, chain.space.b)
+            assert sol.is_optimal
+            assert gamma == pytest.approx(row.gamma, rel=1e-9, abs=1e-9)
+
+
+class TestCertificateCheck:
+    def test_corrupted_solution_raises(self, chain, monkeypatch):
+        solve = designmod.solve_lp_i
+
+        def corrupted(*args, **kwargs):
+            gamma, nbar, lam, sol = solve(*args, **kwargs)
+            return gamma, nbar, lam * 1.01, sol
+
+        monkeypatch.setattr(designmod, "solve_lp_i", corrupted)
+        with pytest.raises(NumericError, match="certificate"):
+            design_robust(chain.basis, chain.ffb, chain.space.a,
+                          chain.space.b)
+
+    def test_bound_violation_raises(self, chain, monkeypatch):
+        solve = designmod.solve_lp_i
+
+        def oversized(*args, **kwargs):
+            gamma, nbar, lam, sol = solve(*args, **kwargs)
+            return gamma, nbar * 1.5, lam, sol
+
+        monkeypatch.setattr(designmod, "solve_lp_i", oversized)
+        with pytest.raises(NumericError, match="exceeds eta"):
+            design_robust(chain.basis, chain.ffb, chain.space.a,
+                          chain.space.b)
 
 
 class TestWorstCase:

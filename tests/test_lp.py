@@ -4,6 +4,8 @@ import pytest
 from agcdiag import lp
 from agcdiag.errors import DimensionError
 
+from reference_lp import solve_lp_reference
+
 
 def solve(sense, c, **kw):
     return lp.solve_lp(lp.LpProblem(sense, np.asarray(c, dtype=float), **kw))
@@ -113,6 +115,74 @@ class TestDuality:
                     lower=[0.0, 0.0])
         assert sol.status == lp.OPTIMAL
         assert sol.iterations >= 1
+
+
+class TestBlandRule:
+    def test_ratio_tie_leaves_smallest_basis_index(self, monkeypatch):
+        # max x1 + x2 s.t. x2 <= 1 (row 0), x1 + 0.5 x2 <= 0.5 (row 1).
+        # x1 enters first and leaves row 1 holding column 0, while row 0
+        # keeps its slack (column 2). x2 then ties on ratio 1 in both rows;
+        # Bland's rule must pick row 1, whose basic index is smaller.
+        pivots = []
+        pivot = lp._pivot
+
+        def spy(tab, row, col):
+            pivots.append((int(row), int(col)))
+            return pivot(tab, row, col)
+
+        monkeypatch.setattr(lp, "_pivot", spy)
+        sol = solve("max", [1.0, 1.0],
+                    a_ge=[[0.0, -1.0], [-1.0, -0.5]], b_ge=[-1.0, -0.5],
+                    lower=[0.0, 0.0])
+        assert pivots[:2] == [(1, 0), (1, 1)]
+        assert sol.status == lp.OPTIMAL
+        assert sol.value == pytest.approx(1.0, abs=1e-12)
+        assert sol.x == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def random_lp(rng, zero_offsets):
+    """Small mixed LP; with ``zero_offsets`` every finite bound is 0."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 8))
+    a = rng.standard_normal((m, n))
+    x0 = rng.uniform(-1.0, 2.0, size=n)
+    b = a @ x0 - rng.uniform(-0.5, 1.0, size=m)
+    k = int(rng.integers(0, m + 1))
+    if zero_offsets:
+        lower = np.where(rng.random(n) < 0.5, 0.0, -np.inf)
+        upper = np.full(n, np.inf)
+    else:
+        lower = np.where(rng.random(n) < 0.5, -np.inf, x0 - 1.0)
+        upper = np.where(rng.random(n) < 0.5, np.inf, x0 + 1.0)
+    return lp.LpProblem(
+        "min" if rng.random() < 0.5 else "max", rng.standard_normal(n),
+        a_eq=a[:k] if k else None, b_eq=b[:k] if k else None,
+        a_ge=a[k:] if k < m else None, b_ge=b[k:] if k < m else None,
+        lower=lower, upper=upper)
+
+
+class TestLoopReference:
+    def test_bit_identical_with_zero_offsets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            problem = random_lp(rng, zero_offsets=True)
+            ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
+            assert (ours.status, ours.iterations, ours.value) == \
+                (ref.status, ref.iterations, ref.value)
+            if ref.x is not None:
+                assert ours.x.tobytes() == ref.x.tobytes()
+
+    def test_same_pivots_with_shifted_bounds(self):
+        # the bound shift of the rhs is one matvec here and one dot per
+        # row in the reference, so x may differ in the last bits
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            problem = random_lp(rng, zero_offsets=False)
+            ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
+            assert (ours.status, ours.iterations) == \
+                (ref.status, ref.iterations)
+            if ref.x is not None:
+                assert ours.x == pytest.approx(ref.x, rel=1e-12, abs=1e-12)
 
 
 class TestGuards:
