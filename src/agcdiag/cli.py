@@ -30,7 +30,8 @@ from .design import (FilterDesign, design_robust, design_steady_state,
                      feasible_basis, worst_case_alpha)
 from .errors import AgcDiagError, ConfigError, InfeasibleDesignError
 from .residual import realize_filter
-from .simulate import simulate, write_trace_csv, read_trace_csv
+from .simulate import (read_trace_csv, simulate, write_csv_table,
+                       write_trace_csv)
 
 DEFAULT_POLE_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.98)
 
@@ -249,17 +250,11 @@ def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
     out = pipe.out_dir()
     path = trace_path or os.path.join(out, "trace.csv")
     cols = read_trace_csv(path)
-    t = cols["t"]
 
     def write_panel(name, fields):
         panel = os.path.join(out, name)
         header = ["t"] + fields
-        lines = [",".join(header)]
-        for i in range(t.size):
-            lines.append(",".join(format(cols[f][i], ".12g")
-                                  for f in ["t"] + fields))
-        with open(panel, "w", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_csv_table(panel, header, [cols[f] for f in header])
         return panel
 
     d_fields = sorted((k for k in cols if k.startswith("d_")),
@@ -284,6 +279,15 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
         write_trace_csv(trace, os.path.join(out, name))
         print(f"wrote {os.path.join(out, name)}")
     return 0
+
+
+def _parse_poles(text: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",") if p]
+    except ValueError:
+        raise ConfigError("--poles",
+                          f"expected comma-separated numbers, got {text!r}"
+                          ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,8 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(pipe, args.trace)
         if args.command == "sweep-pole":
-            poles = [float(p) for p in args.poles.split(",") if p]
-            return cmd_sweep_pole(pipe, poles)
+            return cmd_sweep_pole(pipe, _parse_poles(args.poles))
         raise AgcDiagError(f"unknown command {args.command}")
     except ConfigError as exc:
         _error_line("config", str(exc), exc.field)
@@ -335,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except AgcDiagError as exc:
         _error_line("runtime", str(exc))
+        return 1
+    except Exception as exc:  # last resort: one error line, no traceback
+        _error_line("runtime", f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -4,12 +4,15 @@ diagnosis filter.
 The dynamic filter r_D = a(q)^-1 N(q) L(q) y is realized as a causal IIR
 recursion with denominator a(q) = (q - p)^d_N / (1 - p)^d_N, whose only
 root is the pole p and whose value at q = 1 is exactly 1, so a constant
-input y passes with the DC gain N(1) L y.
+input y passes with the DC gain N(1) L y. The filter runs over a whole
+measurement series: the numerator N(q) L y is d_N + 1 shifted products,
+and only the scalar denominator recursion steps through the samples.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -52,11 +55,13 @@ def denominator_coefficients(pole: float, d_n: int) -> np.ndarray:
 
 
 class RealizedFilter:
-    """Streaming realization of r_D[k] = a(q)^-1 N(q) L y[k].
+    """Realization of r_D[k] = a(q)^-1 N(q) L y[k] over measurement series.
 
-    Holds the last d_N measurement vectors and residual values; one `step`
-    per sample. The first `warmup` outputs are produced with zero-filled
-    delay lines.
+    ``apply`` filters a whole (n_samples, n_y) series: the numerator is
+    d_N + 1 shifted products, and only the scalar denominator recursion
+    runs sample by sample. The delay lines (the last d_N measurements and
+    outputs) carry over from one call to the next until ``reset``; the
+    first `warmup` outputs after a reset see zero-filled delay lines.
     """
 
     def __init__(self, numerator_rows: np.ndarray, pole: float, d_n: int):
@@ -72,25 +77,37 @@ class RealizedFilter:
         self.reset()
 
     def reset(self) -> None:
-        n_y = self.numerator.shape[1]
-        self._y_hist = [np.zeros(n_y) for _ in range(self.d_n + 1)]
+        self._y_hist = np.zeros((self.d_n, self.numerator.shape[1]))
         self._r_hist = [0.0] * self.d_n
 
-    def step(self, y) -> float:
-        """Advance one sample and return r_D[k]."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.size != self.numerator.shape[1]:
+    def apply(self, y_series) -> np.ndarray:
+        """Filter the rows of ``y_series`` in order; returns r_D per row."""
+        y = np.asarray(y_series, dtype=float)
+        n_y = self.numerator.shape[1]
+        if y.ndim != 2 or y.shape[1] != n_y:
             raise DimensionError(
-                f"measurement vector has length {y.size}, expected "
-                f"{self.numerator.shape[1]}")
-        self._y_hist = self._y_hist[1:] + [y]
-        a = self.denominator
-        num = sum(self.numerator[i] @ self._y_hist[i]
-                  for i in range(self.d_n + 1))
-        fb = sum(a[j] * self._r_hist[j] for j in range(self.d_n))
-        r = (num - fb) / a[self.d_n]
-        self._r_hist = self._r_hist[1:] + [r]
-        return float(r)
+                f"measurement series has shape {y.shape}, expected "
+                f"(n_samples, {n_y})")
+        n, d_n = y.shape[0], self.d_n
+        # y[k - d_N + i] is ext[k + i]; the products are stacked one-row
+        # dot products, row @ y[k] for each k, so the output does not depend
+        # on how a series is split between calls
+        ext = np.concatenate([self._y_hist, y])
+        num = np.zeros(n)
+        for i, row in enumerate(self.numerator):
+            num = num + np.matmul(ext[i:i + n, None, :], row[:, None])[:, 0, 0]
+        a = self.denominator.tolist()
+        a_head, a_last = a[:d_n], a[d_n]
+        r = self._r_hist + [0.0] * n
+        for k, v in enumerate(num.tolist()):
+            r[k + d_n] = (v - sum(map(mul, a_head, r[k:k + d_n]))) / a_last
+        self._y_hist = ext[n:]
+        self._r_hist = r[n:]
+        return np.array(r[d_n:])
+
+    def step(self, y) -> float:
+        """Filter one measurement vector; ``apply`` on a one-row series."""
+        return float(self.apply(np.reshape(y, (1, -1)))[0])
 
 
 def realize_filter(design: FilterDesign, l_poly: PolynomialMatrix) -> RealizedFilter:

@@ -6,6 +6,16 @@ generator seeded from the scenario, drawn in a fixed order (loads, then
 process noise, then measurement noise, each for the whole horizon), so a
 (model, scenario, seed) triple maps to a bit-identical trace. Attacks never
 consume random draws.
+
+Only the state recursion x[k+1] = A_cl x[k] + u[k] and the dynamic
+filter's scalar denominator run sample by sample. The input terms, the
+measurements, the static residual and the filter numerator are stacked
+matrix-vector products over the whole series; each row uses the kernel of
+a one-sample product ``M @ v``, so a trace has the same bits as a loop
+over samples (kept as the test reference in ``tests/reference_sim.py``).
+The divergence guard names the first state past it, as a check after
+every step would. Trace CSVs are formatted a row at a time from one format
+string.
 """
 
 from __future__ import annotations
@@ -24,6 +34,12 @@ from .residual import RealizedFilter
 DIVERGENCE_GUARD = 1e6
 
 
+def _sample_index(seconds: float, t_s: float) -> int:
+    """Index of the last sample at or before ``seconds``, tolerant of the
+    rounding in ``seconds / t_s`` (0.3 / 0.1 gives sample 3, not 2)."""
+    return int(np.floor(seconds / t_s + 1e-9))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation experiment.
@@ -33,7 +49,7 @@ class Scenario:
     zero. ``load_series`` (if given) overrides the stochastic model with an
     explicit (steps+1, n_d) array. Noise covariances are diagonal,
     label-keyed; ``attack_f`` is the constant injection applied strictly
-    after ``onset_s`` seconds.
+    after ``onset_s`` seconds, that is at the samples k > ``onset_index``.
     """
 
     horizon_s: float
@@ -64,7 +80,12 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return int(np.floor(self.horizon_s / self.t_s + 1e-9))
+        return _sample_index(self.horizon_s, self.t_s)
+
+    @property
+    def onset_index(self) -> int:
+        """Last clean sample: the attack acts on samples k > onset_index."""
+        return _sample_index(self.onset_s, self.t_s)
 
     def fingerprint(self) -> str:
         """Stable hash of the scenario content for trace metadata."""
@@ -144,6 +165,15 @@ def gen_disturbance(scenario: Scenario, rng: np.random.Generator,
     return rng.standard_normal((steps, len(labels))) * stds
 
 
+def _rowwise(mat: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """``mat @ series[k]`` for every row k, as one stacked product.
+
+    Each row takes the same matrix-vector kernel as a one-sample product,
+    so the result is bit-identical to a per-sample loop.
+    """
+    return np.matmul(mat, series[:, :, None])[:, :, 0]
+
+
 def simulate(model: DiscreteLtiModel, scenario: Scenario,
              dynamic_filter: RealizedFilter | None = None,
              weighted_static: bool = True) -> SimulationTrace:
@@ -151,10 +181,11 @@ def simulate(model: DiscreteLtiModel, scenario: Scenario,
 
     The static residual is noise-weighted (covariance from the scenario)
     whenever measurement noise is configured and ``weighted_static`` is
-    left on. The dynamic filter, if given, is reset before the run.
+    left on. The dynamic filter, if given, is reset and then filters the
+    whole measurement series once the state recursion has run.
     """
     n_x, n_y = model.n_states, model.n_measurements
-    n_d, n_f = model.n_disturbances, model.n_attacks
+    n_f = model.n_attacks
     if scenario.attack_f is not None and scenario.attack_f.size != n_f:
         raise DimensionError(
             f"attack vector has length {scenario.attack_f.size}, "
@@ -162,7 +193,7 @@ def simulate(model: DiscreteLtiModel, scenario: Scenario,
 
     steps = scenario.n_steps
     rng = np.random.default_rng(scenario.seed)
-    d_series = gen_disturbance(scenario, rng, model.disturbance_labels)
+    d_log = gen_disturbance(scenario, rng, model.disturbance_labels)
     proc_var = label_variances(scenario.process_noise, model.state_labels,
                                "process_noise")
     meas_var = label_variances(scenario.measurement_noise,
@@ -173,38 +204,39 @@ def simulate(model: DiscreteLtiModel, scenario: Scenario,
     r_y = meas_var if (weighted_static and np.all(meas_var > 0)) else None
     static_weights = None if r_y is None else 1.0 / r_y
     proj = weighted_range_projector(model.c, static_weights)
-    if dynamic_filter is not None:
-        dynamic_filter.reset()
-
-    f_active = (scenario.attack_f if scenario.attack_f is not None
-                else np.zeros(n_f))
-    f_zero = np.zeros(n_f)
 
     t = np.arange(steps + 1) * scenario.t_s
-    d_log = np.zeros((steps + 1, n_d))
     f_log = np.zeros((steps + 1, n_f))
-    x_log = np.zeros((steps + 1, n_x))
-    y_log = np.zeros((steps + 1, n_y))
-    rs_log = np.zeros(steps + 1)
-    rd_log = np.zeros(steps + 1)
+    if scenario.attack_f is not None:
+        f_log[scenario.onset_index + 1:] = scenario.attack_f
 
-    x = np.zeros(n_x)
-    for k in range(steps + 1):
-        f_k = f_active if t[k] > scenario.onset_s else f_zero
-        y = model.c @ x + model.d_f @ f_k + v_series[k]
-        rs = y - proj @ y
-        d_log[k] = d_series[k]
-        f_log[k] = f_k
-        x_log[k] = x
-        y_log[k] = y
-        rs_log[k] = np.abs(rs).max(initial=0.0)
-        if dynamic_filter is not None:
-            rd_log[k] = dynamic_filter.step(y)
-        x = (model.a_cl @ x + model.b_d @ d_series[k]
-             + model.b_f @ f_k + w_series[k])
-        mag = np.abs(x).max(initial=0.0)
-        if mag > DIVERGENCE_GUARD:
-            raise DivergenceError(k + 1, mag)
+    # A_cl x + B_d d + B_f f + w is added left to right: summing the input
+    # terms ahead of the loop would round differently. Row k + 1 holds
+    # x[k + 1]; the last row is only checked by the guard.
+    x_all = np.zeros((steps + 2, n_x))
+    x = x_all[0]
+    inputs = zip(_rowwise(model.b_d, d_log), _rowwise(model.b_f, f_log),
+                 w_series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (bd_d, bf_f, w) in enumerate(inputs):
+            x = model.a_cl @ x + bd_d + bf_f + w
+            x_all[k + 1] = x
+    # the guard names the first state past it, as a check after each step
+    # would; the states after that one, which may have overflowed, are
+    # discarded with the run
+    mags = np.abs(x_all[1:]).max(axis=1, initial=0.0)
+    over = np.flatnonzero(mags > DIVERGENCE_GUARD)
+    if over.size:
+        raise DivergenceError(int(over[0]) + 1, mags[over[0]])
+    x_log = x_all[:-1]
+
+    y_log = _rowwise(model.c, x_log) + _rowwise(model.d_f, f_log) + v_series
+    rs_log = np.abs(y_log - _rowwise(proj, y_log)).max(axis=1, initial=0.0)
+    if dynamic_filter is None:
+        rd_log = np.zeros(steps + 1)
+    else:
+        dynamic_filter.reset()
+        rd_log = dynamic_filter.apply(y_log)
 
     metadata = {
         "seed": scenario.seed,
@@ -226,8 +258,21 @@ def simulate(model: DiscreteLtiModel, scenario: Scenario,
 # trace CSV round-trip
 # --------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
+def write_csv_table(path, header: list[str], columns: list[np.ndarray],
+                    index_column: bool = False) -> None:
+    """Write equal-length columns as a CSV table: one header line, then
+    each value at 12 significant digits (``%.12g``, the bytes of
+    ``format(v, ".12g")``), LF endings. With ``index_column`` the first
+    column is printed as an integer."""
+    data = np.column_stack(columns)
+    cells = ["%.12g"] * data.shape[1]
+    if index_column:
+        cells[0] = "%d"
+    row = ",".join(cells)
+    body = "".join(row % values + "\n"
+                   for values in map(tuple, data.tolist()))
+    with open(path, "w", newline="\n") as handle:
+        handle.write(",".join(header) + "\n" + body)
 
 
 def write_trace_csv(trace: SimulationTrace, path,
@@ -240,35 +285,28 @@ def write_trace_csv(trace: SimulationTrace, path,
     header += [f"d_{i + 1}" for i in range(n_d)]
     header += [f"f_{i + 1}" for i in range(n_f)]
     header += ["rS_inf", "r_D"]
+    columns = [np.arange(trace.n_records), trace.t, trace.d, trace.f,
+               trace.rs_inf, trace.r_d]
     if include_states:
         header += [f"X_{lab}" for lab in trace.metadata["state_labels"]]
+        columns.append(trace.x)
     if include_measurements:
         header += [f"Y_{lab}" for lab in trace.metadata["measurement_labels"]]
-    lines = [",".join(header)]
-    for k in range(trace.n_records):
-        row = [str(k), _fmt(trace.t[k])]
-        row += [_fmt(v) for v in trace.d[k]]
-        row += [_fmt(v) for v in trace.f[k]]
-        row += [_fmt(trace.rs_inf[k]), _fmt(trace.r_d[k])]
-        if include_states:
-            row += [_fmt(v) for v in trace.x[k]]
-        if include_measurements:
-            row += [_fmt(v) for v in trace.y[k]]
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        columns.append(trace.y)
+    write_csv_table(path, header, columns, index_column=True)
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Parse a trace CSV back into column arrays keyed by header name."""
     with open(path, newline="\n") as handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
-    header = lines[0].split(",")
+        lines = [ln for ln in handle if ln.strip()]
+    if len(lines) < 2:
+        raise ValidationError(f"malformed trace CSV: {path}")
+    header = lines[0].rstrip("\n").split(",")
     try:
-        data = np.array([[float(v) for v in ln.split(",")]
-                         for ln in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise ValidationError(f"malformed trace CSV {path}: {exc}")
-    if data.ndim != 2 or data.shape[1] != len(header):
+        raise ValidationError(f"malformed trace CSV {path}: {exc}") from exc
+    if data.shape[1] != len(header):
         raise ValidationError(f"malformed trace CSV: {path}")
     return {name: data[:, i] for i, name in enumerate(header)}

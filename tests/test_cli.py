@@ -176,6 +176,25 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: code=config field=design.eta ")
 
+    def test_bad_pole_list_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["sweep-pole", "--poles", "0.5,abc"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=--poles ")
+        assert len(err.splitlines()) == 1
+
+    def test_output_dir_is_a_file_exits_1(self, tmp_path, monkeypatch,
+                                          capsys):
+        # os.makedirs raises FileExistsError: a non-package exception
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        monkeypatch.setenv("AGCDIAG_OUTDIR", str(occupied))
+        code = main(["design"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: code=runtime field=- msg=\"FileExistsError")
+        assert len(err.splitlines()) == 1
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         sub = tmp_path / "elsewhere"
         monkeypatch.setenv("AGCDIAG_OUTDIR", str(sub))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from agcdiag.design import FilterDesign
-from agcdiag.errors import StabilityError
+from agcdiag.errors import DimensionError, StabilityError
 from agcdiag.residual import (RealizedFilter, denominator_coefficients,
                               realize_filter, static_residual,
                               steady_state_gain)
 
 from helpers import impulse_response_by_division
+from reference_sim import StreamingFilter
 from test_attacks import REFERENCE_BASIS
 
 
@@ -70,8 +71,8 @@ class TestDenominator:
 class TestRealizedFilter:
     def test_degree_zero_is_memoryless(self):
         filt = RealizedFilter(np.array([[2.0, -1.0]]), pole=0.5, d_n=0)
-        assert filt.step([1.0, 1.0]) == pytest.approx(1.0)
-        assert filt.step([0.0, 3.0]) == pytest.approx(-3.0)
+        got = filt.apply([[1.0, 1.0], [0.0, 3.0]])
+        assert got == pytest.approx([1.0, -3.0])
 
     def test_first_order_recursion_by_hand(self):
         # d_N = 1, p = 0.8: r[k] = 0.8 r[k-1] + 0.2 (w0 y[k-1] + w1 y[k])
@@ -84,7 +85,7 @@ class TestRealizedFilter:
             r = 0.8 * r_prev + 0.2 * (w0[0] @ y_prev + w1[0] @ y)
             expected.append(float(r))
             r_prev, y_prev = r, y
-        got = [filt.step(y) for y in ys]
+        got = filt.apply(np.vstack(ys))
         assert np.allclose(got, expected, atol=1e-14)
 
     def test_step_response_dc_gain(self):
@@ -92,23 +93,21 @@ class TestRealizedFilter:
         rows = rng.standard_normal((3, 4))
         filt = RealizedFilter(rows, pole=0.6, d_n=2)
         y = rng.standard_normal(4)
-        out = 0.0
-        for _ in range(200):
-            out = filt.step(y)
+        out = filt.apply(np.tile(y, (200, 1)))[-1]
         assert out == pytest.approx(rows.sum(axis=0) @ y, abs=1e-10)
 
     def test_zero_input_forever(self):
         filt = RealizedFilter(np.ones((3, 2)), pole=0.7, d_n=2)
-        assert all(filt.step(np.zeros(2)) == 0.0 for _ in range(20))
+        assert all(filt.apply(np.zeros((20, 2))) == 0.0)
 
     def test_impulse_response_matches_long_division(self):
         rng = np.random.default_rng(8)
         d_n = 3
         rows = rng.standard_normal((d_n + 1, 1))
         filt = RealizedFilter(rows, pole=0.8, d_n=d_n)
-        got = [filt.step(np.array([1.0]))]
-        for _ in range(19):
-            got.append(filt.step(np.array([0.0])))
+        impulse = np.zeros((20, 1))
+        impulse[0] = 1.0
+        got = filt.apply(impulse)
         expected = impulse_response_by_division(
             rows[:, 0], denominator_coefficients(0.8, d_n), 20)
         assert np.allclose(got, expected, atol=1e-12)
@@ -120,21 +119,52 @@ class TestRealizedFilter:
         y2 = rng.standard_normal((15, 3))
 
         def run(series):
-            filt = RealizedFilter(rows, pole=0.8, d_n=1)
-            return np.array([filt.step(y) for y in series])
+            return RealizedFilter(rows, pole=0.8, d_n=1).apply(series)
 
         assert np.allclose(run(y1 + y2), run(y1) + run(y2), atol=1e-12)
 
     def test_exponential_forgetting(self):
         rows = np.array([[1.0], [1.0]])
         filt = RealizedFilter(rows, pole=0.8, d_n=1)
-        for _ in range(10):
-            filt.step(np.array([1.0]))
-        tail = [abs(filt.step(np.array([0.0]))) for _ in range(30)]
+        filt.apply(np.ones((10, 1)))
+        tail = np.abs(filt.apply(np.zeros((30, 1))))
         # after the numerator empties, each step decays by exactly p
         for a, b in zip(tail[2:], tail[3:]):
             if a > 1e-12:
                 assert b / a == pytest.approx(0.8, abs=1e-6)
+
+    def test_split_series_and_steps_match_one_call(self):
+        rng = np.random.default_rng(10)
+        rows = rng.standard_normal((4, 3))
+        series = rng.standard_normal((25, 3))
+        filt = RealizedFilter(rows, pole=0.7, d_n=3)
+        whole = filt.apply(series)
+        filt.reset()
+        parts = np.concatenate([filt.apply(series[:2]), filt.apply(series[2:9]),
+                                filt.apply(series[9:9]), filt.apply(series[9:])])
+        filt.reset()
+        steps = [filt.step(y) for y in series]
+        assert np.array_equal(parts, whole)
+        assert np.array_equal(steps, whole)
+
+    def test_matches_streaming_reference_bitwise(self):
+        rng = np.random.default_rng(12)
+        for d_n in (0, 1, 3, 6):
+            rows = rng.standard_normal((d_n + 1, 5))
+            series = rng.standard_normal((40, 5))
+            stream = StreamingFilter(rows, 0.6, d_n)
+            expected = [stream.step(y) for y in series]
+            got = RealizedFilter(rows, pole=0.6, d_n=d_n).apply(series)
+            assert np.array_equal(got, expected)
+
+    def test_wrong_width_rejected(self):
+        filt = RealizedFilter(np.ones((2, 3)), pole=0.5, d_n=1)
+        with pytest.raises(DimensionError):
+            filt.apply(np.ones((4, 2)))
+        with pytest.raises(DimensionError):
+            filt.apply(np.ones(3))
+        with pytest.raises(DimensionError):
+            filt.step(np.ones(4))
 
     def test_realize_filter_wires_measurement_rows(self, chain):
         design = chain.design

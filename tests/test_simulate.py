@@ -83,6 +83,16 @@ class TestSimulate:
         assert np.abs(trace.f[:onset_idx + 1]).max() == 0.0
         assert np.allclose(trace.f[onset_idx + 1:], f)
 
+    def test_onset_by_integer_sample_index(self, chain):
+        # 3 * 0.1 > 0.3 in floats; sample 3 sits at the onset, not after it
+        f = synthesize_attack(chain.space, [1.0, 0.0, 0.0])
+        sc = Scenario(horizon_s=1.0, t_s=0.1, onset_s=0.3, attack_f=f)
+        assert sc.onset_index == 3
+        trace = simulate(chain.discrete, sc)
+        attacked = np.flatnonzero(np.abs(trace.f).max(axis=1) > 0)
+        assert attacked[0] == 4
+        assert np.array_equal(attacked, np.arange(4, trace.n_records))
+
     def test_divergence_guard_names_step(self):
         model = DiscreteLtiModel(
             a_cl=np.array([[2.0]]), b_d=np.ones((1, 1)),
@@ -212,5 +222,14 @@ def test_malformed_trace_csv_rejected(tmp_path):
 def test_non_numeric_trace_csv_rejected(tmp_path):
     bad = tmp_path / "bad2.csv"
     bad.write_text("k,t,r_D\n0,zero,0.1\n")
+    with pytest.raises(ValidationError, match="malformed"):
+        read_trace_csv(bad)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "k,t,r_D\n",
+                                  "k,t\n0,0.0,0.1\n", "# k,t\n# 0,0.5\n"])
+def test_empty_or_misshapen_trace_csv_rejected(tmp_path, text):
+    bad = tmp_path / "bad3.csv"
+    bad.write_text(text)
     with pytest.raises(ValidationError, match="malformed"):
         read_trace_csv(bad)
