@@ -28,7 +28,8 @@ from . import dae as daemod
 from .attacks import synthesize_attack
 from .design import (FilterDesign, design_robust, design_steady_state,
                      feasible_basis, worst_case_alpha)
-from .errors import AgcDiagError, ConfigError, InfeasibleDesignError
+from .errors import (AgcDiagError, ConfigError, InfeasibleDesignError,
+                     NumericError)
 from .residual import realize_filter
 from .simulate import (read_trace_csv, simulate, write_csv_table,
                        write_trace_csv)
@@ -101,6 +102,28 @@ class Pipeline:
                                  p["pole"])
         return self._get("design", make)
 
+    @property
+    def worst_case(self):
+        """The attacker's best reply ``(alpha, payoff)`` to the design.
+
+        A robust design's gamma lower-bounds the payoff of every admissible
+        attack, so a payoff below gamma (beyond rounding) is a numeric
+        failure. A steady-state design's mu bounds the summed gain, not
+        this payoff, and is not compared.
+        """
+        def make():
+            design = self.design
+            alpha, payoff = worst_case_alpha(design.nbar, self.ffb,
+                                             design.d_n, self.space.a,
+                                             self.space.b)
+            floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
+            if design.kind == "robust" and payoff < floor:
+                raise NumericError(
+                    f"worst-case payoff {payoff!r} is below the certified "
+                    f"gamma = {design.gamma!r}")
+            return alpha, payoff
+        return self._get("worst_case", make)
+
     def attack_vector(self):
         """Resolve the injected f per the attack section; may need a design."""
         atk = self.cfg["attack"]
@@ -116,9 +139,7 @@ class Pipeline:
             alpha = np.asarray(atk.get("alpha"), dtype=float)
             return synthesize_attack(self.space, alpha), alpha
         if mode == "worst-case":
-            design = self.design
-            alpha, _ = worst_case_alpha(design.nbar, self.ffb, design.d_n,
-                                        self.space.a, self.space.b)
+            alpha, _ = self.worst_case
             return synthesize_attack(self.space, alpha), alpha
         raise ConfigError("attack.mode",
                           f"unknown mode {mode!r} (none|raw|alpha|worst-case)")
@@ -202,8 +223,7 @@ def cmd_attack(pipe: Pipeline) -> int:
     if design.gamma <= 0.0:
         raise InfeasibleDesignError(
             design.diagnostic or "design certificate is zero")
-    alpha, payoff = worst_case_alpha(design.nbar, pipe.ffb, design.d_n,
-                                     pipe.space.a, pipe.space.b)
+    alpha, payoff = pipe.worst_case
     f_vec = synthesize_attack(pipe.space, alpha)
     out = pipe.out_dir()
     payload = {"alpha_star": list(alpha), "payoff": payoff, "f": list(f_vec),
@@ -283,11 +303,18 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
 
 def _parse_poles(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p]
+        poles = [float(p) for p in text.split(",") if p]
     except ValueError:
         raise ConfigError("--poles",
                           f"expected comma-separated numbers, got {text!r}"
                           ) from None
+    if not poles:
+        raise ConfigError("--poles", f"no pole given in {text!r}")
+    for pole in poles:
+        if not 0.0 < pole < 1.0:    # also false for nan
+            raise ConfigError("--poles",
+                              f"pole must be a number in (0, 1), got {pole!r}")
+    return poles
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -118,11 +118,26 @@ def feasible_basis(hbar, eta: float, d_n: int,
     return FeasibleSetBasis(z=z, eta=eta, d_n=d_n)
 
 
-def _norm_ball_rows(basis: FeasibleSetBasis):
-    """A_ge rows encoding ||theta @ Z||_inf <= eta over (theta, extra) vars."""
+def _certificate_lp(gain, basis: FeasibleSetBasis, a_pol,
+                    b_pol) -> lp.LpProblem:
+    """The certificate LP over (theta free, lam >= 0):
+
+        max b' lam  s.t.  gain' theta = A' lam,  ||theta @ Z||_inf <= eta,
+
+    where ``gain`` (n_z, d) maps theta to the pinned attack gain.
+    """
+    n_z, d = gain.shape
+    if d != a_pol.shape[1]:
+        raise DimensionError("polytope A and attack gain disagree on dimension")
+    n_b = b_pol.size
     z = basis.z
-    m = z.shape[1]
-    return np.vstack([z.T, -z.T]), -basis.eta * np.ones(2 * m)
+    ball = np.vstack([z.T, -z.T])
+    return lp.LpProblem(
+        "max", np.concatenate([np.zeros(n_z), b_pol]),
+        a_eq=np.hstack([gain.T, -a_pol.T]), b_eq=np.zeros(d),
+        a_ge=np.hstack([ball, np.zeros((ball.shape[0], n_b))]),
+        b_ge=-basis.eta * np.ones(2 * z.shape[1]),
+        lower=np.concatenate([np.full(n_z, -np.inf), np.zeros(n_b)]))
 
 
 def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
@@ -141,24 +156,11 @@ def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
     if not 0 <= block <= basis.d_n:
         raise ValueError(f"block {block} outside 0..{basis.d_n}")
     n_z = basis.n_free
-    n_b = b_pol.size
-    d = a_pol.shape[1]
     gain_j = basis.block(block) @ ffb          # (n_z, d)
-    if gain_j.shape[1] != d:
-        raise DimensionError("polytope A and attack gain disagree on dimension")
-
-    a_eq = np.hstack([sign * gain_j.T, -a_pol.T])
-    b_eq = np.zeros(d)
-    ball_a, ball_b = _norm_ball_rows(basis)
-    a_ge = np.hstack([ball_a, np.zeros((ball_a.shape[0], n_b))])
-    cost = np.concatenate([np.zeros(n_z), b_pol])
-    lower = np.concatenate([np.full(n_z, -np.inf), np.zeros(n_b)])
-    problem = lp.LpProblem("max", cost, a_eq=a_eq, b_eq=b_eq,
-                           a_ge=a_ge, b_ge=ball_b, lower=lower)
-    sol = lp.solve_lp(problem)
+    sol = lp.solve_lp(_certificate_lp(sign * gain_j, basis, a_pol, b_pol))
     if not sol.is_optimal:
         zeros = np.zeros(basis.z.shape[1])
-        return 0.0, zeros, np.zeros(n_b), sol
+        return 0.0, zeros, np.zeros(b_pol.size), sol
     theta = sol.x[:n_z]
     lam = sol.x[n_z:]
     return float(sol.value), theta @ basis.z, lam, sol
@@ -301,18 +303,9 @@ def design_steady_state(basis: FeasibleSetBasis, fbar, a_pol, b_pol,
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
     b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
     n_z = basis.n_free
-    n_b = b_pol.size
     gain = basis.z @ fbar                      # (n_z, d)
     start = time.perf_counter()
-    a_eq = np.hstack([gain.T, -a_pol.T])
-    b_eq = np.zeros(a_pol.shape[1])
-    ball_a, ball_b = _norm_ball_rows(basis)
-    a_ge = np.hstack([ball_a, np.zeros((ball_a.shape[0], n_b))])
-    cost = np.concatenate([np.zeros(n_z), b_pol])
-    lower = np.concatenate([np.full(n_z, -np.inf), np.zeros(n_b)])
-    problem = lp.LpProblem("max", cost, a_eq=a_eq, b_eq=b_eq,
-                           a_ge=a_ge, b_ge=ball_b, lower=lower)
-    sol = lp.solve_lp(problem)
+    sol = lp.solve_lp(_certificate_lp(gain, basis, a_pol, b_pol))
     elapsed = time.perf_counter() - start
     row = LpIndexReport(-1, 0, sol.status, sol.value or 0.0, elapsed,
                         sol.iterations)

@@ -1,11 +1,18 @@
 """Scalar-loop reference for ``agcdiag.lp.solve_lp``.
 
-The straightforward two-phase Bland simplex, written one row and one
-column at a time: rows are expanded one by one, the entering and leaving
-variables are found by scalar scans, and every pivot updates the whole
-tableau. ``solve_lp`` vectorizes each of these steps; on problems whose
-finite bounds are all zero it must follow the same pivots and return the
-same bits.
+The straightforward two-phase Bland simplex on the full tableau, written
+one row and one column at a time: rows are expanded one by one, the
+entering and leaving variables are found by scalar scans, and every pivot
+updates every column, basic ones and both parts of each free variable
+included.
+
+``solve_lp`` stores a condensed tableau instead: only the nonbasic columns,
+one column per free pair (the negative part's column is its exact
+negation), and no artificial columns after phase 1. Each entry it keeps is
+computed by the same operations as the entry here, and the columns it
+leaves out are unit vectors or exact negations, which cannot change a
+pivot choice. So on problems whose finite bounds are all zero it must
+follow the same pivots and return the same bits.
 """
 
 from __future__ import annotations

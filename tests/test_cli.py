@@ -1,5 +1,7 @@
 import json
 import numpy as np
+import pytest
+from agcdiag import cli
 from agcdiag.cli import main
 from agcdiag.simulate import read_trace_csv
 
@@ -94,6 +96,22 @@ class TestAttackCommand:
         assert sum(payload["alpha_star"]) >= 1.5 - 1e-8
 
 
+    def test_payoff_below_gamma_exits_1(self, tmp_path, monkeypatch, capsys):
+        solve = cli.worst_case_alpha
+
+        def low(*args, **kwargs):
+            alpha, payoff = solve(*args, **kwargs)
+            return alpha, payoff - 0.5
+
+        monkeypatch.setattr(cli, "worst_case_alpha", low)
+        code, _, err = run_cli(["attack"], tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: code=runtime field=- ")
+        assert "below the certified gamma" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "attack.json").exists()
+
+
 class TestReportCommand:
     def test_panels_written(self, tmp_path, monkeypatch, capsys):
         run_cli(["simulate"], tmp_path, monkeypatch, capsys)
@@ -119,6 +137,24 @@ class TestSweepPole:
         names = sorted(p.name for p in tmp_path.glob("trace_p*.csv"))
         assert names == ["trace_p0.1.csv", "trace_p0.2.csv", "trace_p0.4.csv",
                          "trace_p0.6.csv", "trace_p0.98.csv"]
+
+    def test_worst_case_solved_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = cli.worst_case_alpha
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "worst_case_alpha", count)
+        code, _, _ = run_cli(
+            ["--set", "attack.mode=worst-case",
+             "--set", "scenario.horizon_s=10.0",
+             "--set", "scenario.onset_s=5.0", "sweep-pole"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert len(list(tmp_path.glob("trace_p*.csv"))) == 5
+        assert len(calls) == 1
 
 
 class TestErrors:
@@ -182,6 +218,17 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: code=config field=--poles ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("poles", ["0.5,1.5", "nan", ","])
+    def test_pole_outside_unit_interval_exits_2(self, poles, tmp_path,
+                                                monkeypatch, capsys):
+        # checked before the first simulation, so nothing is written
+        code, _, err = run_cli(["sweep-pole", "--poles", poles],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=--poles ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_dir_is_a_file_exits_1(self, tmp_path, monkeypatch,
                                           capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -175,6 +177,21 @@ class TestPivotPath:
             assert (ours.status, ours.iterations, ours.value) == \
                 (ref.status, ref.iterations, ref.value)
             assert ours.x.tobytes() == ref.x.tobytes()
+
+    def test_d6_golden(self, chain):
+        # the largest tableau the benchmark solves (619 rows): its pivot
+        # path and the bits of the winning filter and multiplier
+        basis = feasible_basis(stack_hbar(chain.dae, 6), 10.0, 6)
+        design = design_robust(basis, chain.ffb, chain.space.a, chain.space.b)
+        assert [row.pivots for row in design.table if not row.mirrored] == \
+            [29, 146, 672, 125, 101, 235, 170]
+        assert design.gamma == 3.0000000000000195
+        assert design.index == (1, 1)
+        assert hashlib.sha256(design.nbar.tobytes()).hexdigest().startswith(
+            "27fca0ed7d8e4b4c")
+        assert hashlib.sha256(
+            design.multiplier.tobytes()).hexdigest().startswith(
+                "4546a3db26a4491a")
 
     @pytest.mark.parametrize("d_n", [1, 3])
     def test_mirrored_rows_match_direct_solves(self, chain, d_n):

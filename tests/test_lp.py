@@ -124,13 +124,13 @@ class TestBlandRule:
         # keeps its slack (column 2). x2 then ties on ratio 1 in both rows;
         # Bland's rule must pick row 1, whose basic index is smaller.
         pivots = []
-        pivot = lp._pivot
+        pivot = lp._Tableau.pivot
 
-        def spy(tab, row, col):
-            pivots.append((int(row), int(col)))
-            return pivot(tab, row, col)
+        def spy(self, row, slot, entering):
+            pivots.append((int(row), int(entering)))
+            return pivot(self, row, slot, entering)
 
-        monkeypatch.setattr(lp, "_pivot", spy)
+        monkeypatch.setattr(lp._Tableau, "pivot", spy)
         sol = solve("max", [1.0, 1.0],
                     a_ge=[[0.0, -1.0], [-1.0, -0.5]], b_ge=[-1.0, -0.5],
                     lower=[0.0, 0.0])
@@ -140,8 +140,9 @@ class TestBlandRule:
         assert sol.x == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
-def random_lp(rng, zero_offsets):
-    """Small mixed LP; with ``zero_offsets`` every finite bound is 0."""
+def random_lp(rng, zero_offsets, free_share=0.5):
+    """Small mixed LP; with ``zero_offsets`` every finite bound is 0 and
+    about ``free_share`` of the variables are free."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 8))
     a = rng.standard_normal((m, n))
@@ -149,7 +150,7 @@ def random_lp(rng, zero_offsets):
     b = a @ x0 - rng.uniform(-0.5, 1.0, size=m)
     k = int(rng.integers(0, m + 1))
     if zero_offsets:
-        lower = np.where(rng.random(n) < 0.5, 0.0, -np.inf)
+        lower = np.where(rng.random(n) < 1.0 - free_share, 0.0, -np.inf)
         upper = np.full(n, np.inf)
     else:
         lower = np.where(rng.random(n) < 0.5, -np.inf, x0 - 1.0)
@@ -171,6 +172,33 @@ class TestLoopReference:
                 (ref.status, ref.iterations, ref.value)
             if ref.x is not None:
                 assert ours.x.tobytes() == ref.x.tobytes()
+
+    def test_bit_identical_with_free_variables(self, monkeypatch):
+        # A free pair is one stored column. A negative part enters through
+        # its negated column, and a basic part that leaves folds the pair
+        # back into one column; both must happen here, with the bits of the
+        # full tableau, which stores both parts.
+        seen = {"negative_entered": 0, "free_left": 0}
+        pivot = lp._Tableau.pivot
+
+        def spy(self, row, slot, entering):
+            leaving = self.basis[row]
+            seen["negative_entered"] += int(entering != self.ids[slot])
+            seen["free_left"] += int(self.paired[leaving]
+                                     or self.unit[leaving] < 0)
+            return pivot(self, row, slot, entering)
+
+        monkeypatch.setattr(lp._Tableau, "pivot", spy)
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            problem = random_lp(rng, zero_offsets=True, free_share=0.85)
+            ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
+            assert (ours.status, ours.iterations, ours.value) == \
+                (ref.status, ref.iterations, ref.value)
+            if ref.x is not None:
+                assert ours.x.tobytes() == ref.x.tobytes()
+        assert seen["negative_entered"] > 0
+        assert seen["free_left"] > 0
 
     def test_same_pivots_with_shifted_bounds(self):
         # the bound shift of the rhs is one matvec here and one dot per
