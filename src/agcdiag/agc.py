@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 
 PARTICIPATION_TOL = 1e-12
 
@@ -247,7 +247,6 @@ def assemble_system(areas: list[AreaParams],
 
     a_cl = np.zeros((n_x, n_x))
     state_labels, meas_labels, attack_labels = [], [], []
-    c_blocks, d_f_blocks, b_f_rows = [], [], []
     b_d = np.zeros((n_x, len(areas)))
     for ai, (a, blk) in enumerate(zip(areas, blocks)):
         n_i, _, off = layout[a.name]
@@ -259,9 +258,6 @@ def assemble_system(areas: list[AreaParams],
         state_labels += blk.state_labels
         meas_labels += blk.measurement_labels
         attack_labels += blk.attack_labels
-        c_blocks.append(blk.c)
-        d_f_blocks.append(blk.d_f)
-        b_f_rows.append(blk.b_f)
 
     n_y = len(meas_labels)
     n_f = len(attack_labels)
@@ -284,47 +280,3 @@ def assemble_system(areas: list[AreaParams],
         a_cl, b_d, b_f, c, d_f,
         tuple(state_labels), tuple(meas_labels), tuple(attack_labels),
         tuple(f"{a.name}.load" for a in areas))
-
-
-def close_loop_static(a_x, b_d, b_u, c, d_f, gain):
-    """Close a static output-feedback loop u = G y around an open-loop model.
-
-    Returns ``(A + B_u G C, B_d, B_u G D_f, C, D_f)``.
-    """
-    a_x, b_u, c, d_f = (np.asarray(m, dtype=float) for m in (a_x, b_u, c, d_f))
-    gain = np.asarray(gain, dtype=float)
-    if b_u.shape[1] != gain.shape[0] or gain.shape[1] != c.shape[0]:
-        raise DimensionError(
-            f"gain {gain.shape} does not connect inputs {b_u.shape[1]} "
-            f"to measurements {c.shape[0]}")
-    return (a_x + b_u @ gain @ c,
-            np.asarray(b_d, dtype=float),
-            b_u @ gain @ d_f,
-            c, d_f)
-
-
-def augment_dynamic_controller(plant, controller):
-    """Absorb a dynamic output-feedback controller into the plant.
-
-    ``plant`` is ``(A_x, B_d, B_u, C, D_f)``, ``controller`` is the state
-    space ``(A_c, B_c, C_c, D_c)`` of ``x_c[k+1] = A_c x_c + B_c y``,
-    ``u = C_c x_c + D_c y``. The controller state is appended to the plant
-    state and the control signal to the measurement vector, giving a closed
-    loop with the same shape as the static case.
-    """
-    a_x, b_d, b_u, c, d_f = (np.asarray(m, dtype=float) for m in plant)
-    a_c, b_c, c_c, d_c = (np.asarray(m, dtype=float) for m in controller)
-    n, n_c = a_x.shape[0], a_c.shape[0]
-    if b_u.shape[0] != n or c.shape[1] != n:
-        raise DimensionError("plant matrices do not share the state dimension")
-    if b_c.shape != (n_c, c.shape[0]) or c_c.shape != (b_u.shape[1], n_c):
-        raise DimensionError("controller matrices do not fit the plant I/O")
-
-    a_hat = np.block([[a_x + b_u @ d_c @ c, b_u @ c_c],
-                      [b_c @ c, a_c]])
-    b_d_hat = np.vstack([b_d, np.zeros((n_c, b_d.shape[1]))])
-    b_f_hat = np.vstack([b_u @ d_c @ d_f, b_c @ d_f])
-    c_hat = np.block([[c, np.zeros((c.shape[0], n_c))],
-                      [d_c @ c, c_c]])
-    d_f_hat = np.vstack([d_f, d_c @ d_f])
-    return a_hat, b_d_hat, b_f_hat, c_hat, d_f_hat

@@ -9,17 +9,20 @@ simulate    run the configured scenario, write trace.csv
 report      split a trace into per-panel plot-data CSVs
 sweep-pole  repeat simulate over a list of filter poles
 
-Exit codes: 0 success, 2 bad config (field named on stderr), 3 infeasible
-design, 1 anything else. Errors print one machine-readable line:
+Exit codes: 0 success, 2 bad config or command line (field named on
+stderr, ``argv`` for the command line), 3 infeasible design, 1 anything
+else. Errors print one machine-readable line:
 ``error: code=<kind> field=<path> msg="..."``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -47,62 +50,48 @@ class Pipeline:
     def __init__(self, cfg: dict, overrides: list[str]):
         self.cfg = cfg
         self.overrides = overrides
-        self._cache: dict[str, object] = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def model(self):
-        return self._get("model", lambda: cfgmod.build_model(self.cfg))
+        return cfgmod.build_model(self.cfg)
 
-    @property
+    @cached_property
     def discrete(self):
-        return self._get("discrete",
-                         lambda: cfgmod.build_discrete(self.cfg, self.model))
+        return cfgmod.build_discrete(self.cfg, self.model)
 
-    @property
+    @cached_property
     def dae(self):
-        return self._get("dae", lambda: daemod.build_dae(self.discrete))
+        return daemod.build_dae(self.discrete)
 
-    @property
+    @cached_property
     def space(self):
-        return self._get("space",
-                         lambda: cfgmod.build_attack_space(self.cfg, self.model))
+        return cfgmod.build_attack_space(self.cfg, self.model)
 
-    @property
+    @cached_property
     def params(self) -> dict:
-        return self._get("params", lambda: cfgmod.design_params(self.cfg))
+        return cfgmod.design_params(self.cfg)
 
-    @property
+    @cached_property
     def basis(self):
-        def make():
-            p = self.params
-            hbar = daemod.stack_hbar(self.dae, p["d_n"])
-            return feasible_basis(hbar, p["eta"], p["d_n"], p["rank_tol"])
-        return self._get("basis", make)
+        p = self.params
+        hbar = daemod.stack_hbar(self.dae, p["d_n"])
+        return feasible_basis(hbar, p["eta"], p["d_n"], p["rank_tol"])
 
-    @property
+    @cached_property
     def ffb(self):
-        return self._get("ffb",
-                         lambda: daemod.attack_gain(self.dae, self.space.basis))
+        return daemod.attack_gain(self.dae, self.space.basis)
 
-    @property
+    @cached_property
     def design(self) -> FilterDesign:
-        def make():
-            p = self.params
-            a_pol, b_pol = self.space.a, self.space.b
-            if p["kind"] == "steady-state":
-                fbar = daemod.build_fbar(self.dae, self.space.basis, p["d_n"])
-                return design_steady_state(self.basis, fbar, a_pol, b_pol,
-                                           p["pole"])
-            return design_robust(self.basis, self.ffb, a_pol, b_pol,
-                                 p["pole"])
-        return self._get("design", make)
+        p = self.params
+        a_pol, b_pol = self.space.a, self.space.b
+        if p["kind"] == "steady-state":
+            fbar = daemod.build_fbar(self.dae, self.space.basis, p["d_n"])
+            return design_steady_state(self.basis, fbar, a_pol, b_pol,
+                                       p["pole"])
+        return design_robust(self.basis, self.ffb, a_pol, b_pol, p["pole"])
 
-    @property
+    @cached_property
     def worst_case(self):
         """The attacker's best reply ``(alpha, payoff)`` to the design.
 
@@ -111,18 +100,15 @@ class Pipeline:
         failure. A steady-state design's mu bounds the summed gain, not
         this payoff, and is not compared.
         """
-        def make():
-            design = self.design
-            alpha, payoff = worst_case_alpha(design.nbar, self.ffb,
-                                             design.d_n, self.space.a,
-                                             self.space.b)
-            floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
-            if design.kind == "robust" and payoff < floor:
-                raise NumericError(
-                    f"worst-case payoff {payoff!r} is below the certified "
-                    f"gamma = {design.gamma!r}")
-            return alpha, payoff
-        return self._get("worst_case", make)
+        design = self.design
+        alpha, payoff = worst_case_alpha(design.nbar, self.ffb, design.d_n,
+                                         self.space.a, self.space.b)
+        floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
+        if design.kind == "robust" and payoff < floor:
+            raise NumericError(
+                f"worst-case payoff {payoff!r} is below the certified "
+                f"gamma = {design.gamma!r}")
+        return alpha, payoff
 
     def attack_vector(self):
         """Resolve the injected f per the attack section; may need a design."""
@@ -134,9 +120,11 @@ class Pipeline:
             raw = atk.get("raw_f")
             if raw is None:
                 raise ConfigError("attack.raw_f", "mode 'raw' needs raw_f")
-            return np.asarray(raw, dtype=float), None
+            return cfgmod.float_vector(raw, self.model.n_attacks,
+                                       "attack.raw_f"), None
         if mode == "alpha":
-            alpha = np.asarray(atk.get("alpha"), dtype=float)
+            alpha = cfgmod.float_vector(atk.get("alpha"), self.space.dim,
+                                        "attack.alpha")
             return synthesize_attack(self.space, alpha), alpha
         if mode == "worst-case":
             alpha, _ = self.worst_case
@@ -240,9 +228,7 @@ def _run_simulation(pipe: Pipeline, pole: float | None = None):
     scenario = cfgmod.build_scenario(pipe.cfg, pipe.discrete, f_vec)
     design = pipe.design
     if pole is not None:
-        design = FilterDesign(design.nbar, design.d_n, pole, design.gamma,
-                              design.kind, design.index, design.multiplier,
-                              design.table, design.diagnostic)
+        design = dataclasses.replace(design, pole=pole)
     filt = realize_filter(design, pipe.dae.l)
     trace = simulate(pipe.discrete, scenario, filt)
     trace.metadata["overrides"] = list(pipe.overrides)
@@ -317,8 +303,17 @@ def _parse_poles(text: str) -> list[float]:
     return poles
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ConfigError``, so a
+    bad command line ends in the one-line error format, not argparse's
+    usage text. Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError("argv", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="agcdiag",
         description="Design and evaluate dynamic diagnosis filters for "
                     "stealthy attacks on multi-area AGC systems.")
@@ -340,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = (cfgmod.load_config(args.config) if args.config
                else cfgmod.default_config())
         overrides = cfgmod.apply_overrides(cfg, args.overrides)

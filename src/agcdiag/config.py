@@ -187,6 +187,22 @@ def _float_map(value, path: str) -> dict[str, float]:
     return {k: _typed(v, float, f"{path}.{k}") for k, v in value.items()}
 
 
+def _float_array(value, path: str) -> np.ndarray:
+    """``value`` as a float array; anything non-numeric is a config error."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected numbers: {exc}") from None
+
+
+def float_vector(value, size: int, path: str) -> np.ndarray:
+    """``value`` as a vector of exactly ``size`` finite floats."""
+    vec = np.atleast_1d(_float_array(value, path))
+    if vec.ndim != 1 or vec.size != size or not np.all(np.isfinite(vec)):
+        raise ConfigError(path, f"expected a list of {size} finite numbers")
+    return vec
+
+
 def design_params(cfg: dict) -> dict:
     """Validated design section: degree, bound, pole, kind, polytope."""
     d = cfg.get("design", {})
@@ -201,11 +217,9 @@ def design_params(cfg: dict) -> dict:
     if kind not in ("robust", "steady-state"):
         raise ConfigError("design.kind",
                           f"expected 'robust' or 'steady-state', got {kind!r}")
-    try:
-        a_pol = np.asarray(d["polytope_a"], dtype=float)
-        b_pol = np.asarray(d["polytope_b"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("design.polytope_a", f"bad polytope data: {exc}")
+    # a missing entry reads as a 0-d nan and fails the shape check
+    a_pol = _float_array(d.get("polytope_a"), "design.polytope_a")
+    b_pol = _float_array(d.get("polytope_b"), "design.polytope_b")
     if a_pol.ndim != 2 or b_pol.ndim != 1 or a_pol.shape[0] != b_pol.size:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
@@ -257,18 +271,22 @@ def build_discrete(cfg: dict, model: ContinuousModel | None = None) -> DiscreteL
 
 
 def build_attack_space(cfg: dict, model: ContinuousModel | DiscreteLtiModel) -> AttackSpace:
-    atk = cfg["attack"]
-    basis_raw = atk.get("basis", "auto")
+    """The stealthy basis of the attack section with the polytope of the
+    design section (read by ``design_params``)."""
+    basis_raw = cfg["attack"].get("basis", "auto")
     if basis_raw == "auto":
         basis = compute_basis(model.c, model.d_f)
     else:
-        basis = np.asarray(basis_raw, dtype=float)
+        basis = _float_array(basis_raw, "attack.basis")
         if basis.ndim != 2 or basis.shape[1] != model.n_attacks:
             raise ConfigError("attack.basis",
                               f"rows must have length {model.n_attacks}")
-    a_pol = np.asarray(cfg["design"]["polytope_a"], dtype=float)
-    b_pol = np.asarray(cfg["design"]["polytope_b"], dtype=float)
-    space = AttackSpace(basis=basis, a=a_pol, b=b_pol,
+    p = design_params(cfg)
+    if p["a_pol"].shape[1] != basis.shape[0]:
+        raise ConfigError("design.polytope_a",
+                          f"A needs one column per basis vector "
+                          f"({basis.shape[0]})")
+    space = AttackSpace(basis=basis, a=p["a_pol"], b=p["b_pol"],
                         labels=model.attack_labels)
     validate_attack_space(space, model.c, model.d_f)
     return space

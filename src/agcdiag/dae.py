@@ -1,15 +1,17 @@
 """DAE fit of the discrete closed loop and the stacked design matrices.
 
-The sampled model is rewritten as one set of polynomial equations in the
-time-shift operator q,
+The sampled model is rewritten as one set of equations in the time-shift
+operator q,
 
-    H(q) x[k] + L(q) y[k] + F f[k] = 0,   x := [X; d],
+    H(q) x[k] + L y[k] + F f[k] = 0,   x := [X; d],
 
-whose blocks are H(q) = [[-qI + A, B_d], [C, 0]], L = [0; -I], F = [B_f; D_f].
-A degree-d_N residual generator N(q) acts on these rows; its coefficients are
-kept as one stacked row vector, and the polynomial products it enters become
-products with the banded matrix `stack_hbar` and the block-diagonal
-`build_v` / stacked `build_fbar` attack gains.
+with H(q) = H_0 + q H_1, H_0 = [[A, B_d], [C, 0]], H_1 = [[-I, 0], [0, 0]],
+L = [0; -I] and F = [B_f; D_f]. H always has degree 1 and L and F are
+constant, so the system is the four arrays H_0, H_1, L and F. A degree-d_N
+residual generator N(q) acts on these rows; its coefficients are kept as
+one stacked row vector, and the polynomial products it enters become
+products with the banded matrix `stack_hbar` and the attack gains
+`attack_gain` and `build_fbar`.
 """
 
 from __future__ import annotations
@@ -23,55 +25,19 @@ from .errors import DimensionError
 
 
 @dataclass(frozen=True)
-class PolynomialMatrix:
-    """Matrix polynomial sum_i coeffs[i] q^i with equally-shaped coefficients."""
-
-    coeffs: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        shapes = {c.shape for c in self.coeffs}
-        if len(shapes) != 1:
-            raise DimensionError(f"coefficient shapes differ: {shapes}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.coeffs[0].shape
-
-    def at(self, q: float) -> np.ndarray:
-        """Evaluate at a scalar q (Horner)."""
-        out = np.zeros_like(self.coeffs[0])
-        for c in reversed(self.coeffs):
-            out = out * q + c
-        return out
-
-
-@dataclass(frozen=True)
 class DaeSystem:
-    h: PolynomialMatrix          # degree 1, (n_r, n_x + n_d)
-    l: PolynomialMatrix          # degree 0, (n_r, n_y)
-    f: PolynomialMatrix          # degree 0, (n_r, n_f)
-    n_rows: int
-    n_unknowns: int
-    n_measurements: int
-    n_attacks: int
+    """H(q) = h0 + q h1, (n_r, n_x + n_d); l, (n_r, n_y); f, (n_r, n_f)."""
 
-    @property
-    def f0(self) -> np.ndarray:
-        return self.f.coeffs[0]
-
-    @property
-    def l0(self) -> np.ndarray:
-        return self.l.coeffs[0]
+    h0: np.ndarray
+    h1: np.ndarray
+    l: np.ndarray
+    f: np.ndarray
 
 
 def build_dae(model: DiscreteLtiModel) -> DaeSystem:
     """Fit a sampled closed loop into the DAE block form."""
     n_x, n_d = model.n_states, model.n_disturbances
-    n_y, n_f = model.n_measurements, model.n_attacks
+    n_y = model.n_measurements
     n_r = n_x + n_y
     h0 = np.zeros((n_r, n_x + n_d))
     h0[:n_x, :n_x] = model.a_cl
@@ -79,18 +45,9 @@ def build_dae(model: DiscreteLtiModel) -> DaeSystem:
     h0[n_x:, :n_x] = model.c
     h1 = np.zeros((n_r, n_x + n_d))
     h1[:n_x, :n_x] = -np.eye(n_x)
-    l0 = np.zeros((n_r, n_y))
-    l0[n_x:, :] = -np.eye(n_y)
-    f0 = np.vstack([model.b_f, model.d_f])
-    return DaeSystem(
-        h=PolynomialMatrix((h0, h1)),
-        l=PolynomialMatrix((l0,)),
-        f=PolynomialMatrix((f0,)),
-        n_rows=n_r,
-        n_unknowns=n_x + n_d,
-        n_measurements=n_y,
-        n_attacks=n_f,
-    )
+    l = np.zeros((n_r, n_y))
+    l[n_x:, :] = -np.eye(n_y)
+    return DaeSystem(h0, h1, l, np.vstack([model.b_f, model.d_f]))
 
 
 def stack_hbar(dae: DaeSystem, d_n: int) -> np.ndarray:
@@ -102,38 +59,22 @@ def stack_hbar(dae: DaeSystem, d_n: int) -> np.ndarray:
     """
     if d_n < 0:
         raise ValueError("filter degree must be nonnegative")
-    h0, h1 = dae.h.coeffs
-    n_r, n_xx = h0.shape
+    n_r, n_xx = dae.h0.shape
     out = np.zeros(((d_n + 1) * n_r, (d_n + 2) * n_xx))
     for i in range(d_n + 1):
-        out[i * n_r:(i + 1) * n_r, i * n_xx:(i + 1) * n_xx] = h0
-        out[i * n_r:(i + 1) * n_r, (i + 1) * n_xx:(i + 2) * n_xx] = h1
+        out[i * n_r:(i + 1) * n_r, i * n_xx:(i + 1) * n_xx] = dae.h0
+        out[i * n_r:(i + 1) * n_r, (i + 1) * n_xx:(i + 2) * n_xx] = dae.h1
     return out
 
 
 def attack_gain(dae: DaeSystem, basis: np.ndarray) -> np.ndarray:
     """F F_b' for a basis whose rows are attack vectors: (n_r, d)."""
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    if basis.shape[1] != dae.n_attacks:
+    if basis.shape[1] != dae.f.shape[1]:
         raise DimensionError(
-            f"basis rows have length {basis.shape[1]}, expected {dae.n_attacks}")
-    return dae.f0 @ basis.T
-
-
-def build_v(dae: DaeSystem, basis: np.ndarray, alpha: np.ndarray,
-            d_n: int) -> np.ndarray:
-    """Block-diagonal V(alpha): d_n+1 copies of the column F F_b' alpha."""
-    gain = attack_gain(dae, basis)
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.size != gain.shape[1]:
-        raise DimensionError(
-            f"alpha has length {alpha.size}, expected {gain.shape[1]}")
-    col = gain @ alpha
-    n_r = dae.n_rows
-    out = np.zeros(((d_n + 1) * n_r, d_n + 1))
-    for i in range(d_n + 1):
-        out[i * n_r:(i + 1) * n_r, i] = col
-    return out
+            f"basis rows have length {basis.shape[1]}, "
+            f"expected {dae.f.shape[1]}")
+    return dae.f @ basis.T
 
 
 def build_fbar(dae: DaeSystem, basis: np.ndarray, d_n: int) -> np.ndarray:

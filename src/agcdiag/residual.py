@@ -1,7 +1,7 @@
 """Both detectors: the static bad-data residual and the realized dynamic
 diagnosis filter.
 
-The dynamic filter r_D = a(q)^-1 N(q) L(q) y is realized as a causal IIR
+The dynamic filter r_D = a(q)^-1 N(q) L y is realized as a causal IIR
 recursion with denominator a(q) = (q - p)^d_N / (1 - p)^d_N, whose only
 root is the pole p and whose value at q = 1 is exactly 1, so a constant
 input y passes with the DC gain N(1) L y. The filter runs over a whole
@@ -16,7 +16,6 @@ from operator import mul
 
 import numpy as np
 
-from .dae import PolynomialMatrix
 from .design import FilterDesign
 from .errors import DimensionError, StabilityError
 from .linalg import weighted_range_projector
@@ -110,15 +109,14 @@ class RealizedFilter:
         return float(self.apply(np.reshape(y, (1, -1)))[0])
 
 
-def realize_filter(design: FilterDesign, l_poly: PolynomialMatrix) -> RealizedFilter:
-    """Wire a designed coefficient row to the measurement map L(q)."""
-    l0 = l_poly.coeffs[0]
+def realize_filter(design: FilterDesign, l: np.ndarray) -> RealizedFilter:
+    """Wire a designed coefficient row to the constant measurement map L."""
     blocks = design.blocks()
-    if blocks.shape[1] != l0.shape[0]:
+    if blocks.shape[1] != l.shape[0]:
         raise DimensionError(
             f"coefficient blocks of length {blocks.shape[1]} do not match "
-            f"L with {l0.shape[0]} rows")
-    return RealizedFilter(blocks @ l0, design.pole, design.d_n)
+            f"L with {l.shape[0]} rows")
+    return RealizedFilter(blocks @ l, design.pole, design.d_n)
 
 
 def steady_state_gain(design: FilterDesign, ffb, alpha) -> float:

@@ -175,14 +175,13 @@ def _rowwise(mat: np.ndarray, series: np.ndarray) -> np.ndarray:
 
 
 def simulate(model: DiscreteLtiModel, scenario: Scenario,
-             dynamic_filter: RealizedFilter | None = None,
-             weighted_static: bool = True) -> SimulationTrace:
+             dynamic_filter: RealizedFilter | None = None) -> SimulationTrace:
     """Run the closed loop from the origin and record both residuals.
 
     The static residual is noise-weighted (covariance from the scenario)
-    whenever measurement noise is configured and ``weighted_static`` is
-    left on. The dynamic filter, if given, is reset and then filters the
-    whole measurement series once the state recursion has run.
+    whenever every measurement has a positive noise variance. The dynamic
+    filter, if given, is reset and then filters the whole measurement
+    series once the state recursion has run.
     """
     n_x, n_y = model.n_states, model.n_measurements
     n_f = model.n_attacks
@@ -201,9 +200,9 @@ def simulate(model: DiscreteLtiModel, scenario: Scenario,
     w_series = rng.standard_normal((steps + 1, n_x)) * np.sqrt(proc_var)
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
-    r_y = meas_var if (weighted_static and np.all(meas_var > 0)) else None
-    static_weights = None if r_y is None else 1.0 / r_y
-    proj = weighted_range_projector(model.c, static_weights)
+    weighted = bool(np.all(meas_var > 0))
+    proj = weighted_range_projector(model.c,
+                                    1.0 / meas_var if weighted else None)
 
     t = np.arange(steps + 1) * scenario.t_s
     f_log = np.zeros((steps + 1, n_f))
@@ -244,7 +243,7 @@ def simulate(model: DiscreteLtiModel, scenario: Scenario,
         "t_s": scenario.t_s,
         "onset_s": scenario.onset_s,
         "warmup_samples": 0 if dynamic_filter is None else dynamic_filter.warmup,
-        "weighted_static": r_y is not None,
+        "weighted_static": weighted,
         "state_labels": list(model.state_labels),
         "measurement_labels": list(model.measurement_labels),
         "attack_labels": list(model.attack_labels),

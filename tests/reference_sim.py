@@ -56,8 +56,8 @@ class StreamingFilter:
         return float(r)
 
 
-def simulate_reference(model, scenario, dynamic_filter=None,
-                       weighted_static: bool = True) -> SimulationTrace:
+def simulate_reference(model, scenario,
+                       dynamic_filter=None) -> SimulationTrace:
     """Run the closed loop one sample at a time; ``dynamic_filter`` is a
     ``RealizedFilter`` whose coefficients drive a ``StreamingFilter``."""
     n_x, n_y = model.n_states, model.n_measurements
@@ -75,7 +75,7 @@ def simulate_reference(model, scenario, dynamic_filter=None,
     w_series = rng.standard_normal((steps + 1, n_x)) * np.sqrt(proc_var)
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
-    r_y = meas_var if (weighted_static and np.all(meas_var > 0)) else None
+    r_y = meas_var if np.all(meas_var > 0) else None
     static_weights = None if r_y is None else 1.0 / r_y
     proj = weighted_range_projector(model.c, static_weights)
     stream = None

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from agcdiag.agc import (AreaParams, GeneratorParams, assemble_system,
-                         augment_dynamic_controller, build_area,
-                         close_loop_static)
+                         build_area)
 from agcdiag.errors import ValidationError
+
+from oracles import augment_dynamic_controller, close_loop_static
 
 
 def two_gen_area():

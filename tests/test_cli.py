@@ -242,6 +242,35 @@ class TestErrors:
         assert err.startswith("error: code=runtime field=- msg=\"FileExistsError")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("args", [["nope"], ["design", "--bogus"]])
+    def test_bad_command_line_exits_2(self, args, tmp_path, monkeypatch,
+                                      capsys):
+        code, _, err = run_cli(args, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=argv ")
+        assert len(err.splitlines()) == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: agcdiag")
+
+    @pytest.mark.parametrize("overrides, field", [
+        (["design.polytope_b=[1.5,2]"], "design.polytope_a"),
+        (['design.polytope_a="x"'], "design.polytope_a"),
+        (["design.polytope_a=[[1,1]]"], "design.polytope_a"),
+        (["attack.mode=raw", "attack.raw_f=[1,2]"], "attack.raw_f"),
+        (["attack.alpha=[1,2]"], "attack.alpha"),
+    ])
+    def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
+                                     monkeypatch, capsys):
+        args = [a for o in overrides for a in ("--set", o)] + ["simulate"]
+        code, _, err = run_cli(args, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith(f"error: code=config field={field} ")
+        assert len(err.splitlines()) == 1
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         sub = tmp_path / "elsewhere"
         monkeypatch.setenv("AGCDIAG_OUTDIR", str(sub))

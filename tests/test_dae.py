@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from agcdiag.dae import (attack_gain, build_dae, build_fbar, build_v,
-                         stack_hbar)
+from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
 from agcdiag.discretize import DiscreteLtiModel
 from agcdiag.errors import DimensionError
 
 from helpers import poly_mat_multiply
+from oracles import build_v
 
 
 def toy_model(n_d=1):
@@ -28,24 +28,22 @@ def toy_model(n_d=1):
 class TestBuildDae:
     def test_toy_blocks(self):
         dae = build_dae(toy_model())
-        h0, h1 = dae.h.coeffs
-        assert np.allclose(h0, [[0.5, 1.0], [1.0, 0.0]])
-        assert np.allclose(h1, [[-1.0, 0.0], [0.0, 0.0]])
-        assert np.allclose(dae.l0, [[0.0], [-1.0]])
-        assert np.allclose(dae.f0, [[0.2], [1.0]])
-        assert dae.h.degree == 1 and dae.l.degree == 0 and dae.f.degree == 0
+        assert np.allclose(dae.h0, [[0.5, 1.0], [1.0, 0.0]])
+        assert np.allclose(dae.h1, [[-1.0, 0.0], [0.0, 0.0]])
+        assert np.allclose(dae.l, [[0.0], [-1.0]])
+        assert np.allclose(dae.f, [[0.2], [1.0]])
 
     def test_no_disturbance_columns(self):
         dae = build_dae(toy_model(n_d=0))
-        assert dae.h.shape == (2, 1)
-        assert dae.n_unknowns == 1
+        assert dae.h0.shape == dae.h1.shape == (2, 1)
 
     def test_default_agc_dimensions(self, chain):
-        assert chain.dae.n_rows == 19 + 25
-        assert chain.dae.n_unknowns == 19 + 3
+        assert chain.dae.h0.shape == chain.dae.h1.shape == (19 + 25, 19 + 3)
+        assert chain.dae.l.shape == (19 + 25, 25)
+        assert chain.dae.f.shape == (19 + 25, 5)
 
     def test_q_coefficient_is_negated_identity_over_states(self, chain):
-        h1 = chain.dae.h.coeffs[1]
+        h1 = chain.dae.h1
         n_x = chain.discrete.n_states
         assert np.allclose(h1[:n_x, :n_x], -np.eye(n_x))
         assert np.abs(h1[n_x:, :]).max() == 0.0
@@ -56,12 +54,11 @@ class TestStackHbar:
     def test_degree_zero_single_block_row(self):
         dae = build_dae(toy_model())
         hbar = stack_hbar(dae, 0)
-        h0, h1 = dae.h.coeffs
-        assert np.allclose(hbar, np.hstack([h0, h1]))
+        assert np.allclose(hbar, np.hstack([dae.h0, dae.h1]))
 
     def test_degree_one_banded(self):
         dae = build_dae(toy_model())
-        h0, h1 = dae.h.coeffs
+        h0, h1 = dae.h0, dae.h1
         z = np.zeros_like(h0)
         expected = np.block([[h0, h1, z], [z, h0, h1]])
         assert np.allclose(stack_hbar(dae, 1), expected)
@@ -71,13 +68,13 @@ class TestStackHbar:
         rng = np.random.default_rng(8)
         for d_n in (0, 1, 3):
             dae = build_dae(toy_model())
-            n_r = dae.n_rows
+            n_r = dae.h0.shape[0]
             nbar = rng.standard_normal((d_n + 1) * n_r)
             hbar = stack_hbar(dae, d_n)
             stacked = nbar @ hbar
             n_coeffs = [nbar[i * n_r:(i + 1) * n_r] for i in range(d_n + 1)]
-            product = poly_mat_multiply(n_coeffs, list(dae.h.coeffs))
-            n_xx = dae.n_unknowns
+            product = poly_mat_multiply(n_coeffs, [dae.h0, dae.h1])
+            n_xx = dae.h0.shape[1]
             for k, coeff in enumerate(product):
                 block = stacked[k * n_xx:(k + 1) * n_xx]
                 assert np.abs(block - coeff.ravel()).max() <= 1e-12
@@ -107,7 +104,7 @@ class TestAttackGainBlocks:
         # N(q) F F_b' alpha coefficients == block partition of Nbar V(alpha)
         rng = np.random.default_rng(15)
         dae = build_dae(toy_model())
-        n_r = dae.n_rows
+        n_r = dae.h0.shape[0]
         d_n = 2
         nbar = rng.standard_normal((d_n + 1) * n_r)
         basis = rng.standard_normal((1, 1))
@@ -128,7 +125,7 @@ class TestAttackGainBlocks:
         dae = build_dae(toy_model())
         d_n = 2
         fbar = build_fbar(dae, np.eye(1), d_n)
-        nbar = np.ones((d_n + 1) * dae.n_rows)
+        nbar = np.ones((d_n + 1) * dae.h0.shape[0])
         expected = (d_n + 1) * attack_gain(dae, np.eye(1)).sum(axis=0)
         assert np.allclose(nbar @ fbar, expected)
 
@@ -141,7 +138,7 @@ class TestAttackGainBlocks:
         # Nbar @ Fbar = N(1) F F_b' alpha for random inputs, exact
         rng = np.random.default_rng(21)
         dae = build_dae(toy_model())
-        n_r = dae.n_rows
+        n_r = dae.h0.shape[0]
         for d_n in (0, 1, 3):
             nbar = rng.standard_normal((d_n + 1) * n_r)
             basis = rng.standard_normal((1, 1))
@@ -157,14 +154,6 @@ class TestAttackGainBlocks:
             build_v(dae, np.eye(1), np.zeros(2), 1)
         with pytest.raises(DimensionError):
             attack_gain(dae, np.ones((1, 3)))
-
-
-def test_polynomial_evaluation_at_scalar():
-    dae = build_dae(toy_model())
-    h0, h1 = dae.h.coeffs
-    assert np.allclose(dae.h.at(1.0), h0 + h1)
-    assert np.allclose(dae.h.at(0.5), h0 + 0.5 * h1)
-    assert np.allclose(dae.l.at(2.0), dae.l0)
 
 
 class TestRandomSystemIdentity:
@@ -190,13 +179,13 @@ class TestRandomSystemIdentity:
                 attack_labels=tuple(f"r.y{i}" for i in range(n_f)),
                 disturbance_labels=tuple(f"r.d{i}" for i in range(n_d)))
             dae = build_dae(model)
-            n_r = dae.n_rows
+            n_r = dae.h0.shape[0]
             nbar = rng.standard_normal((d_n + 1) * n_r)
             hbar = stack_hbar(dae, d_n)
             stacked = nbar @ hbar
             n_coeffs = [nbar[i * n_r:(i + 1) * n_r] for i in range(d_n + 1)]
-            product = poly_mat_multiply(n_coeffs, list(dae.h.coeffs))
-            n_xx = dae.n_unknowns
+            product = poly_mat_multiply(n_coeffs, [dae.h0, dae.h1])
+            n_xx = dae.h0.shape[1]
             assert hbar.shape == ((d_n + 1) * n_r, (d_n + 2) * n_xx)
             for k, coeff in enumerate(product):
                 block = stacked[k * n_xx:(k + 1) * n_xx]

@@ -130,7 +130,7 @@ class TestDesignLpAgreement:
 
     def test_worst_case_value_matches_highs(self, chain):
         nbar = chain.design.nbar
-        gains = nbar.reshape(4, chain.dae.n_rows) @ chain.ffb
+        gains = nbar.reshape(4, chain.basis.n_rows) @ chain.ffb
         rows, rhs = [], []
         for g in gains:
             rows.append(np.concatenate([g, [-1.0]]))

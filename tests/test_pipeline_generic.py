@@ -5,7 +5,6 @@ to the power-system builder."""
 import numpy as np
 import pytest
 
-from agcdiag.agc import augment_dynamic_controller
 from agcdiag.attacks import AttackSpace, compute_basis, synthesize_attack, \
     validate_attack_space
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
@@ -14,6 +13,8 @@ from agcdiag.design import design_robust, evaluate_payoff, feasible_basis, \
 from agcdiag.discretize import DiscreteLtiModel
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import Scenario, simulate
+
+from oracles import augment_dynamic_controller
 
 
 @pytest.fixture(scope="module")

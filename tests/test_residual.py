@@ -171,7 +171,7 @@ class TestRealizedFilter:
         filt = realize_filter(design, chain.dae.l)
         n_x = chain.discrete.n_states
         blocks = design.blocks()
-        expected = blocks @ chain.dae.l0
+        expected = blocks @ chain.dae.l
         assert np.allclose(filt.numerator, expected)
         assert np.allclose(filt.numerator, -blocks[:, n_x:])
 

@@ -30,9 +30,9 @@ def assert_parity(got, ref):
         assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale, name
 
 
-def run_both(model, scenario, filt=None, weighted_static=True):
-    return (simulate(model, scenario, filt, weighted_static),
-            simulate_reference(model, scenario, filt, weighted_static))
+def run_both(model, scenario, filt=None):
+    return (simulate(model, scenario, filt),
+            simulate_reference(model, scenario, filt))
 
 
 def scenario(**kw):
@@ -76,13 +76,6 @@ class TestSignalParity:
         got, ref = run_both(chain.discrete, sc)
         assert_parity(got, ref)
         assert np.abs(got.r_d).max() == 0.0
-
-    def test_unweighted_static_residual(self, chain):
-        f = synthesize_attack(chain.space, [1.0, 0.5, 0.0])
-        filt = realize_filter(chain.design, chain.dae.l)
-        sc = scenario(attack_f=f, measurement_noise=NOISE, seed=5)
-        assert_parity(*run_both(chain.discrete, sc, filt,
-                                weighted_static=False))
 
     @pytest.mark.parametrize("d_n", [1, 3, 6])
     @pytest.mark.parametrize("pole", [0.2, 0.8, 0.98])
