@@ -55,15 +55,13 @@ def stealth_residual(f, c, d_f) -> float:
     return float(np.abs(injected - proj @ injected).max(initial=0.0))
 
 
-def compute_basis(c, d_f, tol: float = STEALTH_TOL) -> np.ndarray:
+def compute_basis(c, d_f) -> np.ndarray:
     """Rows spanning {f : (I - P_C) D_f f = 0}, the stealthy directions.
 
-    Computed as the right null space of (I - P_C) D_f at relative threshold
-    ``tol``; each row is rescaled so its first nonzero entry is +0.1 (the
-    per-unit magnitude convention used for supplied bases). May be empty.
+    Computed as the right null space of (I - P_C) D_f at the relative
+    threshold STEALTH_TOL; each row is rescaled so its first nonzero entry
+    is +0.1 (the per-unit convention used for supplied bases). May be empty.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     c = np.asarray(c, dtype=float)
     d_f = np.asarray(d_f, dtype=float)
     proj = weighted_range_projector(c)
@@ -72,7 +70,7 @@ def compute_basis(c, d_f, tol: float = STEALTH_TOL) -> np.ndarray:
     # a direction is stealthy when its visible footprint is negligible
     # relative to the injection scale, not to the largest footprint
     scale = np.linalg.norm(d_f, 2)
-    rank = int(np.sum(s > tol * scale)) if scale > 0 else 0
+    rank = int(np.sum(s > STEALTH_TOL * scale)) if scale > 0 else 0
     rows = vt[rank:, :]
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
@@ -82,17 +80,16 @@ def compute_basis(c, d_f, tol: float = STEALTH_TOL) -> np.ndarray:
     return out
 
 
-def validate_attack_space(space: AttackSpace, c, d_f,
-                          tol: float = STEALTH_TOL) -> None:
+def validate_attack_space(space: AttackSpace, c, d_f) -> None:
     """Reject a basis whose rows are dependent or visible to the static test."""
     if space.dim and np.linalg.matrix_rank(space.basis) < space.dim:
         raise ValidationError("attack basis rows are linearly dependent")
     for i, row in enumerate(space.basis):
         resid = stealth_residual(row, c, d_f)
-        if resid > tol:
+        if resid > STEALTH_TOL:
             raise ValidationError(
                 f"basis vector {i + 1} fails the stealth test "
-                f"(residual {resid:.3e} > {tol:.1e})")
+                f"(residual {resid:.3e} > {STEALTH_TOL:.1e})")
 
 
 def synthesize_attack(space: AttackSpace, alpha) -> np.ndarray:
@@ -102,9 +99,3 @@ def synthesize_attack(space: AttackSpace, alpha) -> np.ndarray:
         raise DimensionError(
             f"alpha has length {alpha.size}, expected {space.dim}")
     return space.basis.T @ alpha
-
-
-def in_polytope(space: AttackSpace, alpha, tol: float = 0.0) -> bool:
-    """Componentwise test A alpha >= b - tol."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    return bool(np.all(space.a @ alpha >= space.b - tol))

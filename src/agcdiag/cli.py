@@ -113,17 +113,17 @@ class Pipeline:
     def attack_vector(self):
         """Resolve the injected f per the attack section; may need a design."""
         atk = self.cfg["attack"]
-        mode = atk.get("mode", "none")
+        mode = atk["mode"]
         if mode == "none":
             return None, None
         if mode == "raw":
-            raw = atk.get("raw_f")
+            raw = atk["raw_f"]
             if raw is None:
                 raise ConfigError("attack.raw_f", "mode 'raw' needs raw_f")
             return cfgmod.float_vector(raw, self.model.n_attacks,
                                        "attack.raw_f"), None
         if mode == "alpha":
-            alpha = cfgmod.float_vector(atk.get("alpha"), self.space.dim,
+            alpha = cfgmod.float_vector(atk["alpha"], self.space.dim,
                                         "attack.alpha")
             return synthesize_attack(self.space, alpha), alpha
         if mode == "worst-case":
@@ -133,7 +133,7 @@ class Pipeline:
                           f"unknown mode {mode!r} (none|raw|alpha|worst-case)")
 
     def out_dir(self) -> str:
-        configured = self.cfg["output"].get("dir")
+        configured = cfgmod.output_params(self.cfg)["dir"]
         path = configured or os.environ.get("AGCDIAG_OUTDIR") or "out"
         os.makedirs(path, exist_ok=True)
         return path
@@ -239,11 +239,10 @@ def _run_simulation(pipe: Pipeline, pole: float | None = None):
 def cmd_simulate(pipe: Pipeline) -> int:
     trace = _run_simulation(pipe)
     out = pipe.out_dir()
+    opts = cfgmod.output_params(pipe.cfg)
     path = os.path.join(out, "trace.csv")
-    write_trace_csv(trace, path,
-                    include_states=bool(pipe.cfg["output"].get("include_states")),
-                    include_measurements=bool(
-                        pipe.cfg["output"].get("include_measurements")))
+    write_trace_csv(trace, path, include_states=opts["include_states"],
+                    include_measurements=opts["include_measurements"])
     meta_path = os.path.join(out, "trace_meta.json")
     with open(meta_path, "w", newline="\n") as handle:
         json.dump(trace.metadata, handle, indent=1)

@@ -4,21 +4,26 @@ Sections: ``model`` (areas, topology, attacked measurement labels),
 ``design`` (filter degree, bound, pole, attack polytope, design kind),
 ``attack`` (stealthy basis or "auto", plus how to pick the injected
 vector), ``scenario`` (horizon, sampling, onset, load/noise models, seed),
-``output`` (paths and column toggles). ``--set section.key=value``
-overrides are applied to the raw dict before validation.
+``output`` (paths and column toggles).
+
+``default.json`` beside this module is the only default, and its key tree
+is the schema: a ``--config`` file, which replaces whole values of the
+entries it names, and the ``--set section.key=value`` overrides after it
+both go through one assignment that rejects any path the default lacks.
 
 Noise tables map measurement/state labels to variances; ``<area>.*``
-patterns fill whole areas with exact labels taking precedence. The shipped
-default describes the bundled three-area experiment: the system with
-seven AGC generators, the five vulnerable tie-line measurements, the
-three-vector stealthy basis, polytope 1'a >= 1.5, eta = 10, degree 3,
-pole 0.8, 60 s horizon at 0.5 s sampling with the attack at 30 s.
+patterns fill whole areas with exact labels taking precedence. The default
+describes the bundled three-area experiment: the system with seven AGC
+generators, the five vulnerable tie-line measurements, the three-vector
+stealthy basis, polytope 1'a >= 1.5, eta = 10, degree 3, pole 0.8, 60 s
+horizon at 0.5 s sampling with the attack at 30 s.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+from functools import cache
+from importlib import resources
 
 import numpy as np
 
@@ -28,109 +33,49 @@ from .discretize import DiscreteLtiModel, zoh_discretize
 from .errors import ConfigError
 from .simulate import Scenario
 
-THIRD = 1.0 / 3.0
-
-#: Default per-unit noise variance. The default experiment's covariance
-#: pattern (frequency entries scaled by 0.03) is kept, but the base level is
-#: sized for sensor-grade errors; see README for reproducing heavier noise.
-NOISE_BASE = 1e-6
+#: Frequency entries of the "freq-scaled" noise tables are scaled by this.
 FREQ_NOISE_FACTOR = 0.03
 
-DEFAULT_CONFIG = {
-    "model": {
-        "areas": [
-            {
-                "name": "area1", "inertia": 4.0, "damping": 1.5,
-                "bias": 22.0, "agc_gain": 0.5,
-                "neighbors": {"area2": 0.20, "area3": 0.25},
-                "generators": [
-                    {"t_ch": 0.35, "droop": 0.05, "participation": THIRD},
-                    {"t_ch": 0.35, "droop": 0.05, "participation": THIRD},
-                    {"t_ch": 0.35, "droop": 0.05, "participation": THIRD},
-                ],
-            },
-            {
-                "name": "area2", "inertia": 3.5, "damping": 1.2,
-                "bias": 21.0, "agc_gain": 0.5,
-                "neighbors": {"area1": 0.20, "area3": 0.15},
-                "generators": [
-                    {"t_ch": 0.40, "droop": 0.05, "participation": 0.5},
-                    {"t_ch": 0.40, "droop": 0.05, "participation": 0.5},
-                ],
-            },
-            {
-                "name": "area3", "inertia": 4.5, "damping": 1.8,
-                "bias": 23.0, "agc_gain": 0.5,
-                "neighbors": {"area1": 0.25, "area2": 0.15},
-                "generators": [
-                    {"t_ch": 0.45, "droop": 0.05, "participation": 0.5},
-                    {"t_ch": 0.45, "droop": 0.05, "participation": 0.5},
-                ],
-            },
-        ],
-        "attacked_measurements": [
-            "area1.tie_area2", "area1.tie_area3", "area1.tie_total",
-            "area2.tie_area3", "area2.tie_total",
-        ],
-    },
-    "design": {
-        "d_n": 3,
-        "eta": 10.0,
-        "pole": 0.8,
-        "kind": "robust",
-        "polytope_a": [[1.0, 1.0, 1.0]],
-        "polytope_b": [1.5],
-        "rank_tol": 1e-9,
-    },
-    "attack": {
-        "basis": [
-            [0.1, 0.0, 0.1, 0.0, 0.0],
-            [0.1, 0.15, 0.25, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.1, 0.1],
-        ],
-        "mode": "alpha",
-        "alpha": [2.8, 1.0, -2.3],
-        "raw_f": None,
-    },
-    "scenario": {
-        "horizon_s": 60.0,
-        "t_s": 0.5,
-        "onset_s": 30.0,
-        "load_std": {"area1.load": 0.03},
-        "process_noise": "freq-scaled",
-        "measurement_noise": "freq-scaled",
-        "noise_base": NOISE_BASE,
-        "seed": 1,
-    },
-    "output": {
-        "dir": None,
-        "include_states": False,
-        "include_measurements": False,
-    },
-}
+
+@cache
+def _default_text() -> str:
+    return resources.files(__package__).joinpath("default.json").read_text()
 
 
 def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
+    """A fresh copy of the shipped ``default.json``."""
+    return json.loads(_default_text())
+
+
+def _assign(cfg: dict, keys: list[str], value) -> None:
+    """Set the entry at path ``keys``, which the config must already have."""
+    node = cfg
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            raise ConfigError(".".join(keys), "no such config entry")
+        parent, node = node, node[key]
+    parent[keys[-1]] = value
 
 
 def load_config(path) -> dict:
+    """The default with the sections of the JSON file at ``path`` merged in."""
     try:
         with open(path) as handle:
-            cfg = json.load(handle)
+            raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found")
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError(str(path), "top level must be an object")
     merged = default_config()
-    for section, value in cfg.items():
+    for section, entries in raw.items():
         if section not in merged:
-            raise ConfigError(section, "unknown section")
-        if not isinstance(value, dict):
+            raise ConfigError(section, "no such config entry")
+        if not isinstance(entries, dict):
             raise ConfigError(section, "section must be an object")
-        merged[section].update(value)
+        for key, value in entries.items():
+            _assign(merged, [section, key], value)
     return merged
 
 
@@ -148,14 +93,7 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> list[str]:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        for key in keys[:-1]:
-            if not isinstance(node, dict) or key not in node:
-                raise ConfigError(path, "no such config entry")
-            node = node[key]
-        if not isinstance(node, dict) or keys[-1] not in node:
-            raise ConfigError(path, "no such config entry")
-        node[keys[-1]] = value
+        _assign(cfg, keys, value)
         applied.append(f"{path}={raw}")
     return applied
 
@@ -172,13 +110,16 @@ def _typed(value, kind, path: str):
 
 
 def _require(section: dict, field: str, kind, path: str):
+    """A field of a free-form area or generator entry, type-checked."""
     if field not in section:
         raise ConfigError(f"{path}.{field}", "missing required field")
     return _typed(section[field], kind, f"{path}.{field}")
 
 
-def _optional(section: dict, field: str, kind, default, path: str):
-    return _typed(section.get(field, default), kind, f"{path}.{field}")
+def _entry(cfg: dict, path: str, kind):
+    """The entry at ``"section.key"``, type-checked."""
+    section, key = path.split(".")
+    return _typed(cfg[section][key], kind, path)
 
 
 def _float_map(value, path: str) -> dict[str, float]:
@@ -205,33 +146,44 @@ def float_vector(value, size: int, path: str) -> np.ndarray:
 
 def design_params(cfg: dict) -> dict:
     """Validated design section: degree, bound, pole, kind, polytope."""
-    d = cfg.get("design", {})
-    d_n = _require(d, "d_n", int, "design")
+    d = cfg["design"]
+    d_n = _entry(cfg, "design.d_n", int)
     if d_n < 0:
         raise ConfigError("design.d_n", "filter degree must be >= 0")
-    eta = _require(d, "eta", float, "design")
-    pole = _optional(d, "pole", float, 0.8, "design")
+    eta = _entry(cfg, "design.eta", float)
+    pole = _entry(cfg, "design.pole", float)
     if not 0.0 < pole < 1.0:
         raise ConfigError("design.pole", "pole must be a number in (0, 1)")
-    kind = d.get("kind", "robust")
+    kind = d["kind"]
     if kind not in ("robust", "steady-state"):
         raise ConfigError("design.kind",
                           f"expected 'robust' or 'steady-state', got {kind!r}")
-    # a missing entry reads as a 0-d nan and fails the shape check
-    a_pol = _float_array(d.get("polytope_a"), "design.polytope_a")
-    b_pol = _float_array(d.get("polytope_b"), "design.polytope_b")
+    a_pol = _float_array(d["polytope_a"], "design.polytope_a")
+    b_pol = _float_array(d["polytope_b"], "design.polytope_b")
     if a_pol.ndim != 2 or b_pol.ndim != 1 or a_pol.shape[0] != b_pol.size:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
-    rank_tol = _optional(d, "rank_tol", float, 1e-9, "design")
+    rank_tol = _entry(cfg, "design.rank_tol", float)
     if rank_tol < 0:
         raise ConfigError("design.rank_tol", "rank tolerance must be >= 0")
     return {"d_n": d_n, "eta": eta, "pole": pole, "kind": kind,
             "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
 
 
+def output_params(cfg: dict) -> dict:
+    """Validated output section: ``dir`` (null or a path) and the trace
+    column toggles."""
+    out = cfg["output"]
+    if out["dir"] is not None and not isinstance(out["dir"], str):
+        raise ConfigError("output.dir", "expected null or a string")
+    for key in ("include_states", "include_measurements"):
+        if not isinstance(out[key], bool):
+            raise ConfigError(f"output.{key}", "expected true or false")
+    return out
+
+
 def build_areas(cfg: dict) -> list[AreaParams]:
-    areas_raw = _require(cfg["model"], "areas", list, "model")
+    areas_raw = _entry(cfg, "model.areas", list)
     areas = []
     for i, raw in enumerate(areas_raw):
         path = f"model.areas[{i}]"
@@ -260,20 +212,23 @@ def build_areas(cfg: dict) -> list[AreaParams]:
 
 def build_model(cfg: dict) -> ContinuousModel:
     areas = build_areas(cfg)
-    attacked = tuple(cfg["model"].get("attacked_measurements", []))
-    return assemble_system(areas, attacked)
+    attacked = _entry(cfg, "model.attacked_measurements", list)
+    if not all(isinstance(label, str) for label in attacked):
+        raise ConfigError("model.attacked_measurements",
+                          "expected a list of strings")
+    return assemble_system(areas, tuple(attacked))
 
 
 def build_discrete(cfg: dict, model: ContinuousModel | None = None) -> DiscreteLtiModel:
     model = model if model is not None else build_model(cfg)
-    t_s = _require(cfg["scenario"], "t_s", float, "scenario")
+    t_s = _entry(cfg, "scenario.t_s", float)
     return zoh_discretize(model, t_s)
 
 
 def build_attack_space(cfg: dict, model: ContinuousModel | DiscreteLtiModel) -> AttackSpace:
     """The stealthy basis of the attack section with the polytope of the
     design section (read by ``design_params``)."""
-    basis_raw = cfg["attack"].get("basis", "auto")
+    basis_raw = cfg["attack"]["basis"]
     if basis_raw == "auto":
         basis = compute_basis(model.c, model.d_f)
     else:
@@ -292,16 +247,17 @@ def build_attack_space(cfg: dict, model: ContinuousModel | DiscreteLtiModel) -> 
     return space
 
 
-def noise_pattern(labels: tuple[str, ...], base: float,
-                  freq_factor: float = FREQ_NOISE_FACTOR) -> dict[str, float]:
+def noise_pattern(labels: tuple[str, ...], base: float) -> dict[str, float]:
     """Label->variance table: ``base`` everywhere, frequency entries scaled.
 
     Mirrors the default covariance shape base * diag(1, ..., f, ..., 1)
-    with the smaller entry on each area's frequency channel.
+    with the smaller entry f = ``FREQ_NOISE_FACTOR`` on each area's
+    frequency channel.
     """
     table: dict[str, float] = {}
     for lab in labels:
-        table[lab] = base * freq_factor if lab.endswith(".freq") else base
+        table[lab] = (base * FREQ_NOISE_FACTOR if lab.endswith(".freq")
+                      else base)
     return table
 
 
@@ -319,21 +275,21 @@ def _noise_table(value, base: float, labels: tuple[str, ...],
 def build_scenario(cfg: dict, model: DiscreteLtiModel,
                    attack_f: np.ndarray | None) -> Scenario:
     sc = cfg["scenario"]
-    base = _optional(sc, "noise_base", float, NOISE_BASE, "scenario")
-    load_std = _float_map(sc.get("load_std", {}), "scenario.load_std")
-    seed = _optional(sc, "seed", int, 0, "scenario")
+    base = _entry(cfg, "scenario.noise_base", float)
+    load_std = _float_map(sc["load_std"], "scenario.load_std")
+    seed = _entry(cfg, "scenario.seed", int)
     if seed < 0:
         raise ConfigError("scenario.seed", "seed must be >= 0")
     return Scenario(
-        horizon_s=_require(sc, "horizon_s", float, "scenario"),
-        t_s=_require(sc, "t_s", float, "scenario"),
-        onset_s=_optional(sc, "onset_s", float, 0.0, "scenario"),
+        horizon_s=_entry(cfg, "scenario.horizon_s", float),
+        t_s=_entry(cfg, "scenario.t_s", float),
+        onset_s=_entry(cfg, "scenario.onset_s", float),
         attack_f=attack_f,
         load_std=load_std,
-        process_noise=_noise_table(sc.get("process_noise"), base,
+        process_noise=_noise_table(sc["process_noise"], base,
                                    model.state_labels,
                                    "scenario.process_noise"),
-        measurement_noise=_noise_table(sc.get("measurement_noise"), base,
+        measurement_noise=_noise_table(sc["measurement_noise"], base,
                                        model.measurement_labels,
                                        "scenario.measurement_noise"),
         seed=seed,

@@ -239,16 +239,6 @@ def _check_certificate(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
         raise NumericError(f"{where}: b' lam = {dual!r} != gamma = {gamma!r}")
 
 
-def evaluate_payoff(nbar, ffb, alpha, d_n: int) -> float:
-    """Detection payoff J = max_j |N_j F F_b' alpha|."""
-    nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
-    ffb = np.asarray(ffb, dtype=float)
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    n_r = nbar.size // (d_n + 1)
-    blocks = nbar.reshape(d_n + 1, n_r)
-    return float(np.abs(blocks @ (ffb @ alpha)).max())
-
-
 def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
     """Attacker's best reply: minimize the payoff over the polytope.
 

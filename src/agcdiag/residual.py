@@ -1,5 +1,4 @@
-"""Both detectors: the static bad-data residual and the realized dynamic
-diagnosis filter.
+"""The realized dynamic diagnosis filter.
 
 The dynamic filter r_D = a(q)^-1 N(q) L y is realized as a causal IIR
 recursion with denominator a(q) = (q - p)^d_N / (1 - p)^d_N, whose only
@@ -18,28 +17,6 @@ import numpy as np
 
 from .design import FilterDesign
 from .errors import DimensionError, StabilityError
-from .linalg import weighted_range_projector
-
-
-def static_residual(y, c, r_y=None) -> np.ndarray:
-    """Bad-data residual (I - P) y, optionally noise-weighted.
-
-    With a diagonal measurement covariance ``r_y`` the projector becomes
-    the weighted least-squares one, C (C' R^-1 C)^-1 C' R^-1.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    weights = None
-    if r_y is not None:
-        r_arr = np.asarray(r_y, dtype=float)
-        diag = np.diag(r_arr) if r_arr.ndim == 2 else r_arr
-        if np.any(diag <= 0):
-            raise ValueError("measurement covariance diagonal must be positive")
-        weights = 1.0 / diag
-    proj = weighted_range_projector(c, weights)
-    if y.size != proj.shape[0]:
-        raise DimensionError(
-            f"measurement vector has length {y.size}, expected {proj.shape[0]}")
-    return y - proj @ y
 
 
 def denominator_coefficients(pole: float, d_n: int) -> np.ndarray:
@@ -117,11 +94,3 @@ def realize_filter(design: FilterDesign, l: np.ndarray) -> RealizedFilter:
             f"coefficient blocks of length {blocks.shape[1]} do not match "
             f"L with {l.shape[0]} rows")
     return RealizedFilter(blocks @ l, design.pole, design.d_n)
-
-
-def steady_state_gain(design: FilterDesign, ffb, alpha) -> float:
-    """Settled filter output under a constant basis attack: -N(1) F F_b' alpha."""
-    ffb = np.asarray(ffb, dtype=float)
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    n_at_one = design.blocks().sum(axis=0)
-    return float(-(n_at_one @ (ffb @ alpha)))

@@ -7,7 +7,9 @@ parameters (grid over the coefficient ball, attack polytope sampled at
 vertices and edges) and returns a propagated grid-resolution tolerance.
 ``check_reformulation_feasible`` tests a point against the exact finite
 reformulation the relaxation LPs come from. ``build_v`` is the
-block-diagonal attack gain V(alpha) of that reformulation.
+block-diagonal attack gain V(alpha) of that reformulation. The payoff,
+polytope, static-residual and settled-gain evaluations state the paper's
+quantities directly, for the tests to hold the pipeline's results against.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
+from agcdiag.attacks import AttackSpace
 from agcdiag.dae import DaeSystem, attack_gain
-from agcdiag.design import FeasibleSetBasis
+from agcdiag.design import FeasibleSetBasis, FilterDesign
 from agcdiag.errors import DimensionError, ValidationError
+from agcdiag.linalg import weighted_range_projector
 
 DECOUPLE_TOL = 1e-8
 
@@ -58,6 +62,55 @@ def beta_for_index(block: int, sign: int, d_n: int) -> np.ndarray:
     beta = np.zeros(2 * (d_n + 1))
     beta[2 * block + (0 if sign > 0 else 1)] = 1.0
     return beta
+
+
+# --------------------------------------------------------------------------
+# direct evaluations
+# --------------------------------------------------------------------------
+
+def evaluate_payoff(nbar, ffb, alpha, d_n: int) -> float:
+    """Detection payoff J = max_j |N_j F F_b' alpha|."""
+    nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
+    ffb = np.asarray(ffb, dtype=float)
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    n_r = nbar.size // (d_n + 1)
+    blocks = nbar.reshape(d_n + 1, n_r)
+    return float(np.abs(blocks @ (ffb @ alpha)).max())
+
+
+def in_polytope(space: AttackSpace, alpha, tol: float = 0.0) -> bool:
+    """Componentwise test A alpha >= b - tol."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    return bool(np.all(space.a @ alpha >= space.b - tol))
+
+
+def static_residual(y, c, r_y=None) -> np.ndarray:
+    """Bad-data residual (I - P) y, optionally noise-weighted.
+
+    With a diagonal measurement covariance ``r_y`` the projector becomes
+    the weighted least-squares one, C (C' R^-1 C)^-1 C' R^-1.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    weights = None
+    if r_y is not None:
+        r_arr = np.asarray(r_y, dtype=float)
+        diag = np.diag(r_arr) if r_arr.ndim == 2 else r_arr
+        if np.any(diag <= 0):
+            raise ValueError("measurement covariance diagonal must be positive")
+        weights = 1.0 / diag
+    proj = weighted_range_projector(c, weights)
+    if y.size != proj.shape[0]:
+        raise DimensionError(
+            f"measurement vector has length {y.size}, expected {proj.shape[0]}")
+    return y - proj @ y
+
+
+def steady_state_gain(design: FilterDesign, ffb, alpha) -> float:
+    """Settled filter output under a constant basis attack: -N(1) F F_b' alpha."""
+    ffb = np.asarray(ffb, dtype=float)
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    n_at_one = design.blocks().sum(axis=0)
+    return float(-(n_at_one @ (ffb @ alpha)))
 
 
 # --------------------------------------------------------------------------

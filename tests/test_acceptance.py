@@ -8,18 +8,19 @@ import time
 
 import numpy as np
 
-from agcdiag.attacks import in_polytope, synthesize_attack
+from agcdiag.attacks import synthesize_attack
 from agcdiag.config import noise_pattern
 from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
 from agcdiag.design import (design_robust, design_steady_state,
-                            evaluate_payoff, feasible_basis, solve_lp_i)
+                            feasible_basis, solve_lp_i)
 from agcdiag.linalg import expm
-from agcdiag.residual import realize_filter, steady_state_gain
+from agcdiag.residual import realize_filter
 from agcdiag.simulate import Scenario, simulate, write_trace_csv
 
 from helpers import fine_step_from, random_stable_continuous
 from oracles import (beta_for_index, brute_force_gamma,
-                     check_reformulation_feasible)
+                     check_reformulation_feasible, evaluate_payoff,
+                     in_polytope, steady_state_gain)
 from test_design import tiny_instance
 
 REFERENCE_ALPHA = np.array([2.8, 1.0, -2.3])

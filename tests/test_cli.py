@@ -169,22 +169,35 @@ class TestErrors:
         bad.write_text(json.dumps({"design": {"d_n": "three"}}))
         code, _, err = run_cli(["--config", str(bad), "design"],
                                tmp_path, monkeypatch, capsys)
-        assert code in (1, 2)
-        assert "error:" in err
+        assert code == 2
+        assert err.startswith("error: code=config field=design.d_n ")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_override_path_exits_2(self, tmp_path, monkeypatch,
                                            capsys):
         code, _, err = run_cli(["--set", "design.nope=1", "design"],
                                tmp_path, monkeypatch, capsys)
         assert code == 2
-        assert "field=design.nope" in err
+        assert err == \
+            'error: code=config field=design.nope ' \
+            'msg="design.nope: no such config entry"\n'
 
-    def test_unknown_section_rejected(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("payload, field", [
+        ({"mystery": {}}, "mystery"),
+        ({"design": {"etaa": 1.0}}, "design.etaa"),
+        ({"scenario": {"sed": 3}}, "scenario.sed"),
+    ], ids=["section", "design-key", "scenario-key"])
+    def test_unknown_section_rejected(self, payload, field, tmp_path,
+                                      monkeypatch, capsys):
+        # the same line as an unknown --set path
         bad = tmp_path / "bad2.json"
-        bad.write_text(json.dumps({"mystery": {}}))
+        bad.write_text(json.dumps(payload))
         code, _, err = run_cli(["--config", str(bad), "design"],
                                tmp_path, monkeypatch, capsys)
         assert code == 2
+        assert err == \
+            f'error: code=config field={field} ' \
+            f'msg="{field}: no such config entry"\n'
 
     def test_string_seed_exits_2(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(["--set", 'scenario.seed="abc"', "simulate"],
@@ -262,6 +275,11 @@ class TestErrors:
         (["design.polytope_a=[[1,1]]"], "design.polytope_a"),
         (["attack.mode=raw", "attack.raw_f=[1,2]"], "attack.raw_f"),
         (["attack.alpha=[1,2]"], "attack.alpha"),
+        (['output.include_states="no"'], "output.include_states"),
+        (["output.include_measurements=1"], "output.include_measurements"),
+        (["output.dir=5"], "output.dir"),
+        (['model.attacked_measurements="area1.tie_area2"'],
+         "model.attacked_measurements"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):

@@ -1,32 +1,31 @@
 import json
-import os
+from importlib import resources
 
 import pytest
 
 from agcdiag import config as cfgmod
 from agcdiag.errors import ConfigError
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 
 class TestDefaults:
-    def test_shipped_file_matches_in_code_defaults(self):
-        path = os.path.join(REPO_ROOT, "configs", "default.json")
-        with open(path) as fh:
-            shipped = json.load(fh)
-        assert shipped == cfgmod.default_config()
-
     def test_loading_shipped_file_round_trips(self):
-        path = os.path.join(REPO_ROOT, "configs", "default.json")
+        path = resources.files("agcdiag") / "default.json"
         assert cfgmod.load_config(path) == cfgmod.default_config()
+        # every call parses afresh, so callers may mutate what they get
+        cfgmod.default_config()["design"]["eta"] = 0.0
+        assert cfgmod.default_config()["design"]["eta"] == 10.0
 
     def test_partial_file_merges_over_defaults(self, tmp_path):
         p = tmp_path / "partial.json"
-        p.write_text(json.dumps({"design": {"eta": 4.0}}))
+        p.write_text(json.dumps({
+            "design": {"eta": 4.0},
+            "scenario": {"load_std": {"area2.load": 0.01}}}))
         cfg = cfgmod.load_config(p)
         assert cfg["design"]["eta"] == 4.0
         assert cfg["design"]["d_n"] == 3
         assert cfg["model"] == cfgmod.default_config()["model"]
+        # a map is replaced whole, not merged key by key
+        assert cfg["scenario"]["load_std"] == {"area2.load": 0.01}
 
 
 class TestValidation:

@@ -9,12 +9,13 @@ from agcdiag import design as designmod
 from agcdiag import lp
 from agcdiag.dae import build_dae, build_fbar, stack_hbar
 from agcdiag.design import (FeasibleSetBasis, design_robust,
-                            design_steady_state, evaluate_payoff,
-                            feasible_basis, solve_lp_i, worst_case_alpha)
+                            design_steady_state, feasible_basis, solve_lp_i,
+                            worst_case_alpha)
 from agcdiag.errors import EmptyAttackSetError, NumericError, ValidationError
 
 from oracles import (beta_for_index, brute_force_gamma,
-                     check_reformulation_feasible, polytope_vertices)
+                     check_reformulation_feasible, evaluate_payoff,
+                     polytope_vertices)
 from reference_lp import solve_lp_reference
 from test_dae import toy_model
 

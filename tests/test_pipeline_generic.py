@@ -8,13 +8,12 @@ import pytest
 from agcdiag.attacks import AttackSpace, compute_basis, synthesize_attack, \
     validate_attack_space
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
-from agcdiag.design import design_robust, evaluate_payoff, feasible_basis, \
-    worst_case_alpha
+from agcdiag.design import design_robust, feasible_basis, worst_case_alpha
 from agcdiag.discretize import DiscreteLtiModel
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import Scenario, simulate
 
-from oracles import augment_dynamic_controller
+from oracles import augment_dynamic_controller, evaluate_payoff
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,10 @@ import pytest
 from agcdiag.design import FilterDesign
 from agcdiag.errors import DimensionError, StabilityError
 from agcdiag.residual import (RealizedFilter, denominator_coefficients,
-                              realize_filter, static_residual,
-                              steady_state_gain)
+                              realize_filter)
 
 from helpers import impulse_response_by_division
+from oracles import static_residual, steady_state_gain
 from reference_sim import StreamingFilter
 from test_attacks import REFERENCE_BASIS
 

@@ -119,7 +119,7 @@ class TestSimulate:
         from agcdiag.attacks import compute_basis
         from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
         from agcdiag.design import design_steady_state, feasible_basis
-        from agcdiag.residual import steady_state_gain
+        from oracles import steady_state_gain
         dae = build_dae(toy_ss_model)
         fb = compute_basis(toy_ss_model.c, toy_ss_model.d_f)
         basis = feasible_basis(stack_hbar(dae, 1), 1.0, 1)
