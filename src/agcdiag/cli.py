@@ -174,6 +174,12 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", newline="\n") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+
+
 def _write_filter(design: FilterDesign, eta: float, path: str) -> None:
     payload = {
         "kind": design.kind,
@@ -187,9 +193,7 @@ def _write_filter(design: FilterDesign, eta: float, path: str) -> None:
         "nbar": list(design.nbar),
         "diagnostic": design.diagnostic,
     }
-    with open(path, "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    _write_json(path, payload)
 
 
 def cmd_design(pipe: Pipeline) -> int:
@@ -216,9 +220,7 @@ def cmd_attack(pipe: Pipeline) -> int:
     out = pipe.out_dir()
     payload = {"alpha_star": list(alpha), "payoff": payoff, "f": list(f_vec),
                "gamma": design.gamma}
-    with open(os.path.join(out, "attack.json"), "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    _write_json(os.path.join(out, "attack.json"), payload)
     print(f"worst-case alpha: {alpha}  payoff: {payoff:.12g}")
     return 0
 
@@ -243,10 +245,7 @@ def cmd_simulate(pipe: Pipeline) -> int:
     path = os.path.join(out, "trace.csv")
     write_trace_csv(trace, path, include_states=opts["include_states"],
                     include_measurements=opts["include_measurements"])
-    meta_path = os.path.join(out, "trace_meta.json")
-    with open(meta_path, "w", newline="\n") as handle:
-        json.dump(trace.metadata, handle, indent=1)
-        handle.write("\n")
+    _write_json(os.path.join(out, "trace_meta.json"), trace.metadata)
     print(f"wrote {path} ({trace.n_records} records)")
     return 0
 

@@ -122,6 +122,26 @@ def _entry(cfg: dict, path: str, kind):
     return _typed(cfg[section][key], kind, path)
 
 
+def _number(cfg: dict, path: str, zero_ok: bool = False) -> float:
+    """The float at ``"section.key"``, which must be > 0 (>= 0 with
+    ``zero_ok``); nan never passes."""
+    value = _entry(cfg, path, float)
+    if not (value >= 0.0 if zero_ok else value > 0.0):
+        raise ConfigError(path, f"must be {'>=' if zero_ok else '>'} 0, "
+                                f"got {value!r}")
+    return value
+
+
+def _check_keys(entry, template: dict, path: str) -> None:
+    """A free-form area or generator entry must be an object whose keys all
+    appear in the matching entry of the default."""
+    if not isinstance(entry, dict):
+        raise ConfigError(path, "entry must be an object")
+    for key in entry:
+        if key not in template:
+            raise ConfigError(f"{path}.{key}", "no such config entry")
+
+
 def _float_map(value, path: str) -> dict[str, float]:
     """A label -> number table, every entry checked."""
     value = _typed(value, dict, path)
@@ -150,7 +170,7 @@ def design_params(cfg: dict) -> dict:
     d_n = _entry(cfg, "design.d_n", int)
     if d_n < 0:
         raise ConfigError("design.d_n", "filter degree must be >= 0")
-    eta = _entry(cfg, "design.eta", float)
+    eta = _number(cfg, "design.eta")
     pole = _entry(cfg, "design.pole", float)
     if not 0.0 < pole < 1.0:
         raise ConfigError("design.pole", "pole must be a number in (0, 1)")
@@ -163,9 +183,7 @@ def design_params(cfg: dict) -> dict:
     if a_pol.ndim != 2 or b_pol.ndim != 1 or a_pol.shape[0] != b_pol.size:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
-    rank_tol = _entry(cfg, "design.rank_tol", float)
-    if rank_tol < 0:
-        raise ConfigError("design.rank_tol", "rank tolerance must be >= 0")
+    rank_tol = _number(cfg, "design.rank_tol", zero_ok=True)
     return {"d_n": d_n, "eta": eta, "pole": pole, "kind": kind,
             "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
 
@@ -183,30 +201,30 @@ def output_params(cfg: dict) -> dict:
 
 
 def build_areas(cfg: dict) -> list[AreaParams]:
-    areas_raw = _entry(cfg, "model.areas", list)
+    """The ``model.areas`` entries. An area or generator may carry only the
+    keys of the default's first area or its first generator; ``neighbors``
+    and ``generators`` may be left out."""
+    area_keys = default_config()["model"]["areas"][0]
+    gen_keys = area_keys["generators"][0]
     areas = []
-    for i, raw in enumerate(areas_raw):
+    for i, raw in enumerate(_entry(cfg, "model.areas", list)):
         path = f"model.areas[{i}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(path, "area entry must be an object")
+        _check_keys(raw, area_keys, path)
         gens = []
-        for j, graw in enumerate(raw.get("generators", [])):
+        for j, graw in enumerate(_typed(raw.get("generators", []), list,
+                                        f"{path}.generators")):
+            gpath = f"{path}.generators[{j}]"
+            _check_keys(graw, gen_keys, gpath)
             gens.append(GeneratorParams(
-                t_ch=_require(graw, "t_ch", float, f"{path}.generators[{j}]"),
-                droop=_require(graw, "droop", float, f"{path}.generators[{j}]"),
-                participation=_require(graw, "participation", float,
-                                       f"{path}.generators[{j}]"),
-            ))
+                **{key: _require(graw, key, float, gpath)
+                   for key in ("t_ch", "droop", "participation")}))
         areas.append(AreaParams(
             name=_require(raw, "name", str, path),
-            inertia=_require(raw, "inertia", float, path),
-            damping=_require(raw, "damping", float, path),
-            bias=_require(raw, "bias", float, path),
-            agc_gain=_require(raw, "agc_gain", float, path),
+            **{key: _require(raw, key, float, path)
+               for key in ("inertia", "damping", "bias", "agc_gain")},
             neighbors=_float_map(raw.get("neighbors", {}),
                                  f"{path}.neighbors"),
-            generators=tuple(gens),
-        ))
+            generators=tuple(gens)))
     return areas
 
 
@@ -221,8 +239,7 @@ def build_model(cfg: dict) -> ContinuousModel:
 
 def build_discrete(cfg: dict, model: ContinuousModel | None = None) -> DiscreteLtiModel:
     model = model if model is not None else build_model(cfg)
-    t_s = _entry(cfg, "scenario.t_s", float)
-    return zoh_discretize(model, t_s)
+    return zoh_discretize(model, _number(cfg, "scenario.t_s"))
 
 
 def build_attack_space(cfg: dict, model: ContinuousModel | DiscreteLtiModel) -> AttackSpace:
@@ -275,15 +292,24 @@ def _noise_table(value, base: float, labels: tuple[str, ...],
 def build_scenario(cfg: dict, model: DiscreteLtiModel,
                    attack_f: np.ndarray | None) -> Scenario:
     sc = cfg["scenario"]
-    base = _entry(cfg, "scenario.noise_base", float)
+    base = _number(cfg, "scenario.noise_base", zero_ok=True)
     load_std = _float_map(sc["load_std"], "scenario.load_std")
+    for lab, std in load_std.items():
+        if not std >= 0.0:
+            raise ConfigError(f"scenario.load_std.{lab}",
+                              f"must be >= 0, got {std!r}")
     seed = _entry(cfg, "scenario.seed", int)
     if seed < 0:
         raise ConfigError("scenario.seed", "seed must be >= 0")
+    horizon_s = _number(cfg, "scenario.horizon_s")
+    onset_s = _number(cfg, "scenario.onset_s", zero_ok=True)
+    if onset_s > horizon_s:
+        raise ConfigError("scenario.onset_s",
+                          f"must be <= horizon_s = {horizon_s!r}, got {onset_s!r}")
     return Scenario(
-        horizon_s=_entry(cfg, "scenario.horizon_s", float),
-        t_s=_entry(cfg, "scenario.t_s", float),
-        onset_s=_entry(cfg, "scenario.onset_s", float),
+        horizon_s=horizon_s,
+        t_s=_number(cfg, "scenario.t_s"),
+        onset_s=onset_s,
         attack_f=attack_f,
         load_std=load_std,
         process_noise=_noise_table(sc["process_noise"], base,

@@ -97,17 +97,16 @@ def left_null_basis(m, tol: float = RANK_TOL) -> np.ndarray:
 def weighted_range_projector(c, w=None) -> np.ndarray:
     """Oblique projector ``C (C' W C)^-1 C' W`` onto the range of ``C``.
 
-    ``w`` is a positive diagonal weight given as a 1-D vector or a diagonal
-    matrix; identity when omitted. Raises ``SingularMatrixError`` if ``C``
-    is column-rank deficient (the message names the deficiency).
+    ``w`` is the positive diagonal of the weight as a 1-D vector; identity
+    when omitted. Raises ``SingularMatrixError`` if ``C`` is column-rank
+    deficient (the message names the deficiency).
     """
     cm = as_matrix(c, "projector C")
     n, k = cm.shape
     if w is None:
         wdiag = np.ones(n)
     else:
-        warr = np.asarray(w, dtype=float)
-        wdiag = np.diag(warr) if warr.ndim == 2 else warr
+        wdiag = np.asarray(w, dtype=float)
         if wdiag.shape != (n,):
             raise DimensionError(
                 f"weight diagonal has length {wdiag.shape}, expected {n}")

@@ -1,8 +1,11 @@
-"""Shared test oracles, independent of the implementation paths they check."""
+"""Shared test oracles, independent of the implementation paths they check,
+and the ring-model generator."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from agcdiag.agc import AreaParams, GeneratorParams
 
 
 def fine_step_response(a, b, u, t_s, substeps=10_000):
@@ -95,3 +98,35 @@ def random_stable_continuous(rng, order):
     a = a - (radius + 0.5) * np.eye(order)
     b = rng.standard_normal((order, max(1, order // 2)))
     return a, b
+
+
+def ring_areas(n_areas):
+    """A ring of ``n_areas`` AGC areas ``a0 .. a<n-1>``.
+
+    Area i is tied to areas i-1 and i+1 (mod n) with T = 0.2 and has
+    inertia 4 + 0.1 i, damping 1.5, bias 22, AGC gain 0.5 and two
+    generators (t_ch 0.35 and 0.37, droop 0.05, participation 0.5). The
+    lower neighbour is listed first, so area 0's neighbours are not in
+    area order.
+    """
+    gens = (GeneratorParams(0.35, 0.05, 0.5), GeneratorParams(0.37, 0.05, 0.5))
+    areas = []
+    for i in range(n_areas):
+        neighbors = {f"a{j % n_areas}": 0.2 for j in (i - 1, i + 1)
+                     if j % n_areas != i}
+        areas.append(AreaParams(name=f"a{i}", inertia=4.0 + 0.1 * i,
+                                damping=1.5, bias=22.0, agc_gain=0.5,
+                                neighbors=neighbors, generators=gens))
+    return areas
+
+
+def ring_attacked(n_areas):
+    """The attacked measurements of a ring model: in areas 0 and 1, the tie
+    flow to the next area and the tie total (``a0.tie_a1``, ``a0.tie_total``,
+    ``a1.tie_a2``, ``a1.tie_total`` from three areas on)."""
+    labels = []
+    for i in range(min(n_areas, 2)):
+        if n_areas > 1:
+            labels.append(f"a{i}.tie_a{(i + 1) % n_areas}")
+        labels.append(f"a{i}.tie_total")
+    return tuple(labels)

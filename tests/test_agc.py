@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from agcdiag.agc import (AreaParams, GeneratorParams, assemble_system,
-                         build_area)
+from agcdiag.agc import AreaParams, GeneratorParams, assemble_system
 from agcdiag.errors import ValidationError
 
+from helpers import ring_areas, ring_attacked
 from oracles import augment_dynamic_controller, close_loop_static
 
 
@@ -16,13 +18,34 @@ def two_gen_area():
                     GeneratorParams(0.4, 0.05, 0.5)))
 
 
+def small_system(attacked=()):
+    """``two_gen_area`` tied to two one-generator areas."""
+    partners = [AreaParams(name=name, inertia=4.0, damping=1.0, bias=20.0,
+                           agc_gain=0.5, neighbors={"area1": t},
+                           generators=(GeneratorParams(0.3, 0.05, 1.0),))
+                for name, t in (("area2", 0.545), ("area3", 0.5))]
+    return assemble_system([two_gen_area()] + partners, attacked)
+
+
+def area_slices(model, name):
+    """The state and measurement rows of one area."""
+    def span(labels):
+        own = [i for i, lab in enumerate(labels)
+               if lab.startswith(name + ".")]
+        return slice(own[0], own[-1] + 1)
+    return span(model.state_labels), span(model.measurement_labels)
+
+
 class TestBuildArea:
+    """One area's rows and columns inside an assembled system."""
+
     def test_two_generator_pattern(self):
         # state order [tie12, tie13, freq, g1, g2, agc]; every entry follows
         # the block pattern of the linearized swing/governor/ACE equations
         p = two_gen_area()
-        blk = build_area(p, area_order=["area1", "area2", "area3"])
-        a = blk.a_ii
+        model = small_system()
+        xs, _ = area_slices(model, "area1")
+        a = model.a_cl[xs, xs]
         t12, t13 = p.neighbors["area2"], p.neighbors["area3"]
         h2 = 2 * p.inertia
         expected = np.array([
@@ -34,14 +57,17 @@ class TestBuildArea:
             [-0.3, -0.3, -0.3 * 20.0, 0, 0, 0],
         ])
         assert np.allclose(a, expected, atol=1e-14)
-        assert np.allclose(blk.b_d[:, 0], [0, 0, -1 / h2, 0, 0, 0])
+        assert np.allclose(model.b_d[xs, 0], [0, 0, -1 / h2, 0, 0, 0])
 
     def test_zero_generator_area(self):
         p = AreaParams(name="a", inertia=4.0, damping=1.0, bias=20.0,
                        agc_gain=0.5, neighbors={"b": 0.1})
-        blk = build_area(p, area_order=["a", "b"])
-        assert blk.a_ii.shape == (3, 3)   # tie, freq, agc
-        assert blk.state_labels == ["a.tie_b", "a.freq", "a.agc"]
+        q = AreaParams(name="b", inertia=4.0, damping=1.0, bias=20.0,
+                       agc_gain=0.5, neighbors={"a": 0.1})
+        model = assemble_system([p, q])
+        xs, _ = area_slices(model, "a")
+        assert model.a_cl[xs, xs].shape == (3, 3)   # tie, freq, agc
+        assert list(model.state_labels[xs]) == ["a.tie_b", "a.freq", "a.agc"]
 
     def test_attack_column_placement(self):
         # 2-generator area, 8 measurements; tie12/tie13/tie_total attacked:
@@ -49,20 +75,21 @@ class TestBuildArea:
         # not feed the AGC integrator
         p = two_gen_area()
         attacked = ("area1.tie_area2", "area1.tie_area3", "area1.tie_total")
-        blk = build_area(p, attacked, area_order=["area1", "area2", "area3"])
-        assert blk.d_f.shape == (8, 3)
-        rows = [int(np.argmax(blk.d_f[:, j])) for j in range(3)]
+        model = small_system(attacked)
+        xs, ys = area_slices(model, "area1")
+        d_f, b_f = model.d_f[ys], model.b_f[xs]
+        assert d_f.shape == (8, 3)
+        rows = [int(np.argmax(d_f[:, j])) for j in range(3)]
         assert rows == [0, 1, 6]
         agc_row = 5
-        assert blk.b_f[agc_row, 0] == pytest.approx(-p.agc_gain)
-        assert blk.b_f[agc_row, 1] == pytest.approx(-p.agc_gain)
-        assert blk.b_f[agc_row, 2] == 0.0
-        assert np.abs(np.delete(blk.b_f, agc_row, axis=0)).max() == 0.0
+        assert b_f[agc_row, 0] == pytest.approx(-p.agc_gain)
+        assert b_f[agc_row, 1] == pytest.approx(-p.agc_gain)
+        assert b_f[agc_row, 2] == 0.0
+        assert np.abs(np.delete(b_f, agc_row, axis=0)).max() == 0.0
 
     def test_unknown_attacked_label_rejected(self):
         with pytest.raises(ValidationError, match="nope"):
-            build_area(two_gen_area(), ("area1.nope",),
-                       area_order=["area1", "area2", "area3"])
+            small_system(("area1.nope",))
 
     def test_participation_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="participation"):
@@ -70,6 +97,35 @@ class TestBuildArea:
                        agc_gain=0.5,
                        generators=(GeneratorParams(0.3, 0.05, 0.6),
                                    GeneratorParams(0.3, 0.05, 0.6)))
+
+
+def model_digest(model) -> str:
+    """sha256 of the five matrices (shape and little-endian bytes) and the
+    four label tuples."""
+    h = hashlib.sha256()
+    for arr in (model.a_cl, model.b_d, model.b_f, model.c, model.d_f):
+        h.update(repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for labels in (model.state_labels, model.measurement_labels,
+                   model.attack_labels, model.disturbance_labels):
+        h.update(("\n".join(labels) + "\n\n").encode())
+    return h.hexdigest()
+
+
+# recorded with the earlier two-stage builder (per-area blocks copied into
+# the global arrays); the one-pass builder must keep every bit
+RING_DIGESTS = {
+    1: "e9630f65a670d2eaee96081aebb7f53c716b4f763e7a79a6fd0607827e617c87",
+    2: "84b6b7da51c72e393ee8b489fedfdbdad9fb7f2ec759e2a5d9a278b0bdc13d06",
+    4: "587d420d105aeedae6de59f0e3453148d586557bc793bda9f5cc527b4b37a842",
+    6: "e1f82c71d132e067eea6245f1ff46e434ef1900fa6392f8645a1902fae68df6e",
+}
+
+
+@pytest.mark.parametrize("n_areas", sorted(RING_DIGESTS))
+def test_ring_model_bits_are_pinned(n_areas):
+    model = assemble_system(ring_areas(n_areas), ring_attacked(n_areas))
+    assert model_digest(model) == RING_DIGESTS[n_areas]
 
 
 class TestAssemble:
@@ -123,6 +179,13 @@ class TestAssemble:
                        generators=(GeneratorParams(0.3, 0.05, 1.0),))
         with pytest.raises(ValidationError, match="mismatch"):
             assemble_system([a, b])
+
+    def test_self_neighbor_rejected(self):
+        a = AreaParams(name="a", inertia=4.0, damping=1.0, bias=20.0,
+                       agc_gain=0.5, neighbors={"a": 0.1},
+                       generators=(GeneratorParams(0.3, 0.05, 1.0),))
+        with pytest.raises(ValidationError, match="itself"):
+            assemble_system([a])
 
     def test_frequency_and_ace_rows(self, chain):
         model = chain.model

@@ -2,6 +2,7 @@ import json
 import numpy as np
 import pytest
 from agcdiag import cli
+from agcdiag import config as cfgmod
 from agcdiag.cli import main
 from agcdiag.simulate import read_trace_csv
 
@@ -157,6 +158,14 @@ class TestSweepPole:
         assert len(calls) == 1
 
 
+def typo_in_areas(key, value, generator=False):
+    """A config payload: the default areas with ``key`` added to the first
+    area, or to its first generator."""
+    areas = cfgmod.default_config()["model"]["areas"]
+    (areas[0]["generators"][0] if generator else areas[0])[key] = value
+    return {"model": {"areas": areas}}
+
+
 class TestErrors:
     def test_missing_config_file_exits_2(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(["--config", str(tmp_path / "nope.json"),
@@ -186,7 +195,11 @@ class TestErrors:
         ({"mystery": {}}, "mystery"),
         ({"design": {"etaa": 1.0}}, "design.etaa"),
         ({"scenario": {"sed": 3}}, "scenario.sed"),
-    ], ids=["section", "design-key", "scenario-key"])
+        (typo_in_areas("inertiaa", 9.0), "model.areas[0].inertiaa"),
+        (typo_in_areas("droopp", 0.5, generator=True),
+         "model.areas[0].generators[0].droopp"),
+    ], ids=["section", "design-key", "scenario-key", "area-key",
+            "generator-key"])
     def test_unknown_section_rejected(self, payload, field, tmp_path,
                                       monkeypatch, capsys):
         # the same line as an unknown --set path
@@ -280,6 +293,14 @@ class TestErrors:
         (["output.dir=5"], "output.dir"),
         (['model.attacked_measurements="area1.tie_area2"'],
          "model.attacked_measurements"),
+        (["design.eta=0"], "design.eta"),
+        (["scenario.t_s=0"], "scenario.t_s"),
+        (["scenario.horizon_s=0"], "scenario.horizon_s"),
+        (["scenario.onset_s=100"], "scenario.onset_s"),
+        (["scenario.onset_s=-1"], "scenario.onset_s"),
+        (["scenario.noise_base=-1"], "scenario.noise_base"),
+        (['scenario.load_std={"area1.load":-0.03}'],
+         "scenario.load_std.area1.load"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):
