@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnknownLabelError, ValidationError
 
 PARTICIPATION_TOL = 1e-12
 
@@ -153,7 +153,7 @@ def assemble_system(areas: list[AreaParams],
     attacked = set(attacked_measurements)
     unknown = attacked - set(meas_labels)
     if unknown:
-        raise ValidationError(
+        raise UnknownLabelError(
             f"attacked labels {sorted(unknown)} match no configured measurement")
     attack_labels = [lab for lab in meas_labels if lab in attacked]
 

@@ -115,20 +115,19 @@ class Pipeline:
         atk = self.cfg["attack"]
         mode = atk["mode"]
         if mode == "none":
-            return None, None
+            return None
         if mode == "raw":
             raw = atk["raw_f"]
             if raw is None:
                 raise ConfigError("attack.raw_f", "mode 'raw' needs raw_f")
             return cfgmod.float_vector(raw, self.model.n_attacks,
-                                       "attack.raw_f"), None
+                                       "attack.raw_f")
         if mode == "alpha":
             alpha = cfgmod.float_vector(atk["alpha"], self.space.dim,
                                         "attack.alpha")
-            return synthesize_attack(self.space, alpha), alpha
+            return synthesize_attack(self.space, alpha)
         if mode == "worst-case":
-            alpha, _ = self.worst_case
-            return synthesize_attack(self.space, alpha), alpha
+            return synthesize_attack(self.space, self.worst_case[0])
         raise ConfigError("attack.mode",
                           f"unknown mode {mode!r} (none|raw|alpha|worst-case)")
 
@@ -226,7 +225,7 @@ def cmd_attack(pipe: Pipeline) -> int:
 
 
 def _run_simulation(pipe: Pipeline, pole: float | None = None):
-    f_vec, _ = pipe.attack_vector()
+    f_vec = pipe.attack_vector()
     scenario = cfgmod.build_scenario(pipe.cfg, pipe.discrete, f_vec)
     design = pipe.design
     if pole is not None:

@@ -30,8 +30,8 @@ import numpy as np
 from .agc import AreaParams, ContinuousModel, GeneratorParams, assemble_system
 from .attacks import AttackSpace, compute_basis, validate_attack_space
 from .discretize import DiscreteLtiModel, zoh_discretize
-from .errors import ConfigError
-from .simulate import Scenario
+from .errors import ConfigError, UnknownLabelError, ValidationError
+from .simulate import Scenario, label_variances
 
 #: Frequency entries of the "freq-scaled" noise tables are scaled by this.
 FREQ_NOISE_FACTOR = 0.03
@@ -200,6 +200,14 @@ def output_params(cfg: dict) -> dict:
     return out
 
 
+def _built(cls, path: str, **fields):
+    """``cls(**fields)``, with its ``ValidationError`` reported at ``path``."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def build_areas(cfg: dict) -> list[AreaParams]:
     """The ``model.areas`` entries. An area or generator may carry only the
     keys of the default's first area or its first generator; ``neighbors``
@@ -215,11 +223,12 @@ def build_areas(cfg: dict) -> list[AreaParams]:
                                         f"{path}.generators")):
             gpath = f"{path}.generators[{j}]"
             _check_keys(graw, gen_keys, gpath)
-            gens.append(GeneratorParams(
+            gens.append(_built(
+                GeneratorParams, gpath,
                 **{key: _require(graw, key, float, gpath)
                    for key in ("t_ch", "droop", "participation")}))
-        areas.append(AreaParams(
-            name=_require(raw, "name", str, path),
+        areas.append(_built(
+            AreaParams, path, name=_require(raw, "name", str, path),
             **{key: _require(raw, key, float, path)
                for key in ("inertia", "damping", "bias", "agc_gain")},
             neighbors=_float_map(raw.get("neighbors", {}),
@@ -234,7 +243,12 @@ def build_model(cfg: dict) -> ContinuousModel:
     if not all(isinstance(label, str) for label in attacked):
         raise ConfigError("model.attacked_measurements",
                           "expected a list of strings")
-    return assemble_system(areas, tuple(attacked))
+    try:
+        return assemble_system(areas, tuple(attacked))
+    except ValidationError as exc:
+        field = ("model.attacked_measurements"
+                 if isinstance(exc, UnknownLabelError) else "model.areas")
+        raise ConfigError(field, str(exc)) from None
 
 
 def build_discrete(cfg: dict, model: ContinuousModel | None = None) -> DiscreteLtiModel:
@@ -293,11 +307,6 @@ def build_scenario(cfg: dict, model: DiscreteLtiModel,
                    attack_f: np.ndarray | None) -> Scenario:
     sc = cfg["scenario"]
     base = _number(cfg, "scenario.noise_base", zero_ok=True)
-    load_std = _float_map(sc["load_std"], "scenario.load_std")
-    for lab, std in load_std.items():
-        if not std >= 0.0:
-            raise ConfigError(f"scenario.load_std.{lab}",
-                              f"must be >= 0, got {std!r}")
     seed = _entry(cfg, "scenario.seed", int)
     if seed < 0:
         raise ConfigError("scenario.seed", "seed must be >= 0")
@@ -306,17 +315,20 @@ def build_scenario(cfg: dict, model: DiscreteLtiModel,
     if onset_s > horizon_s:
         raise ConfigError("scenario.onset_s",
                           f"must be <= horizon_s = {horizon_s!r}, got {onset_s!r}")
-    return Scenario(
-        horizon_s=horizon_s,
-        t_s=_number(cfg, "scenario.t_s"),
-        onset_s=onset_s,
-        attack_f=attack_f,
-        load_std=load_std,
-        process_noise=_noise_table(sc["process_noise"], base,
-                                   model.state_labels,
-                                   "scenario.process_noise"),
-        measurement_noise=_noise_table(sc["measurement_noise"], base,
-                                       model.measurement_labels,
-                                       "scenario.measurement_noise"),
-        seed=seed,
-    )
+    # the label maps: keys by the rules simulate applies, values >= 0
+    maps = {"load_std": _float_map(sc["load_std"], "scenario.load_std")}
+    for name, labels in (("load_std", model.disturbance_labels),
+                         ("process_noise", model.state_labels),
+                         ("measurement_noise", model.measurement_labels)):
+        path = f"scenario.{name}"
+        if name not in maps:
+            maps[name] = _noise_table(sc[name], base, labels, path)
+        try:
+            label_variances(maps[name], labels, "label map")
+        except ValidationError as exc:
+            raise ConfigError(path, str(exc)) from None
+        for lab, value in maps[name].items():
+            if not value >= 0.0:
+                raise ConfigError(f"{path}.{lab}", f"must be >= 0, got {value!r}")
+    return Scenario(horizon_s=horizon_s, t_s=_number(cfg, "scenario.t_s"),
+                    onset_s=onset_s, attack_f=attack_f, seed=seed, **maps)

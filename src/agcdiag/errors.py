@@ -21,6 +21,10 @@ class ValidationError(AgcDiagError):
     """Model or scenario data violates a structural invariant."""
 
 
+class UnknownLabelError(ValidationError):
+    """A configured label names no measurement, state or area of the model."""
+
+
 class ConfigError(AgcDiagError):
     """Bad or missing run-configuration data.
 
@@ -38,7 +42,8 @@ class StabilityError(AgcDiagError):
 
 
 class NumericError(AgcDiagError):
-    """A numerical operation produced non-finite values."""
+    """A numerical operation produced non-finite values, or an LP point that
+    breaks the rows of its problem."""
 
 
 class DivergenceError(AgcDiagError):

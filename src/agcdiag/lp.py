@@ -24,7 +24,10 @@ an array operation; only the pivot sequence itself is a Python loop:
   rows within ``PIVOT_TOL`` of the minimum ratio, the one whose basic
   variable has the smallest index;
 * a hard pivot cap converts a hypothetical stall into an error instead of
-  an infinite loop.
+  an infinite loop;
+* every optimal point is checked against the rows and bounds of the
+  problem as given before it is returned (``_check_point``); the check
+  only reads the point, so it changes no pivot and no bit of the result.
 
 The solver follows the pivots of the full tableau, which stores every
 column (``tests/reference_lp.py`` keeps it as the test reference), and
@@ -46,13 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, IterationLimitError
+from .errors import DimensionError, IterationLimitError, NumericError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 FEAS_TOL = 1e-8
+CHECK_TOL = 1e-9
 PIVOT_TOL = 1e-10
 MAX_ITER = 10 ** 6
 
@@ -320,7 +324,25 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     xprime[basis] = simplex.tab[:m, -1]
     x = offsets + flip * xprime[pos]
     x[free] -= xprime[pos[free] + 1]
+    _check_point(problem, x)
     value = float(minimize_c @ x)
     if problem.sense == "max":
         value = -value
     return LpSolution(OPTIMAL, value, x, simplex.iterations)
+
+
+def _check_point(problem: LpProblem, x: np.ndarray) -> None:
+    """Raise ``NumericError`` when ``x`` misses a row or bound of
+    ``problem`` by more than ``CHECK_TOL * max(1, |rhs|)``, or by nan."""
+    checks = []
+    if problem.a_eq is not None:
+        checks.append(("equality rows", np.abs(problem.a_eq @ x - problem.b_eq),
+                       problem.b_eq))
+    if problem.a_ge is not None:
+        checks.append(("inequality rows", problem.b_ge - problem.a_ge @ x,
+                       problem.b_ge))
+    checks += [("lower bounds", problem.lower - x, problem.lower),
+               ("upper bounds", x - problem.upper, problem.upper)]
+    for kind, miss, rhs in checks:
+        if not np.all(miss <= CHECK_TOL * np.maximum(1.0, np.abs(rhs))):
+            raise NumericError(f"LP point breaks its {kind} by {miss.max():.2g}")

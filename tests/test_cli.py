@@ -7,6 +7,13 @@ from agcdiag.cli import main
 from agcdiag.simulate import read_trace_csv
 
 
+def areas_override(edit):
+    """A ``model.areas=...`` override: the default areas after ``edit``."""
+    areas = cfgmod.default_config()["model"]["areas"]
+    edit(areas)
+    return "model.areas=" + json.dumps(areas)
+
+
 def run_cli(args, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
     code = main(args)
@@ -301,6 +308,24 @@ class TestErrors:
         (["scenario.noise_base=-1"], "scenario.noise_base"),
         (['scenario.load_std={"area1.load":-0.03}'],
          "scenario.load_std.area1.load"),
+        (['model.attacked_measurements=["area1.nope"]'],
+         "model.attacked_measurements"),
+        ([areas_override(lambda a: a[0].update(inertia=-1.0))],
+         "model.areas[0]"),
+        ([areas_override(lambda a: a[1]["neighbors"].pop("area3"))],
+         "model.areas"),
+        ([areas_override(lambda a: a[1]["generators"][0].update(
+            participation=0.6))], "model.areas[1]"),
+        ([areas_override(lambda a: a[2]["generators"][1].update(t_ch=0.0))],
+         "model.areas[2].generators[1]"),
+        ([areas_override(lambda a: a[0]["generators"][2].update(droop=-0.05))],
+         "model.areas[0].generators[2]"),
+        (['scenario.measurement_noise={"area1.typo":1.0}'],
+         "scenario.measurement_noise"),
+        (['scenario.load_std={"areaX.load":0.1}'], "scenario.load_std"),
+        (['scenario.process_noise={"zz.*":1.0}'], "scenario.process_noise"),
+        (['scenario.measurement_noise={"area1.*":-1.0}'],
+         "scenario.measurement_noise.area1.*"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agcdiag import design as designmod
 from agcdiag import lp
 from agcdiag.dae import build_dae, build_fbar, stack_hbar
 from agcdiag.design import (FeasibleSetBasis, design_robust,
@@ -207,30 +206,67 @@ class TestPivotPath:
             assert gamma == pytest.approx(row.gamma, rel=1e-9, abs=1e-9)
 
 
+def corrupt_final_point(monkeypatch, change, which=None):
+    """Apply ``change`` in place to the basic values of the final tableau of
+    every solved LP (only the ``which``-th, counting from 0, when given),
+    after the last pivot and before ``solve_lp`` reads its point."""
+    run = lp._Tableau.run
+    solved = []
+
+    def spy(self):
+        status = run(self)
+        # phase 2 is the run after the artificials' unit entries are zeroed
+        if status == "optimal" and not self.unit.all():
+            if which is None or which == len(solved):
+                change(self.tab[:-1, -1])
+            solved.append(status)
+        return status
+
+    monkeypatch.setattr(lp._Tableau, "run", spy)
+
+
 class TestCertificateCheck:
+    # the default d_N = 3 design solves LP (0, +1) first, then the winning
+    # LP (1, +1); its eta ball holds ||theta Z||_inf = eta with tight rows
     def test_corrupted_solution_raises(self, chain, monkeypatch):
-        solve = designmod.solve_lp_i
+        def shift(values):
+            values += 1e-3
 
-        def corrupted(*args, **kwargs):
-            gamma, nbar, lam, sol = solve(*args, **kwargs)
-            return gamma, nbar, lam * 1.01, sol
-
-        monkeypatch.setattr(designmod, "solve_lp_i", corrupted)
-        with pytest.raises(NumericError, match="certificate"):
+        corrupt_final_point(monkeypatch, shift, which=1)
+        with pytest.raises(NumericError,
+                           match=r"^relaxation LP \(1, \+1\): .*equality rows"):
             design_robust(chain.basis, chain.ffb, chain.space.a,
                           chain.space.b)
 
     def test_bound_violation_raises(self, chain, monkeypatch):
-        solve = designmod.solve_lp_i
+        def scale(values):
+            values *= 1.5
 
-        def oversized(*args, **kwargs):
-            gamma, nbar, lam, sol = solve(*args, **kwargs)
-            return gamma, nbar * 1.5, lam, sol
-
-        monkeypatch.setattr(designmod, "solve_lp_i", oversized)
-        with pytest.raises(NumericError, match="exceeds eta"):
+        corrupt_final_point(monkeypatch, scale, which=1)
+        with pytest.raises(NumericError,
+                           match=r"^relaxation LP \(1, \+1\): .*inequality rows"):
             design_robust(chain.basis, chain.ffb, chain.space.a,
                           chain.space.b)
+
+    def test_corrupted_losing_row_raises(self, chain, monkeypatch):
+        # a small shift that keeps LP (0, +1) below the winner's gamma
+        def shift(values):
+            values += 1e-6
+
+        corrupt_final_point(monkeypatch, shift, which=0)
+        with pytest.raises(NumericError, match=r"^relaxation LP \(0, \+1\)"):
+            design_robust(chain.basis, chain.ffb, chain.space.a,
+                          chain.space.b)
+
+    def test_corrupted_worst_case_raises(self, chain, monkeypatch):
+        # halving (alpha, t) takes 1'alpha below the polytope's 1.5
+        def scale(values):
+            values *= 0.5
+
+        corrupt_final_point(monkeypatch, scale)
+        with pytest.raises(NumericError, match="inequality rows"):
+            worst_case_alpha(chain.design.nbar, chain.ffb, 3, chain.space.a,
+                             chain.space.b)
 
 
 class TestWorstCase:

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from agcdiag import lp
-from agcdiag.design import solve_lp_i, worst_case_alpha
+from agcdiag.agc import assemble_system
+from agcdiag.attacks import compute_basis
+from agcdiag.dae import attack_gain, build_dae, stack_hbar
+from agcdiag.design import (design_robust, feasible_basis, solve_lp_i,
+                            worst_case_alpha)
+from agcdiag.discretize import zoh_discretize
+from agcdiag.errors import NumericError
+
+from helpers import ring_areas, ring_attacked
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -103,30 +111,59 @@ class TestRandomizedAgreement:
             assert np.abs(sol.x - x0).max() <= 1e-7
 
 
+def highs_gamma(basis, ffb, a_pol, b_pol, j, s):
+    """LP_i through HiGHS: max b'lam over (theta, lam >= 0) with
+    s N_j ffb = lam' A and |theta Z|_inf <= eta."""
+    z = basis.z
+    n_z, big = z.shape
+    n_b = b_pol.size
+    ball = np.vstack([np.hstack([z.T, np.zeros((big, n_b))]),
+                      np.hstack([-z.T, np.zeros((big, n_b))])])
+    a_eq = np.hstack([s * (basis.block(j) @ ffb).T, -a_pol.T])
+    ref = scipy_opt.linprog(
+        np.concatenate([np.zeros(n_z), -b_pol]),
+        A_ub=ball, b_ub=basis.eta * np.ones(2 * big),
+        A_eq=a_eq, b_eq=np.zeros(a_pol.shape[1]),
+        bounds=[(None, None)] * n_z + [(0, None)] * n_b, method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+def ring_instance(n_areas, d_n=3):
+    """The d_n = 3 design inputs of a ring model (``helpers.ring_areas``):
+    the automatic stealthy basis, polytope a_1 + a_2 >= 1.5, eta = 10."""
+    model = assemble_system(ring_areas(n_areas), ring_attacked(n_areas))
+    dae = build_dae(zoh_discretize(model, 0.5))
+    basis = feasible_basis(stack_hbar(dae, d_n), 10.0, d_n)
+    ffb = attack_gain(dae, compute_basis(model.c, model.d_f))
+    return basis, ffb, np.array([[1.0, 1.0]]), np.array([1.5])
+
+
 class TestDesignLpAgreement:
     def test_all_eight_relaxations_match_highs(self, chain):
-        # replay LP_i through HiGHS: max b'lam over (theta, lam >= 0) with
-        # s N_j ffb = lam' A and |theta Z|_inf <= eta
-        z = chain.basis.z
-        n_z = z.shape[0]
-        big = z.shape[1]
-        ball = np.vstack([np.hstack([z.T, np.zeros((big, 1))]),
-                          np.hstack([-z.T, np.zeros((big, 1))])])
         for j in range(4):
             for s in (1, -1):
-                gain_j = chain.basis.block(j) @ chain.ffb
-                a_eq = np.hstack([s * gain_j.T, -chain.space.a.T])
-                ref = scipy_opt.linprog(
-                    np.concatenate([np.zeros(n_z), -chain.space.b]),
-                    A_ub=ball, b_ub=10.0 * np.ones(2 * big),
-                    A_eq=a_eq, b_eq=np.zeros(3),
-                    bounds=[(None, None)] * n_z + [(0, None)],
-                    method="highs")
-                assert ref.status == 0
                 gamma, _, _, sol = solve_lp_i(j, s, chain.basis, chain.ffb,
                                               chain.space.a, chain.space.b)
                 assert sol.is_optimal
-                assert gamma == pytest.approx(-ref.fun, abs=1e-7)
+                assert gamma == pytest.approx(
+                    highs_gamma(chain.basis, chain.ffb, chain.space.a,
+                                chain.space.b, j, s), abs=1e-7)
+
+    @pytest.mark.parametrize("n_areas", [3, 4, 8])
+    def test_ring_relaxations_match_highs(self, n_areas):
+        instance = ring_instance(n_areas)
+        for j in range(4):
+            gamma, _, _, sol = solve_lp_i(j, 1, *instance)
+            assert sol.is_optimal
+            assert gamma == pytest.approx(highs_gamma(*instance, j, 1),
+                                          abs=1e-9)
+
+    def test_six_area_ring_fails_its_post_solve_check(self):
+        # LP (2, +1) ends "optimal" at a point that breaks its rows (HiGHS
+        # gives gamma = 3); the check must refuse it, not print it
+        with pytest.raises(NumericError, match=r"^relaxation LP \(2, \+1\)"):
+            design_robust(*ring_instance(6))
 
     def test_worst_case_value_matches_highs(self, chain):
         nbar = chain.design.nbar

@@ -109,7 +109,7 @@ def _reproduce_pipeline(overrides):
     cfg = cfgmod.default_config()
     cfgmod.apply_overrides(cfg, overrides)
     pipe = Pipeline(cfg, overrides)
-    f_vec, _ = pipe.attack_vector()
+    f_vec = pipe.attack_vector()
     return pipe, cfgmod.build_scenario(cfg, pipe.discrete, f_vec)
 
 
@@ -132,7 +132,7 @@ class TestReproduceTraceBytes:
     def test_scenario1_basic(self, stealthy, tmp_path):
         pipe, _ = stealthy
         # the reproduce script zeroes the second channel of attack.json's f
-        basic_f = [float(v) for v in pipe.attack_vector()[0]]
+        basic_f = [float(v) for v in pipe.attack_vector()]
         basic_f[1] = 0.0
         pipe1, sc = _reproduce_pipeline(
             ["attack.mode=raw", f"attack.raw_f={json.dumps(basic_f)}",
