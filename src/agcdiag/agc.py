@@ -7,7 +7,7 @@ frequency, generator outputs, AGC integrator]``. Its measurements are its
 states followed by the tie-flow and generation totals (C is the identity
 stacked over the two total rows), giving the redundancy the static
 detector relies on. The AGC integrator is part of the state, so the
-assembled continuous model is already the closed loop.
+assembled continuous model (``t_s`` = 0) is already the closed loop.
 
 Measurement labels are ``<area>.tie_<neighbor>``, ``<area>.freq``,
 ``<area>.gen<k>``, ``<area>.agc``, ``<area>.tie_total``, ``<area>.gen_total``;
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discretize import LtiModel
 from .errors import UnknownLabelError, ValidationError
 
 PARTICIPATION_TOL = 1e-12
@@ -67,34 +68,6 @@ class AreaParams:
         return len(self.neighbors) + 2 + len(self.generators)
 
 
-@dataclass(frozen=True)
-class ContinuousModel:
-    """Assembled continuous-time closed loop: dX = A X + B_d d + B_f f,
-    Y = C X + D_f f."""
-
-    a_cl: np.ndarray
-    b_d: np.ndarray
-    b_f: np.ndarray
-    c: np.ndarray
-    d_f: np.ndarray
-    state_labels: tuple[str, ...]
-    measurement_labels: tuple[str, ...]
-    attack_labels: tuple[str, ...]
-    disturbance_labels: tuple[str, ...]
-
-    @property
-    def n_states(self) -> int:
-        return self.a_cl.shape[0]
-
-    @property
-    def n_measurements(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def n_attacks(self) -> int:
-        return self.d_f.shape[1]
-
-
 def _local_labels(area: AreaParams, nbrs: list[str]) -> list[str]:
     """The area's measurement labels without the ``<area>.`` prefix: its
     states, then the tie-flow and generation totals."""
@@ -113,8 +86,8 @@ def _ace_weight(area: AreaParams, local: str) -> float:
 
 
 def assemble_system(areas: list[AreaParams],
-                    attacked_measurements: tuple[str, ...] = ()) -> ContinuousModel:
-    """Assemble the multi-area continuous closed loop.
+                    attacked_measurements: tuple[str, ...] = ()) -> LtiModel:
+    """Assemble the multi-area continuous closed loop (``t_s`` = 0).
 
     Each area's rows are written straight into the global matrices at the
     area's state offset; the tie row to neighbour j carries ``T_ij`` at the
@@ -194,7 +167,7 @@ def assemble_system(areas: list[AreaParams],
                 col += 1
         row += n + 2
 
-    return ContinuousModel(
+    return LtiModel(
         a_cl, b_d, b_f, c, d_f,
         tuple(state_labels), tuple(meas_labels), tuple(attack_labels),
         tuple(f"{a.name}.load" for a in areas))

@@ -24,7 +24,6 @@ class AttackSpace:
     basis: np.ndarray      # (d, n_f), rows are basis attack vectors
     a: np.ndarray          # (n_b, d)
     b: np.ndarray          # (n_b,)
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))

@@ -27,9 +27,9 @@ from importlib import resources
 
 import numpy as np
 
-from .agc import AreaParams, ContinuousModel, GeneratorParams, assemble_system
+from .agc import AreaParams, GeneratorParams, assemble_system
 from .attacks import AttackSpace, compute_basis, validate_attack_space
-from .discretize import DiscreteLtiModel, zoh_discretize
+from .discretize import LtiModel, zoh_discretize
 from .errors import ConfigError, UnknownLabelError, ValidationError
 from .simulate import Scenario, label_variances
 
@@ -237,7 +237,7 @@ def build_areas(cfg: dict) -> list[AreaParams]:
     return areas
 
 
-def build_model(cfg: dict) -> ContinuousModel:
+def build_model(cfg: dict) -> LtiModel:
     areas = build_areas(cfg)
     attacked = _entry(cfg, "model.attacked_measurements", list)
     if not all(isinstance(label, str) for label in attacked):
@@ -251,12 +251,11 @@ def build_model(cfg: dict) -> ContinuousModel:
         raise ConfigError(field, str(exc)) from None
 
 
-def build_discrete(cfg: dict, model: ContinuousModel | None = None) -> DiscreteLtiModel:
-    model = model if model is not None else build_model(cfg)
+def build_discrete(cfg: dict, model: LtiModel) -> LtiModel:
     return zoh_discretize(model, _number(cfg, "scenario.t_s"))
 
 
-def build_attack_space(cfg: dict, model: ContinuousModel | DiscreteLtiModel) -> AttackSpace:
+def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
     """The stealthy basis of the attack section with the polytope of the
     design section (read by ``design_params``)."""
     basis_raw = cfg["attack"]["basis"]
@@ -272,8 +271,7 @@ def build_attack_space(cfg: dict, model: ContinuousModel | DiscreteLtiModel) -> 
         raise ConfigError("design.polytope_a",
                           f"A needs one column per basis vector "
                           f"({basis.shape[0]})")
-    space = AttackSpace(basis=basis, a=p["a_pol"], b=p["b_pol"],
-                        labels=model.attack_labels)
+    space = AttackSpace(basis=basis, a=p["a_pol"], b=p["b_pol"])
     validate_attack_space(space, model.c, model.d_f)
     return space
 
@@ -303,7 +301,7 @@ def _noise_table(value, base: float, labels: tuple[str, ...],
     raise ConfigError(path, "expected null, 'freq-scaled', or a label map")
 
 
-def build_scenario(cfg: dict, model: DiscreteLtiModel,
+def build_scenario(cfg: dict, model: LtiModel,
                    attack_f: np.ndarray | None) -> Scenario:
     sc = cfg["scenario"]
     base = _number(cfg, "scenario.noise_base", zero_ok=True)

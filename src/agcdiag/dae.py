@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteLtiModel
+from .discretize import LtiModel
 from .errors import DimensionError
 
 
@@ -34,7 +34,7 @@ class DaeSystem:
     f: np.ndarray
 
 
-def build_dae(model: DiscreteLtiModel) -> DaeSystem:
+def build_dae(model: LtiModel) -> DaeSystem:
     """Fit a sampled closed loop into the DAE block form."""
     n_x, n_d = model.n_states, model.n_disturbances
     n_y = model.n_measurements

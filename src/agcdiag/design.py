@@ -131,6 +131,14 @@ def _certificate_lp(gain, basis: FeasibleSetBasis, a_pol,
         lower=np.concatenate([np.full(n_z, -np.inf), np.zeros(n_b)]))
 
 
+def _solve_named(name: str, problem: lp.LpProblem) -> lp.LpSolution:
+    """``lp.solve_lp``, with ``name`` put before a failed check's message."""
+    try:
+        return lp.solve_lp(problem)
+    except NumericError as exc:
+        raise NumericError(f"{name}: {exc}") from exc
+
+
 def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
                a_pol, b_pol):
     """One relaxation LP: pin coefficient `block` with `sign`.
@@ -149,10 +157,8 @@ def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
         raise ValueError(f"block {block} outside 0..{basis.d_n}")
     n_z = basis.n_free
     gain_j = basis.block(block) @ ffb          # (n_z, d)
-    try:
-        sol = lp.solve_lp(_certificate_lp(sign * gain_j, basis, a_pol, b_pol))
-    except NumericError as exc:
-        raise NumericError(f"relaxation LP ({block}, {sign:+d}): {exc}") from exc
+    sol = _solve_named(f"relaxation LP ({block}, {sign:+d})",
+                       _certificate_lp(sign * gain_j, basis, a_pol, b_pol))
     if not sol.is_optimal:
         zeros = np.zeros(basis.z.shape[1])
         return 0.0, zeros, np.zeros(b_pol.size), sol
@@ -229,7 +235,7 @@ def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
     cost[-1] = 1.0
     lower = np.concatenate([np.full(d, -np.inf), [0.0]])
     problem = lp.LpProblem("min", cost, a_ge=a_ge, b_ge=b_ge, lower=lower)
-    sol = lp.solve_lp(problem)
+    sol = _solve_named("worst-case LP", problem)
     if sol.status == lp.INFEASIBLE:
         raise EmptyAttackSetError("empty attack set: {A a >= b} has no points")
     if not sol.is_optimal:
@@ -253,7 +259,8 @@ def design_steady_state(basis: FeasibleSetBasis, fbar, a_pol, b_pol,
     n_z = basis.n_free
     gain = basis.z @ fbar                      # (n_z, d)
     start = time.perf_counter()
-    sol = lp.solve_lp(_certificate_lp(gain, basis, a_pol, b_pol))
+    sol = _solve_named("steady-state LP",
+                       _certificate_lp(gain, basis, a_pol, b_pol))
     elapsed = time.perf_counter() - start
     row = LpIndexReport(-1, 0, sol.status, sol.value or 0.0, elapsed,
                         sol.iterations)

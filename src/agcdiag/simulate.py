@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import DiscreteLtiModel
+from .discretize import LtiModel
 from .errors import DimensionError, DivergenceError, ValidationError
 from .linalg import weighted_range_projector
 from .residual import RealizedFilter
@@ -174,15 +174,19 @@ def _rowwise(mat: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.matmul(mat, series[:, :, None])[:, :, 0]
 
 
-def simulate(model: DiscreteLtiModel, scenario: Scenario,
+def simulate(model: LtiModel, scenario: Scenario,
              dynamic_filter: RealizedFilter | None = None) -> SimulationTrace:
     """Run the closed loop from the origin and record both residuals.
 
     The static residual is noise-weighted (covariance from the scenario)
     whenever every measurement has a positive noise variance. The dynamic
     filter, if given, is reset and then filters the whole measurement
-    series once the state recursion has run.
+    series once the state recursion has run. The scenario must sample at
+    the model's ``t_s``.
     """
+    if scenario.t_s != model.t_s:
+        raise ValidationError(f"scenario samples at t_s = {scenario.t_s}, "
+                              f"the model at t_s = {model.t_s}")
     n_x, n_y = model.n_states, model.n_measurements
     n_f = model.n_attacks
     if scenario.attack_f is not None and scenario.attack_f.size != n_f:

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 from agcdiag import config as cfgmod
 from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
 from agcdiag.design import design_robust, feasible_basis
-from agcdiag.discretize import DiscreteLtiModel
+from agcdiag.discretize import LtiModel
 
 settings.register_profile(
     "suite", deadline=None, derandomize=True,
@@ -37,7 +37,7 @@ def chain() -> DefaultChain:
 
 # Small closed loop with a nonzero certified steady-state gain (mu > 0),
 # used wherever the AGC model's structural mu = 0 would make a check vacuous.
-TOY_SS = DiscreteLtiModel(
+TOY_SS = LtiModel(
     a_cl=np.array([[0.02775803857214606, -0.08958788303804374],
                    [-0.3471167117734958, -0.2261284372421722]]),
     b_d=np.array([[-0.37571672350043606], [0.17062441469363032]]),
@@ -58,5 +58,5 @@ TOY_SS = DiscreteLtiModel(
 
 
 @pytest.fixture(scope="session")
-def toy_ss_model() -> DiscreteLtiModel:
+def toy_ss_model() -> LtiModel:
     return TOY_SS

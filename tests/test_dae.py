@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
-from agcdiag.discretize import DiscreteLtiModel
+from agcdiag.discretize import LtiModel
 from agcdiag.errors import DimensionError
 
 from helpers import poly_mat_multiply
@@ -12,7 +12,7 @@ from oracles import build_v
 def toy_model(n_d=1):
     # 1 state, 1 measurement, 1 attack; a = 0.5, b_d = 1, c = 1,
     # b_f = 0.2, d_f = 1
-    return DiscreteLtiModel(
+    return LtiModel(
         a_cl=np.array([[0.5]]),
         b_d=np.ones((1, n_d)),
         b_f=np.array([[0.2]]),
@@ -167,7 +167,7 @@ class TestRandomSystemIdentity:
             n_d = int(rng.integers(0, 3))
             n_f = int(rng.integers(1, 4))
             d_n = int(rng.integers(0, 4))
-            model = DiscreteLtiModel(
+            model = LtiModel(
                 a_cl=rng.standard_normal((n_x, n_x)),
                 b_d=rng.standard_normal((n_x, n_d)),
                 b_f=rng.standard_normal((n_x, n_f)),

@@ -264,9 +264,26 @@ class TestCertificateCheck:
             values *= 0.5
 
         corrupt_final_point(monkeypatch, scale)
-        with pytest.raises(NumericError, match="inequality rows"):
+        with pytest.raises(NumericError,
+                           match=r"^worst-case LP: .*inequality rows"):
             worst_case_alpha(chain.design.nbar, chain.ffb, 3, chain.space.a,
                              chain.space.b)
+
+    def test_corrupted_steady_state_raises(self, toy_ss_model, monkeypatch):
+        # the toy loop's steady-state LP has mu > 0, so its point is nonzero
+        from agcdiag.attacks import compute_basis
+        dae = build_dae(toy_ss_model)
+        fb = compute_basis(toy_ss_model.c, toy_ss_model.d_f)
+        basis = feasible_basis(stack_hbar(dae, 1), 1.0, 1)
+        fbar = build_fbar(dae, fb, 1)
+
+        def shift(values):
+            values += 1e-3
+
+        corrupt_final_point(monkeypatch, shift)
+        with pytest.raises(NumericError, match=r"^steady-state LP: "):
+            design_steady_state(basis, fbar, np.array([[1.0]]),
+                                np.array([1.0]))
 
 
 class TestWorstCase:

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from agcdiag.agc import ContinuousModel
-from agcdiag.discretize import zoh_discretize
+from agcdiag.discretize import LtiModel, zoh_discretize
 from agcdiag.errors import ValidationError
 from agcdiag.linalg import expm
 
@@ -18,7 +17,7 @@ def wrap(a, b_d, b_f=None):
     n_y = n
     b_f = (np.zeros((n, 1)) if b_f is None
            else np.atleast_2d(np.asarray(b_f, dtype=float)))
-    return ContinuousModel(
+    return LtiModel(
         a, b_d, b_f, np.eye(n), np.zeros((n_y, b_f.shape[1])),
         tuple(f"s.x{i}" for i in range(n)),
         tuple(f"s.y{i}" for i in range(n_y)),
@@ -78,6 +77,24 @@ class TestZoh:
         assert int(np.sum(eig > 1 - 1e-9)) == 4
         assert np.all(np.sort(eig)[:-4] < 1 - 1e-4)
         assert eig.max() == pytest.approx(1.0, abs=1e-9)
+
+    def test_keeps_labels_and_output_matrices(self):
+        rng = np.random.default_rng(21)
+        a, b = random_stable_continuous(rng, 3)
+        m = wrap(a, b, b_f=rng.standard_normal((3, 2)))
+        assert m.t_s == 0.0
+        d = zoh_discretize(m, 0.5)
+        assert d.t_s == 0.5
+        assert np.array_equal(d.c, m.c)
+        assert np.array_equal(d.d_f, m.d_f)
+        for name in ("state_labels", "measurement_labels", "attack_labels",
+                     "disturbance_labels"):
+            assert getattr(d, name) == getattr(m, name)
+
+    def test_rejects_sampled_model(self):
+        d = zoh_discretize(wrap([[-1.0]], [[1.0]]), 0.5)
+        with pytest.raises(ValidationError, match="already sampled"):
+            zoh_discretize(d, 0.5)
 
     def test_rejects_nonpositive_period(self):
         m = wrap([[-1.0]], [[1.0]])

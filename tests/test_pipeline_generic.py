@@ -9,7 +9,7 @@ from agcdiag.attacks import AttackSpace, compute_basis, synthesize_attack, \
     validate_attack_space
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import design_robust, feasible_basis, worst_case_alpha
-from agcdiag.discretize import DiscreteLtiModel
+from agcdiag.discretize import LtiModel
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import Scenario, simulate
 
@@ -36,7 +36,7 @@ def augmented_model():
     assert max(abs(np.linalg.eigvals(a_hat))) < 1.0
     n_x = a_hat.shape[0]
     n_y = c_hat.shape[0]
-    return DiscreteLtiModel(
+    return LtiModel(
         a_cl=a_hat, b_d=b_d_hat, b_f=b_f_hat, c=c_hat, d_f=d_f_hat, t_s=1.0,
         state_labels=tuple(f"g.x{i}" for i in range(n_x)),
         measurement_labels=tuple(f"g.y{i}" for i in range(n_y)),
@@ -49,8 +49,7 @@ def test_full_design_on_augmented_loop(augmented_model):
     # stealthy direction: both redundant sensors biased identically
     fb = compute_basis(model.c, model.d_f)
     assert fb.shape[0] == 1
-    space = AttackSpace(basis=fb, a=np.array([[1.0]]), b=np.array([0.5]),
-                        labels=model.attack_labels)
+    space = AttackSpace(basis=fb, a=np.array([[1.0]]), b=np.array([0.5]))
     validate_attack_space(space, model.c, model.d_f)
 
     dae = build_dae(model)

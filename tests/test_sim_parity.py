@@ -11,7 +11,7 @@ from agcdiag import config as cfgmod
 from agcdiag.attacks import synthesize_attack
 from agcdiag.cli import DEFAULT_POLE_SWEEP, Pipeline
 from agcdiag.design import FilterDesign
-from agcdiag.discretize import DiscreteLtiModel
+from agcdiag.discretize import LtiModel
 from agcdiag.errors import DivergenceError
 from agcdiag.residual import RealizedFilter, realize_filter
 from agcdiag.simulate import Scenario, simulate, write_trace_csv
@@ -88,7 +88,7 @@ class TestSignalParity:
         assert_parity(*run_both(chain.discrete, sc, filt))
 
     def test_divergence_names_same_step_and_magnitude(self):
-        model = DiscreteLtiModel(
+        model = LtiModel(
             a_cl=np.array([[1.05, 0.2], [0.0, 0.9]]), b_d=np.ones((2, 1)),
             b_f=np.zeros((2, 0)), c=np.eye(2), d_f=np.zeros((2, 0)),
             t_s=1.0, state_labels=("u.x1", "u.x2"),

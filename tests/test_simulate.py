@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agcdiag.attacks import synthesize_attack
-from agcdiag.discretize import DiscreteLtiModel
+from agcdiag.discretize import LtiModel, zoh_discretize
 from agcdiag.errors import DivergenceError, ValidationError
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import (Scenario, gen_disturbance, label_variances,
@@ -88,13 +88,21 @@ class TestSimulate:
         f = synthesize_attack(chain.space, [1.0, 0.0, 0.0])
         sc = Scenario(horizon_s=1.0, t_s=0.1, onset_s=0.3, attack_f=f)
         assert sc.onset_index == 3
-        trace = simulate(chain.discrete, sc)
+        trace = simulate(zoh_discretize(chain.model, 0.1), sc)
         attacked = np.flatnonzero(np.abs(trace.f).max(axis=1) > 0)
         assert attacked[0] == 4
         assert np.array_equal(attacked, np.arange(4, trace.n_records))
 
+    def test_sampling_period_mismatch_rejected(self, chain):
+        # the default model is sampled at 0.5 s
+        sc = Scenario(horizon_s=60.0, t_s=1.0)
+        with pytest.raises(ValidationError, match="t_s"):
+            simulate(chain.discrete, sc)
+        with pytest.raises(ValidationError, match="t_s"):
+            simulate(chain.model, quiet_scenario())
+
     def test_divergence_guard_names_step(self):
-        model = DiscreteLtiModel(
+        model = LtiModel(
             a_cl=np.array([[2.0]]), b_d=np.ones((1, 1)),
             b_f=np.zeros((1, 0)), c=np.eye(1), d_f=np.zeros((1, 0)),
             t_s=1.0, state_labels=("u.x",), measurement_labels=("u.y",),
