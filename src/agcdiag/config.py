@@ -31,7 +31,7 @@ from .agc import AreaParams, GeneratorParams, assemble_system
 from .attacks import AttackSpace, compute_basis, validate_attack_space
 from .discretize import LtiModel, zoh_discretize
 from .errors import ConfigError, UnknownLabelError, ValidationError
-from .simulate import Scenario, label_variances
+from .simulate import Scenario, label_values
 
 #: Frequency entries of the "freq-scaled" noise tables are scaled by this.
 FREQ_NOISE_FACTOR = 0.03
@@ -313,20 +313,14 @@ def build_scenario(cfg: dict, model: LtiModel,
     if onset_s > horizon_s:
         raise ConfigError("scenario.onset_s",
                           f"must be <= horizon_s = {horizon_s!r}, got {onset_s!r}")
-    # the label maps: keys by the rules simulate applies, values >= 0
+    # the label maps, checked by the rules simulate applies
     maps = {"load_std": _float_map(sc["load_std"], "scenario.load_std")}
     for name, labels in (("load_std", model.disturbance_labels),
                          ("process_noise", model.state_labels),
                          ("measurement_noise", model.measurement_labels)):
-        path = f"scenario.{name}"
         if name not in maps:
-            maps[name] = _noise_table(sc[name], base, labels, path)
-        try:
-            label_variances(maps[name], labels, "label map")
-        except ValidationError as exc:
-            raise ConfigError(path, str(exc)) from None
-        for lab, value in maps[name].items():
-            if not value >= 0.0:
-                raise ConfigError(f"{path}.{lab}", f"must be >= 0, got {value!r}")
+            maps[name] = _noise_table(sc[name], base, labels,
+                                      f"scenario.{name}")
+        label_values(maps[name], labels, f"scenario.{name}")
     return Scenario(horizon_s=horizon_s, t_s=_number(cfg, "scenario.t_s"),
                     onset_s=onset_s, attack_f=attack_f, seed=seed, **maps)

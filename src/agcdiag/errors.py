@@ -25,8 +25,9 @@ class UnknownLabelError(ValidationError):
     """A configured label names no measurement, state or area of the model."""
 
 
-class ConfigError(AgcDiagError):
-    """Bad or missing run-configuration data.
+class ConfigError(ValidationError):
+    """Bad or missing run-configuration data, or a bad entry of a
+    scenario's label map.
 
     ``field`` carries the dotted path of the offending entry so the CLI can
     report it.

@@ -25,6 +25,9 @@ an array operation; only the pivot sequence itself is a Python loop:
   variable has the smallest index;
 * a hard pivot cap converts a hypothetical stall into an error instead of
   an infinite loop;
+* a phase 1 that ends unbounded or with a negative sum of artificials,
+  both impossible in exact arithmetic, raises ``NumericError`` instead of
+  reporting the problem infeasible;
 * every optimal point is checked against the rows and bounds of the
   problem as given before it is returned (``_check_point``); the check
   only reads the point, so it changes no pivot and no bit of the result.
@@ -290,7 +293,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         for i in art_rows:
             tab[m] -= tab[i]
         status = simplex.run()
-        if status != "optimal" or -simplex.tab[m, -1] > FEAS_TOL:
+        infeasibility = -simplex.tab[m, -1]   # the artificials' sum
+        if status != "optimal" or infeasibility < -FEAS_TOL:
+            raise NumericError(f"phase 1 ended {status} with artificial sum "
+                               f"{infeasibility:.2g}")
+        if infeasibility > FEAS_TOL:
             return LpSolution(INFEASIBLE, None, None, simplex.iterations)
         # Drive leftover artificials out of the basis; a row with no usable
         # pivot is redundant and can stay (its rhs is ~0).

@@ -13,9 +13,9 @@ measurements, the static residual and the filter numerator are stacked
 matrix-vector products over the whole series; each row uses the kernel of
 a one-sample product ``M @ v``, so a trace has the same bits as a loop
 over samples (kept as the test reference in ``tests/reference_sim.py``).
-The divergence guard names the first state past it, as a check after
-every step would. Trace CSVs are formatted a row at a time from one format
-string.
+The divergence guard names the first state past it (a nan state counts as
+past it), as a check after every step would. Trace CSVs are formatted a
+row at a time from one format string.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import LtiModel
-from .errors import DimensionError, DivergenceError, ValidationError
+from .errors import (ConfigError, DimensionError, DivergenceError,
+                     ValidationError)
 from .linalg import weighted_range_projector
 from .residual import RealizedFilter
 
@@ -46,10 +47,11 @@ class Scenario:
 
     ``load_std`` maps a disturbance label (``<area>.load``) to the standard
     deviation of its i.i.d. zero-mean Gaussian steps; unlisted channels stay
-    zero. ``load_series`` (if given) overrides the stochastic model with an
-    explicit (steps+1, n_d) array. Noise covariances are diagonal,
-    label-keyed; ``attack_f`` is the constant injection applied strictly
-    after ``onset_s`` seconds, that is at the samples k > ``onset_index``.
+    zero. Noise covariances are diagonal, label-keyed variances. The three
+    label maps are checked against the model by ``simulate`` (see
+    ``label_values``). ``attack_f`` is the constant injection applied
+    strictly after ``onset_s`` seconds, that is at the samples
+    k > ``onset_index``.
     """
 
     horizon_s: float
@@ -57,22 +59,16 @@ class Scenario:
     onset_s: float = 0.0
     attack_f: np.ndarray | None = None
     load_std: dict[str, float] = field(default_factory=dict)
-    load_series: np.ndarray | None = None
     process_noise: dict[str, float] = field(default_factory=dict)
     measurement_noise: dict[str, float] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon_s <= 0 or self.t_s <= 0:
+        if not (self.horizon_s > 0 and self.t_s > 0):
             raise ValidationError("horizon and sampling period must be > 0")
         if not 0 <= self.onset_s <= self.horizon_s:
             raise ValidationError(
                 f"attack onset {self.onset_s} outside [0, {self.horizon_s}]")
-        for name, table in (("process_noise", self.process_noise),
-                            ("measurement_noise", self.measurement_noise)):
-            for lab, var in table.items():
-                if var < 0:
-                    raise ValidationError(f"{name}[{lab}] must be >= 0")
         if self.attack_f is not None:
             object.__setattr__(
                 self, "attack_f",
@@ -94,8 +90,8 @@ class Scenario:
             "onset_s": self.onset_s,
             "attack_f": None if self.attack_f is None else list(self.attack_f),
             "load_std": dict(sorted(self.load_std.items())),
-            "load_series": None if self.load_series is None
-            else np.asarray(self.load_series).tolist(),
+            # a field removed since; kept so trace_meta.json keeps its hash
+            "load_series": None,
             "process_noise": dict(sorted(self.process_noise.items())),
             "measurement_noise": dict(sorted(self.measurement_noise.items())),
             "seed": self.seed,
@@ -122,23 +118,29 @@ class SimulationTrace:
         return self.t.size
 
 
-def label_variances(table: dict[str, float], labels: tuple[str, ...],
-                    what: str) -> np.ndarray:
-    """Diagonal variance vector from a label->variance map.
+def label_values(table: dict[str, float], labels: tuple[str, ...],
+                 path: str) -> np.ndarray:
+    """The vector over ``labels`` of a label->value map (a std or a
+    variance); unlisted labels get 0.
 
     Keys may be exact labels or ``<area>.*`` patterns; the most specific
-    (exact) entry wins. Unknown exact keys are rejected so typos do not
-    silently drop noise.
+    (exact) entry wins. This is the one check of a scenario's label maps:
+    a key that names no label, or a pattern that matches no area, raises
+    ``ConfigError(path, ...)`` so typos do not silently drop noise, and a
+    value that is not >= 0 (nan included) raises
+    ``ConfigError(f"{path}.{key}", ...)``.
     """
     out = np.zeros(len(labels))
     known = set(labels)
     areas = {lab.split(".", 1)[0] for lab in labels}
-    for key in table:
+    for key, value in table.items():
         if key.endswith(".*"):
             if key[:-2] not in areas:
-                raise ValidationError(f"{what}: pattern {key!r} matches no area")
+                raise ConfigError(path, f"pattern {key!r} matches no area")
         elif key not in known:
-            raise ValidationError(f"{what}: unknown label {key!r}")
+            raise ConfigError(path, f"unknown label {key!r}")
+        if not value >= 0.0:
+            raise ConfigError(f"{path}.{key}", f"must be >= 0, got {value!r}")
     for i, lab in enumerate(labels):
         area = lab.split(".", 1)[0]
         if lab in table:
@@ -150,19 +152,10 @@ def label_variances(table: dict[str, float], labels: tuple[str, ...],
 
 def gen_disturbance(scenario: Scenario, rng: np.random.Generator,
                     labels: tuple[str, ...]) -> np.ndarray:
-    """Per-step disturbance matrix, (n_steps+1, n_d)."""
-    steps = scenario.n_steps + 1
-    if scenario.load_series is not None:
-        series = np.asarray(scenario.load_series, dtype=float)
-        if series.shape != (steps, len(labels)):
-            raise DimensionError(
-                f"load series has shape {series.shape}, expected "
-                f"({steps}, {len(labels)})")
-        return series.copy()
-    stds = label_variances(
-        {k: v ** 2 for k, v in scenario.load_std.items()}, labels,
-        "load_std") ** 0.5
-    return rng.standard_normal((steps, len(labels))) * stds
+    """Per-step disturbance matrix, (n_steps+1, n_d): i.i.d. Gaussian steps
+    with the stds of ``scenario.load_std``."""
+    stds = label_values(scenario.load_std, labels, "load_std")
+    return rng.standard_normal((scenario.n_steps + 1, len(labels))) * stds
 
 
 def _rowwise(mat: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -182,7 +175,8 @@ def simulate(model: LtiModel, scenario: Scenario,
     whenever every measurement has a positive noise variance. The dynamic
     filter, if given, is reset and then filters the whole measurement
     series once the state recursion has run. The scenario must sample at
-    the model's ``t_s``.
+    the model's ``t_s``, and its label maps must pass ``label_values``
+    against the model's labels.
     """
     if scenario.t_s != model.t_s:
         raise ValidationError(f"scenario samples at t_s = {scenario.t_s}, "
@@ -197,10 +191,10 @@ def simulate(model: LtiModel, scenario: Scenario,
     steps = scenario.n_steps
     rng = np.random.default_rng(scenario.seed)
     d_log = gen_disturbance(scenario, rng, model.disturbance_labels)
-    proc_var = label_variances(scenario.process_noise, model.state_labels,
-                               "process_noise")
-    meas_var = label_variances(scenario.measurement_noise,
-                               model.measurement_labels, "measurement_noise")
+    proc_var = label_values(scenario.process_noise, model.state_labels,
+                            "process_noise")
+    meas_var = label_values(scenario.measurement_noise,
+                            model.measurement_labels, "measurement_noise")
     w_series = rng.standard_normal((steps + 1, n_x)) * np.sqrt(proc_var)
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
@@ -226,9 +220,9 @@ def simulate(model: LtiModel, scenario: Scenario,
             x_all[k + 1] = x
     # the guard names the first state past it, as a check after each step
     # would; the states after that one, which may have overflowed, are
-    # discarded with the run
+    # discarded with the run. A nan state is past the guard too.
     mags = np.abs(x_all[1:]).max(axis=1, initial=0.0)
-    over = np.flatnonzero(mags > DIVERGENCE_GUARD)
+    over = np.flatnonzero(~(mags <= DIVERGENCE_GUARD))
     if over.size:
         raise DivergenceError(int(over[0]) + 1, mags[over[0]])
     x_log = x_all[:-1]

@@ -22,7 +22,7 @@ from agcdiag.errors import DimensionError, DivergenceError
 from agcdiag.linalg import weighted_range_projector
 from agcdiag.residual import denominator_coefficients
 from agcdiag.simulate import (DIVERGENCE_GUARD, SimulationTrace,
-                              gen_disturbance, label_variances)
+                              gen_disturbance, label_values)
 
 
 class StreamingFilter:
@@ -68,10 +68,10 @@ def simulate_reference(model, scenario,
     steps = scenario.n_steps
     rng = np.random.default_rng(scenario.seed)
     d_series = gen_disturbance(scenario, rng, model.disturbance_labels)
-    proc_var = label_variances(scenario.process_noise, model.state_labels,
-                               "process_noise")
-    meas_var = label_variances(scenario.measurement_noise,
-                               model.measurement_labels, "measurement_noise")
+    proc_var = label_values(scenario.process_noise, model.state_labels,
+                            "process_noise")
+    meas_var = label_values(scenario.measurement_noise,
+                            model.measurement_labels, "measurement_noise")
     w_series = rng.standard_normal((steps + 1, n_x)) * np.sqrt(proc_var)
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
@@ -110,7 +110,7 @@ def simulate_reference(model, scenario,
         x = (model.a_cl @ x + model.b_d @ d_series[k]
              + model.b_f @ f_k + w_series[k])
         mag = np.abs(x).max(initial=0.0)
-        if mag > DIVERGENCE_GUARD:
+        if not mag <= DIVERGENCE_GUARD:
             raise DivergenceError(k + 1, mag)
 
     metadata = {

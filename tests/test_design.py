@@ -17,6 +17,7 @@ from oracles import (beta_for_index, brute_force_gamma,
                      polytope_vertices)
 from reference_lp import solve_lp_reference
 from test_dae import toy_model
+from test_lp import break_phase_1
 
 
 def tiny_instance(seed):
@@ -266,6 +267,14 @@ class TestCertificateCheck:
         corrupt_final_point(monkeypatch, scale)
         with pytest.raises(NumericError,
                            match=r"^worst-case LP: .*inequality rows"):
+            worst_case_alpha(chain.design.nbar, chain.ffb, 3, chain.space.a,
+                             chain.space.b)
+
+    def test_unbounded_phase_1_names_the_lp(self, chain, monkeypatch):
+        # used to read as an empty attack set
+        break_phase_1(monkeypatch, "unbounded")
+        with pytest.raises(NumericError,
+                           match=r"^worst-case LP: phase 1 ended unbounded"):
             worst_case_alpha(chain.design.nbar, chain.ffb, 3, chain.space.a,
                              chain.space.b)
 

@@ -2,13 +2,30 @@ import numpy as np
 import pytest
 
 from agcdiag import lp
-from agcdiag.errors import DimensionError
+from agcdiag.errors import DimensionError, NumericError
 
 from reference_lp import solve_lp_reference
 
 
 def solve(sense, c, **kw):
     return lp.solve_lp(lp.LpProblem(sense, np.asarray(c, dtype=float), **kw))
+
+
+def break_phase_1(monkeypatch, status, artificial_sum=0.0):
+    """Make the first simplex run, phase 1 of an LP with artificials, end
+    with ``status`` and the artificials' sum ``artificial_sum``."""
+    run = lp._Tableau.run
+    calls = []
+
+    def spy(self):
+        result = run(self)
+        calls.append(result)
+        if len(calls) > 1:
+            return result
+        self.tab[-1, -1] = -artificial_sum
+        return status
+
+    monkeypatch.setattr(lp._Tableau, "run", spy)
 
 
 class TestBasics:
@@ -214,6 +231,16 @@ class TestLoopReference:
 
 
 class TestGuards:
+    # min x + y s.t. x + y >= 1, x, y >= 0: the >= row needs an artificial
+    @pytest.mark.parametrize("status, artificial_sum", [
+        ("unbounded", 0.0), ("optimal", -1e-3)])
+    def test_impossible_phase_1_raises(self, monkeypatch, status,
+                                       artificial_sum):
+        break_phase_1(monkeypatch, status, artificial_sum)
+        with pytest.raises(NumericError, match=f"^phase 1 ended {status}"):
+            solve("min", [1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[1.0],
+                  lower=[0.0, 0.0])
+
     def test_iteration_cap_raises(self, monkeypatch):
         from agcdiag.errors import IterationLimitError
         monkeypatch.setattr(lp, "MAX_ITER", 1)

@@ -64,12 +64,13 @@ class TestSignalParity:
                       measurement_noise=NOISE, seed=4)
         assert_parity(*run_both(chain.discrete, sc, filt))
 
-    def test_load_series(self, chain):
-        steps = int(30.0 / 0.5) + 1
-        series = np.sin(np.linspace(0.0, 9.0, steps * 3)).reshape(steps, 3)
+    def test_stochastic_loads_in_every_area(self, chain):
         filt = realize_filter(chain.design, chain.dae.l)
-        sc = scenario(load_series=series, load_std={})
-        assert_parity(*run_both(chain.discrete, sc, filt))
+        sc = scenario(load_std={"area1.load": 0.03, "area2.*": 0.05,
+                                "area3.load": 0.02}, seed=6)
+        got, ref = run_both(chain.discrete, sc, filt)
+        assert_parity(got, ref)
+        assert np.all(np.abs(got.d).max(axis=0) > 0)
 
     def test_no_filter(self, chain):
         sc = scenario(measurement_noise=NOISE, seed=8)

@@ -3,9 +3,9 @@ import pytest
 
 from agcdiag.attacks import synthesize_attack
 from agcdiag.discretize import LtiModel, zoh_discretize
-from agcdiag.errors import DivergenceError, ValidationError
+from agcdiag.errors import ConfigError, DivergenceError, ValidationError
 from agcdiag.residual import realize_filter
-from agcdiag.simulate import (Scenario, gen_disturbance, label_variances,
+from agcdiag.simulate import (Scenario, gen_disturbance, label_values,
                               read_trace_csv, simulate, write_trace_csv)
 
 
@@ -26,21 +26,44 @@ class TestScenario:
         with pytest.raises(ValidationError):
             Scenario(horizon_s=10.0, t_s=0.5, onset_s=11.0)
 
-    def test_negative_covariance_rejected(self):
-        with pytest.raises(ValidationError):
-            Scenario(horizon_s=10.0, t_s=0.5,
-                     process_noise={"area1.freq": -1.0})
+    @pytest.mark.parametrize("horizon_s, t_s", [
+        (10.0, np.nan), (np.nan, 0.5), (10.0, 0.0), (-1.0, 0.5)])
+    def test_bad_horizon_or_period_rejected(self, horizon_s, t_s):
+        with pytest.raises(ValidationError, match="sampling period"):
+            Scenario(horizon_s=horizon_s, t_s=t_s)
+
+    def test_negative_covariance_rejected(self, chain):
+        # the label maps are checked by simulate, against the model's labels
+        sc = Scenario(horizon_s=10.0, t_s=0.5,
+                      process_noise={"area1.freq": -1.0})
+        with pytest.raises(ValidationError, match="process_noise.area1.freq"):
+            simulate(chain.discrete, sc)
 
 
 class TestLabelVariances:
     def test_pattern_precedence(self):
         table = {"a.*": 2.0, "a.freq": 0.5}
-        out = label_variances(table, ("a.freq", "a.tie_b", "b.freq"), "test")
+        out = label_values(table, ("a.freq", "a.tie_b", "b.freq"), "test")
         assert np.allclose(out, [0.5, 2.0, 0.0])
 
     def test_unknown_exact_label_rejected(self):
         with pytest.raises(ValidationError, match="unknown label"):
-            label_variances({"a.typo": 1.0}, ("a.freq",), "test")
+            label_values({"a.typo": 1.0}, ("a.freq",), "test")
+
+    @pytest.mark.parametrize("name", ["load_std", "process_noise",
+                                      "measurement_noise"])
+    @pytest.mark.parametrize("key, value, field", [
+        ("area1.*", np.nan, "{name}.area1.*"),
+        ("area2.*", -0.03, "{name}.area2.*"),
+        ("area1.typo", 0.03, "{name}"),
+        ("areaX.*", 0.03, "{name}"),
+    ])
+    def test_simulate_rejects_bad_map(self, chain, name, key, value, field):
+        sc = quiet_scenario(**{name: {key: value}})
+        with pytest.raises(ConfigError) as err:
+            simulate(chain.discrete, sc)
+        assert err.value.field == field.format(name=name)
+        assert isinstance(err.value, ValidationError)
 
 
 class TestSimulate:
@@ -100,6 +123,16 @@ class TestSimulate:
             simulate(chain.discrete, sc)
         with pytest.raises(ValidationError, match="t_s"):
             simulate(chain.model, quiet_scenario())
+
+    def test_nan_state_is_divergence(self):
+        model = LtiModel(
+            a_cl=np.array([[np.nan]]), b_d=np.ones((1, 1)),
+            b_f=np.zeros((1, 0)), c=np.eye(1), d_f=np.zeros((1, 0)),
+            t_s=1.0, state_labels=("u.x",), measurement_labels=("u.y",),
+            attack_labels=(), disturbance_labels=("u.load",))
+        with pytest.raises(DivergenceError) as err:
+            simulate(model, Scenario(horizon_s=10.0, t_s=1.0))
+        assert err.value.step == 1
 
     def test_divergence_guard_names_step(self):
         model = LtiModel(
@@ -167,14 +200,6 @@ class TestDisturbance:
         se = 0.03 / np.sqrt(n)
         assert abs(draws[:, 0].mean()) <= 4 * se
 
-    def test_user_series_passthrough(self, chain):
-        steps = int(10.0 / 0.5) + 1
-        series = np.linspace(0, 1, steps * 3).reshape(steps, 3)
-        sc = Scenario(horizon_s=10.0, t_s=0.5, load_series=series, seed=0)
-        out = gen_disturbance(sc, np.random.default_rng(0),
-                              chain.discrete.disturbance_labels)
-        assert np.array_equal(out, series)
-
 
 class TestTraceCsv:
     def test_round_trip_zero_drift(self, chain, tmp_path):
@@ -217,7 +242,7 @@ class TestTraceCsv:
 
 def test_unknown_pattern_area_rejected():
     with pytest.raises(ValidationError, match="pattern"):
-        label_variances({"areaX.*": 1.0}, ("a.freq",), "test")
+        label_values({"areaX.*": 1.0}, ("a.freq",), "test")
 
 
 def test_malformed_trace_csv_rejected(tmp_path):
