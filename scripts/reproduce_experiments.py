@@ -4,7 +4,8 @@
 Runs the full pipeline on the shipped default configuration:
 
   1. robust filter design (8 relaxation LPs, 4 solved and 4 mirrored;
-     report + coefficients)
+     report + coefficients), solved once: the later steps repeat its
+     inputs and reuse it in this process
   2. worst-case attack coefficients for the designed filter
   3. scenario 1: basic (inconsistent) attack, noise-free
   4. scenario 2: stealthy worst-case attack, sensor-grade noise

@@ -22,6 +22,7 @@ horizon at 0.5 s sampling with the attack at 30 s.
 from __future__ import annotations
 
 import json
+import math
 from functools import cache
 from importlib import resources
 
@@ -123,12 +124,13 @@ def _entry(cfg: dict, path: str, kind):
 
 
 def _number(cfg: dict, path: str, zero_ok: bool = False) -> float:
-    """The float at ``"section.key"``, which must be > 0 (>= 0 with
-    ``zero_ok``); nan never passes."""
+    """The float at ``"section.key"``, which must be finite and > 0 (>= 0
+    with ``zero_ok``); nan never passes."""
     value = _entry(cfg, path, float)
-    if not (value >= 0.0 if zero_ok else value > 0.0):
-        raise ConfigError(path, f"must be {'>=' if zero_ok else '>'} 0, "
-                                f"got {value!r}")
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok
+                                      else value > 0.0)):
+        raise ConfigError(path, f"must be finite and "
+                                f"{'>=' if zero_ok else '>'} 0, got {value!r}")
     return value
 
 

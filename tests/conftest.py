@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from agcdiag import cli
 from agcdiag import config as cfgmod
 from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
 from agcdiag.design import design_robust, feasible_basis
@@ -33,6 +34,13 @@ class DefaultChain:
 @pytest.fixture(scope="session")
 def chain() -> DefaultChain:
     return DefaultChain()
+
+
+@pytest.fixture(autouse=True)
+def no_kept_design(monkeypatch):
+    """Every test starts with no design kept by ``agcdiag.cli``, so a test
+    that patches a layer below the CLI sees that layer run."""
+    monkeypatch.setattr(cli, "_last_design", None)
 
 
 # Small closed loop with a nonzero certified steady-state gain (mu > 0),

@@ -4,6 +4,7 @@ import pytest
 from agcdiag import cli
 from agcdiag import config as cfgmod
 from agcdiag.cli import main
+from agcdiag.errors import NumericError
 from agcdiag.simulate import read_trace_csv
 
 
@@ -163,6 +164,113 @@ class TestSweepPole:
         assert code == 0
         assert len(list(tmp_path.glob("trace_p*.csv"))) == 5
         assert len(calls) == 1
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records every design the CLI solves, robust or steady-state."""
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in ("design_robust", "design_steady_state"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    return calls
+
+
+class TestDesignMemo:
+    SHORT = ["--set", "scenario.horizon_s=10.0",
+             "--set", "scenario.onset_s=5.0"]
+
+    def test_commands_of_one_process_solve_once(self, solves, tmp_path,
+                                                monkeypatch, capsys):
+        for args in (["design"], ["attack"], [*self.SHORT, "sweep-pole"]):
+            code, _, _ = run_cli(args, tmp_path, monkeypatch, capsys)
+            assert code == 0
+        assert solves == ["design_robust"]
+
+    @pytest.mark.parametrize("override", [
+        "design.d_n=2", "design.eta=5.0", "design.pole=0.5",
+        "design.polytope_b=[2.0]", "design.kind=steady-state",
+        "design.rank_tol=1e-08", "scenario.t_s=0.25",
+        areas_override(lambda a: a[0].update(inertia=4.1)),
+        "attack.basis=" + json.dumps(
+            [[0.2, 0.0, 0.2, 0.0, 0.0], [0.1, 0.15, 0.25, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.1, 0.1]]),
+    ], ids=["d_n", "eta", "pole", "polytope_b", "kind", "rank_tol", "t_s",
+            "areas", "basis"])
+    def test_each_design_input_solves_again(self, override, solves, tmp_path,
+                                            monkeypatch, capsys):
+        assert run_cli(["design"], tmp_path, monkeypatch, capsys)[0] == 0
+        code, _, _ = run_cli(["--set", override, "design"], tmp_path,
+                             monkeypatch, capsys)
+        assert code in (0, 3)   # the steady-state design certifies mu = 0
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("override", ["scenario.seed=5",
+                                          "scenario.horizon_s=20.0"])
+    def test_scenario_inputs_reuse_the_design(self, override, solves,
+                                              tmp_path, monkeypatch, capsys):
+        assert run_cli(["design"], tmp_path, monkeypatch, capsys)[0] == 0
+        code, _, _ = run_cli(["--set", override, "design"], tmp_path,
+                             monkeypatch, capsys)
+        assert code == 0
+        assert solves == ["design_robust"]
+
+    def test_only_the_last_design_is_kept(self, solves, tmp_path, monkeypatch,
+                                          capsys):
+        for args in (["design"], ["--set", "design.d_n=2", "design"],
+                     ["design"]):
+            assert run_cli(args, tmp_path, monkeypatch, capsys)[0] == 0
+        assert len(solves) == 3
+
+    def test_replaced_solver_solves_again(self, solves, tmp_path,
+                                          monkeypatch, capsys):
+        assert run_cli(["design"], tmp_path, monkeypatch, capsys)[0] == 0
+        solve = cli.design_robust
+        monkeypatch.setattr(cli, "design_robust",
+                            lambda *args: solve(*args))
+        assert run_cli(["design"], tmp_path, monkeypatch, capsys)[0] == 0
+        assert solves == ["design_robust", "design_robust"]
+
+    def test_reused_design_writes_the_same_filter(self, solves, tmp_path,
+                                                  monkeypatch, capsys):
+        written = []
+        for name in ("miss", "hit"):
+            out = tmp_path / name
+            assert run_cli(["design"], out, monkeypatch, capsys)[0] == 0
+            written.append((out / "filter.json").read_bytes())
+        assert solves == ["design_robust"]
+        assert written[0] == written[1]
+
+    def test_failed_solve_is_not_kept(self, solves, tmp_path, monkeypatch,
+                                      capsys):
+        solve = cli.design_robust
+
+        def fails_once(*args, **kwargs):
+            design = solve(*args, **kwargs)
+            if len(solves) == 1:
+                raise NumericError("relaxation LP (0, +1): injected")
+            return design
+
+        monkeypatch.setattr(cli, "design_robust", fails_once)
+        code, _, err = run_cli(["design"], tmp_path, monkeypatch, capsys)
+        assert code == 1 and "injected" in err
+        code, _, _ = run_cli(["design"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert solves == ["design_robust", "design_robust"]
+
+    def test_kept_design_is_read_only(self, solves):
+        design = cli.Pipeline(cfgmod.default_config(), []).design
+        for arr in (design.nbar, design.multiplier):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        again = cli.Pipeline(cfgmod.default_config(), []).design
+        assert again is design and solves == ["design_robust"]
 
 
 def typo_in_areas(key, value, generator=False):
@@ -326,6 +434,10 @@ class TestErrors:
         (['scenario.process_noise={"zz.*":1.0}'], "scenario.process_noise"),
         (['scenario.measurement_noise={"area1.*":-1.0}'],
          "scenario.measurement_noise.area1.*"),
+        (["scenario.horizon_s=Infinity"], "scenario.horizon_s"),
+        (["scenario.onset_s=Infinity"], "scenario.onset_s"),
+        (["design.eta=Infinity"], "design.eta"),
+        (["design.rank_tol=Infinity"], "design.rank_tol"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):
