@@ -10,7 +10,8 @@ Runs the full pipeline on the shipped default configuration:
   3. scenario 1: basic (inconsistent) attack, noise-free
   4. scenario 2: stealthy worst-case attack, sensor-grade noise
   5. per-panel plot CSVs for both scenarios
-  6. pole sweep, stealthy scenario
+  6. pole sweep, stealthy scenario: the closed loop is simulated once and
+     its measurements filtered with each pole
 
 Everything lands under out/experiments/ (override with --out).
 """

@@ -42,18 +42,6 @@ class AttackSpace:
         return self.basis.shape[0]
 
 
-def stealth_residual(f, c, d_f) -> float:
-    """Static-detector footprint of one injection: ||(I - P_C) D_f f||_inf."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    d_f = np.asarray(d_f, dtype=float)
-    if f.size != d_f.shape[1]:
-        raise DimensionError(
-            f"attack vector has length {f.size}, expected {d_f.shape[1]}")
-    proj = weighted_range_projector(c)
-    injected = d_f @ f
-    return float(np.abs(injected - proj @ injected).max(initial=0.0))
-
-
 def compute_basis(c, d_f) -> np.ndarray:
     """Rows spanning {f : (I - P_C) D_f f = 0}, the stealthy directions.
 
@@ -80,11 +68,19 @@ def compute_basis(c, d_f) -> np.ndarray:
 
 
 def validate_attack_space(space: AttackSpace, c, d_f) -> None:
-    """Reject a basis whose rows are dependent or visible to the static test."""
+    """Reject a basis whose rows are dependent or visible to the static
+    test: a row f is stealthy when ||(I - P_C) D_f f||_inf <= STEALTH_TOL."""
     if space.dim and np.linalg.matrix_rank(space.basis) < space.dim:
         raise ValidationError("attack basis rows are linearly dependent")
+    d_f = np.asarray(d_f, dtype=float)
+    if space.dim and space.basis.shape[1] != d_f.shape[1]:
+        raise DimensionError(
+            f"attack vector has length {space.basis.shape[1]}, "
+            f"expected {d_f.shape[1]}")
+    proj = weighted_range_projector(c)
     for i, row in enumerate(space.basis):
-        resid = stealth_residual(row, c, d_f)
+        injected = d_f @ row
+        resid = float(np.abs(injected - proj @ injected).max(initial=0.0))
         if resid > STEALTH_TOL:
             raise ValidationError(
                 f"basis vector {i + 1} fails the stealth test "

@@ -7,7 +7,7 @@ design      solve the filter design, write design_report.txt + filter.json
 attack      compute the attacker's best reply, write attack.json
 simulate    run the configured scenario, write trace.csv
 report      split a trace into per-panel plot-data CSVs
-sweep-pole  repeat simulate over a list of filter poles
+sweep-pole  simulate once and filter the run with each of a list of poles
 
 Commands run in one process share their design: the last design solved
 is kept, keyed by a sha256 of everything it reads (the DAE arrays, the
@@ -17,6 +17,12 @@ and solver repeat exactly reuses it without solving again. Replacing
 ``design_robust`` or ``design_steady_state`` in this module (a test's
 patch, a profiler's wrapper) therefore solves afresh. The attacker's best
 reply is still solved once per command.
+
+The sweep runs the closed loop once: the diagnosis filter reads the
+measurements and never feeds back into the loop, so the pole changes r_D
+alone. Each pole's filter is applied to that one run's measurements, as
+``simulate`` applies a filter after its state loop, and every
+``trace_p*.csv`` has the bytes of a full simulation with that pole.
 
 Exit codes: 0 success, 2 bad config or command line (field named on
 stderr, ``argv`` for the command line), 3 infeasible design, 1 anything
@@ -264,12 +270,13 @@ def cmd_attack(pipe: Pipeline) -> int:
     return 0
 
 
-def _run_simulation(pipe: Pipeline, pole: float | None = None):
-    f_vec = pipe.attack_vector()
-    scenario = cfgmod.build_scenario(pipe.cfg, pipe.discrete, f_vec)
+def _scenario(pipe: Pipeline):
+    return cfgmod.build_scenario(pipe.cfg, pipe.discrete, pipe.attack_vector())
+
+
+def _run_simulation(pipe: Pipeline):
+    scenario = _scenario(pipe)
     design = pipe.design
-    if pole is not None:
-        design = dataclasses.replace(design, pole=pole)
     filt = realize_filter(design, pipe.dae.l)
     trace = simulate(pipe.discrete, scenario, filt)
     trace.metadata["overrides"] = list(pipe.overrides)
@@ -315,9 +322,16 @@ def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
 
 
 def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
+    """One closed-loop run, filtered with each pole in turn; see the module
+    docstring."""
     out = pipe.out_dir()
+    scenario = _scenario(pipe)
+    design = pipe.design
+    plant = simulate(pipe.discrete, scenario)
     for pole in poles:
-        trace = _run_simulation(pipe, pole=pole)
+        filt = realize_filter(dataclasses.replace(design, pole=pole),
+                              pipe.dae.l)
+        trace = dataclasses.replace(plant, r_d=filt.apply(plant.y))
         name = f"trace_p{pole:g}.csv"
         write_trace_csv(trace, os.path.join(out, name))
         print(f"wrote {os.path.join(out, name)}")

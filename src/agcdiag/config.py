@@ -101,12 +101,18 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> list[str]:
 
 def _typed(value, kind, path: str):
     """``value`` checked against ``kind``; ints pass as floats, bools are
-    always rejected."""
+    always rejected, and a float must be finite (``json.loads`` parses
+    ``Infinity``, ``NaN``, ``1e400`` and integers past the float range)."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(path,
                           f"expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
     return value
 
 
@@ -124,13 +130,12 @@ def _entry(cfg: dict, path: str, kind):
 
 
 def _number(cfg: dict, path: str, zero_ok: bool = False) -> float:
-    """The float at ``"section.key"``, which must be finite and > 0 (>= 0
-    with ``zero_ok``); nan never passes."""
+    """The finite float at ``"section.key"``, which must be > 0 (>= 0 with
+    ``zero_ok``)."""
     value = _entry(cfg, path, float)
-    if not (math.isfinite(value) and (value >= 0.0 if zero_ok
-                                      else value > 0.0)):
-        raise ConfigError(path, f"must be finite and "
-                                f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+    if not (value >= 0.0 if zero_ok else value > 0.0):
+        raise ConfigError(path, f"must be {'>=' if zero_ok else '>'} 0, "
+                                f"got {value!r}")
     return value
 
 
@@ -151,17 +156,21 @@ def _float_map(value, path: str) -> dict[str, float]:
 
 
 def _float_array(value, path: str) -> np.ndarray:
-    """``value`` as a float array; anything non-numeric is a config error."""
+    """``value`` as an array of finite floats; anything else is a config
+    error."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected numbers: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(path, "expected finite numbers")
+    return arr
 
 
 def float_vector(value, size: int, path: str) -> np.ndarray:
     """``value`` as a vector of exactly ``size`` finite floats."""
     vec = np.atleast_1d(_float_array(value, path))
-    if vec.ndim != 1 or vec.size != size or not np.all(np.isfinite(vec)):
+    if vec.ndim != 1 or vec.size != size:
         raise ConfigError(path, f"expected a list of {size} finite numbers")
     return vec
 

@@ -8,7 +8,7 @@ vertices and edges) and returns a propagated grid-resolution tolerance.
 ``check_reformulation_feasible`` tests a point against the exact finite
 reformulation the relaxation LPs come from. ``build_v`` is the
 block-diagonal attack gain V(alpha) of that reformulation. The payoff,
-polytope, static-residual and settled-gain evaluations state the paper's
+polytope, stealth, static-residual and settled-gain evaluations state the paper's
 quantities directly, for the tests to hold the pipeline's results against.
 """
 
@@ -82,6 +82,18 @@ def in_polytope(space: AttackSpace, alpha, tol: float = 0.0) -> bool:
     """Componentwise test A alpha >= b - tol."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     return bool(np.all(space.a @ alpha >= space.b - tol))
+
+
+def stealth_residual(f, c, d_f) -> float:
+    """Static-detector footprint of one injection: ||(I - P_C) D_f f||_inf."""
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    d_f = np.asarray(d_f, dtype=float)
+    if f.size != d_f.shape[1]:
+        raise DimensionError(
+            f"attack vector has length {f.size}, expected {d_f.shape[1]}")
+    proj = weighted_range_projector(c)
+    injected = d_f @ f
+    return float(np.abs(injected - proj @ injected).max(initial=0.0))
 
 
 def static_residual(y, c, r_y=None) -> np.ndarray:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agcdiag.attacks import (AttackSpace, compute_basis, stealth_residual,
-                             synthesize_attack, validate_attack_space)
+from agcdiag.attacks import (AttackSpace, compute_basis, synthesize_attack,
+                             validate_attack_space)
 from agcdiag.errors import DimensionError, ValidationError
 
-from oracles import in_polytope
+from oracles import in_polytope, stealth_residual
 
 REFERENCE_BASIS = np.array([
     [0.1, 0.0, 0.1, 0.0, 0.0],

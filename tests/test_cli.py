@@ -1,11 +1,20 @@
+import dataclasses
 import json
+import os
+import runpy
+import sys
+
 import numpy as np
 import pytest
 from agcdiag import cli
 from agcdiag import config as cfgmod
 from agcdiag.cli import main
 from agcdiag.errors import NumericError
-from agcdiag.simulate import read_trace_csv
+from agcdiag.residual import realize_filter
+from agcdiag.simulate import read_trace_csv, simulate, write_trace_csv
+
+REPRODUCE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts", "reproduce_experiments.py")
 
 
 def areas_override(edit):
@@ -164,6 +173,53 @@ class TestSweepPole:
         assert code == 0
         assert len(list(tmp_path.glob("trace_p*.csv"))) == 5
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        ["attack.mode=worst-case"],
+        ["attack.mode=raw", "attack.raw_f=[0.38,0.0,0.53,-0.23,-0.23]",
+         "scenario.process_noise=null", "scenario.measurement_noise=null"],
+    ], ids=["noisy-worst-case", "noise-free-raw"])
+    def test_each_trace_matches_a_full_simulation(self, overrides, tmp_path,
+                                                  monkeypatch, capsys):
+        overrides = [*overrides, "scenario.horizon_s=20.0",
+                     "scenario.onset_s=10.0", "scenario.seed=3"]
+        args = [a for o in overrides for a in ("--set", o)]
+        code, _, _ = run_cli([*args, "sweep-pole"], tmp_path, monkeypatch,
+                             capsys)
+        assert code == 0
+        cfg = cfgmod.default_config()
+        cfgmod.apply_overrides(cfg, overrides)
+        pipe = cli.Pipeline(cfg, overrides)
+        scenario = cfgmod.build_scenario(cfg, pipe.discrete,
+                                         pipe.attack_vector())
+        for pole in cli.DEFAULT_POLE_SWEEP:
+            design = dataclasses.replace(pipe.design, pole=pole)
+            trace = simulate(pipe.discrete, scenario,
+                             realize_filter(design, pipe.dae.l))
+            assert np.abs(trace.r_d).max() > 0.0
+            expected = tmp_path / "expected.csv"
+            write_trace_csv(trace, expected)
+            got = tmp_path / f"trace_p{pole:g}.csv"
+            assert got.read_bytes() == expected.read_bytes(), pole
+
+
+def test_reproduce_pass_work_counts(tmp_path, monkeypatch, capsys):
+    """One pass of the reproduce script in this process simulates three
+    closed loops: the two scenarios and one for the five-pole sweep."""
+    runs = []
+    run = cli.simulate
+
+    def counted_simulate(*args, **kwargs):
+        runs.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", counted_simulate)
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(tmp_path)])
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    assert len(list((tmp_path / "pole_sweep").glob("trace_p*.csv"))) == 5
+    assert len(runs) == 3
 
 
 @pytest.fixture
@@ -438,6 +494,22 @@ class TestErrors:
         (["scenario.onset_s=Infinity"], "scenario.onset_s"),
         (["design.eta=Infinity"], "design.eta"),
         (["design.rank_tol=Infinity"], "design.rank_tol"),
+        (['scenario.measurement_noise={"area1.*":Infinity}'],
+         "scenario.measurement_noise.area1.*"),
+        (['scenario.load_std={"area1.load":Infinity}'],
+         "scenario.load_std.area1.load"),
+        ([areas_override(lambda a: a[0].update(inertia=float("inf")))],
+         "model.areas[0].inertia"),
+        ([areas_override(lambda a: a[1]["neighbors"].update(area3=1e400))],
+         "model.areas[1].neighbors.area3"),
+        ([areas_override(lambda a: a[2]["generators"][0].update(
+            droop=float("inf")))], "model.areas[2].generators[0].droop"),
+        (["design.eta=1" + "0" * 400], "design.eta"),
+        (["design.polytope_b=[Infinity]"], "design.polytope_b"),
+        (["design.polytope_a=[[1,1,1e400]]"], "design.polytope_a"),
+        (["attack.basis=" + json.dumps(
+            [[0.1, 0.0, 0.1, 0.0, float("nan")], [0.1, 0.15, 0.25, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.1, 0.1]])], "attack.basis"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):
@@ -446,6 +518,17 @@ class TestErrors:
         assert code == 2
         assert err.startswith(f"error: code=config field={field} ")
         assert len(err.splitlines()) == 1
+
+    def test_infinite_area_number_in_config_file_exits_2(self, tmp_path,
+                                                         monkeypatch, capsys):
+        areas = cfgmod.default_config()["model"]["areas"]
+        areas[0]["inertia"] = float("inf")
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": {"areas": areas}}))
+        code, _, err = run_cli(["--config", str(cfg_file), "design"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=model.areas[0].inertia ")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         sub = tmp_path / "elsewhere"

@@ -14,7 +14,8 @@ from agcdiag.design import FilterDesign
 from agcdiag.discretize import LtiModel
 from agcdiag.errors import DivergenceError
 from agcdiag.residual import RealizedFilter, realize_filter
-from agcdiag.simulate import Scenario, simulate, write_trace_csv
+from agcdiag.simulate import (CSV_BLOCK_ROWS, Scenario, simulate,
+                              write_trace_csv)
 
 from reference_sim import simulate_reference, write_trace_csv_reference
 
@@ -103,6 +104,18 @@ class TestSignalParity:
             simulate_reference(model, sc)
         assert got.value.step == ref.value.step
         assert got.value.magnitude == ref.value.magnitude
+
+
+@pytest.mark.parametrize("blocks", [(0, 2), (1, 0), (1, 1), (2, 0), (2, 1)])
+def test_csv_bytes_at_block_boundaries(chain, blocks, tmp_path):
+    """Traces whose length is a whole number of CSV format blocks, or one
+    row more: same bytes as the per-value reference writer."""
+    n_records = blocks[0] * CSV_BLOCK_ROWS + blocks[1]
+    sc = scenario(horizon_s=(n_records - 1) * 0.5, onset_s=0.0,
+                  attack_f=synthesize_attack(chain.space, [2.8, 1.0, -2.3]))
+    filt = realize_filter(chain.design, chain.dae.l)
+    assert simulate(chain.discrete, sc, filt).n_records == n_records
+    _assert_same_csv(chain.discrete, sc, filt, tmp_path)
 
 
 def _reproduce_pipeline(overrides):

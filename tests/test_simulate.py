@@ -57,6 +57,7 @@ class TestLabelVariances:
         ("area2.*", -0.03, "{name}.area2.*"),
         ("area1.typo", 0.03, "{name}"),
         ("areaX.*", 0.03, "{name}"),
+        ("area3.*", np.inf, "{name}.area3.*"),
     ])
     def test_simulate_rejects_bad_map(self, chain, name, key, value, field):
         sc = quiet_scenario(**{name: {key: value}})
