@@ -22,7 +22,9 @@ The sweep runs the closed loop once: the diagnosis filter reads the
 measurements and never feeds back into the loop, so the pole changes r_D
 alone. Each pole's filter is applied to that one run's measurements, as
 ``simulate`` applies a filter after its state loop, and every
-``trace_p*.csv`` has the bytes of a full simulation with that pole.
+``trace_p*.csv`` has the bytes of a full simulation with that pole. The
+output flags ``include_states`` and ``include_measurements`` add their
+columns to every sweep trace, as they do to ``simulate``'s.
 
 Exit codes: 0 success, 2 bad config or command line (field named on
 stderr, ``argv`` for the command line), 3 infeasible design, 1 anything
@@ -325,6 +327,7 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
     """One closed-loop run, filtered with each pole in turn; see the module
     docstring."""
     out = pipe.out_dir()
+    opts = cfgmod.output_params(pipe.cfg)
     scenario = _scenario(pipe)
     design = pipe.design
     plant = simulate(pipe.discrete, scenario)
@@ -333,7 +336,9 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
                               pipe.dae.l)
         trace = dataclasses.replace(plant, r_d=filt.apply(plant.y))
         name = f"trace_p{pole:g}.csv"
-        write_trace_csv(trace, os.path.join(out, name))
+        write_trace_csv(trace, os.path.join(out, name),
+                        include_states=opts["include_states"],
+                        include_measurements=opts["include_measurements"])
         print(f"wrote {os.path.join(out, name)}")
     return 0
 

@@ -17,6 +17,12 @@ an array operation; only the pivot sequence itself is a Python loop:
   are the exact negation of the positive part's, so the negative part
   enters with the negated column, and the partner of a basic part is not
   stored at all;
+* the same holds for rows: two ``<=`` rows whose coefficients are exact
+  negations (the ``||theta Z||_inf <= eta`` rows of the design LPs come in
+  such pairs) are one stored row while both slacks are basic, and the
+  second row is read as its negation. The rhs is kept per row, since the
+  two rows' rhs may differ. A pivot on either row gives that row a stored
+  row of its own, and its mirror keeps the shared one;
 * Bland's smallest-index rule picks both variables, which rules out
   cycling: the entering variable is the first one with a negative reduced
   cost (index q of a stored pair when its cost is below ``-PIVOT_TOL``,
@@ -33,15 +39,20 @@ an array operation; only the pivot sequence itself is a Python loop:
   only reads the point, so it changes no pivot and no bit of the result.
 
 The solver follows the pivots of the full tableau, which stores every
-column (``tests/reference_lp.py`` keeps it as the test reference), and
-returns its bits. Each stored entry is computed by the same operations,
-``x - f * p`` with ``p = row / piv``, as the full tableau's entry. The
-columns left out cannot change a decision: a basic column is a unit vector
-with a zero reduced cost, and IEEE negation is exact and commutes with
-``x - f * p``, so a negative part's column stays the exact negation of its
-partner's. Entries may differ from the full tableau's only in the sign of a
-zero, which no comparison sees, and the bound offsets added to the solution
-turn such a zero into +0.0.
+column and every row (``tests/reference_lp.py`` keeps it as the test
+reference), and returns its bits. Each stored entry is computed by the same
+operations, ``x - f * p`` with ``p = row / piv``, as the full tableau's
+entry. The columns and rows left out cannot change a decision: a basic
+column is a unit vector with a zero reduced cost, and IEEE negation is
+exact and commutes with ``x - f * p`` (round-to-nearest is symmetric, so
+``(-x) - (-f) * p == -(x - f * p)``). So a negative part's column stays the
+exact negation of its partner's, and the mirror row of a pair, whose basic
+slack column is left out, stays the exact negation of its stored row. The
+ratio test and the rhs update read each row's entry as ``sign * col[stored
+row]``, the full tableau's entry. Pairs are found with ``==``, which does
+not see a zero's sign. So entries may differ from the full tableau's only
+in the sign of a zero, which no comparison sees, and the bound offsets
+added to the solution turn such a zero into +0.0.
 
 The public model keeps explicit (possibly infinite) bounds.
 """
@@ -142,11 +153,18 @@ class LpSolution:
 class _Tableau:
     """Condensed simplex tableau and its basis bookkeeping.
 
-    ``tab`` is C-ordered, ``(m + 1, k + 1)``: the m constraint rows and the
-    objective row over the k stored nonbasic columns and the rhs. Variables
-    keep the full tableau's numbering, which Bland's rule orders by:
-    ``basis[i]`` is the variable basic in row i and ``ids[s]`` the one
-    stored in column s. ``paired[v]`` marks the positive part of a free
+    The m constraint rows and the objective row are the logical rows
+    0 .. m, the objective last. ``tab`` holds their stored rows over the k
+    stored nonbasic columns: logical row i is ``rsign[i] * tab[srow[i]]``.
+    Row 0 of ``tab`` is the objective row, rows ``1 .. used - 1`` are
+    constraint rows, and the rest are free for the splits of mirrored
+    pairs. ``shared[s]`` marks a stored row that stands for two logical
+    rows, ``+tab[s]`` and ``-tab[s]``. ``rhs`` holds every logical row's
+    right-hand side, so ``-rhs[m]`` is the objective's value.
+
+    Variables keep the full tableau's numbering, which Bland's rule orders
+    by: ``basis[i]`` is the variable basic in row i and ``ids[c]`` the one
+    stored in column c. ``paired[v]`` marks the positive part of a free
     pair, whose column also stands for the negative part ``v + 1`` (its
     exact negation). ``unit[v]`` is the entry variable v's column holds in
     its own row while it is basic, as seen from the column that takes its
@@ -155,46 +173,70 @@ class _Tableau:
     dropped, as if zeroed).
     """
 
-    def __init__(self, tab, basis, ids, paired, unit):
+    def __init__(self, tab, used, srow, rsign, shared, rhs, basis, ids,
+                 paired, unit):
         self.tab = tab
+        self.used = used
+        self.srow = srow
+        self.rsign = rsign
+        self.shared = shared
+        self.rhs = rhs
         self.basis = basis
         self.ids = ids
         self.paired = paired
         self.unit = unit
         self.iterations = 0
 
-    def pivot(self, row: int, slot: int, entering: int) -> None:
-        """Gauss-Jordan pivot bringing ``entering`` (stored in column
-        ``slot``, negated for a negative part) into the basis at ``row``.
+    def column(self, slot: int, sign: float):
+        """Column ``slot`` times ``sign``: its stored entries, one per
+        stored row in use, and its logical entries, one per logical row."""
+        col = self.tab[:self.used, slot] * sign
+        return col, col[self.srow] * self.rsign
+
+    def pivot(self, row: int, slot: int, entering: int, col, lcol) -> None:
+        """Gauss-Jordan pivot bringing ``entering`` into the basis at
+        logical ``row``; ``col`` and ``lcol`` are its column (``column``).
 
         The leaving variable's column, ``unit`` times the unit vector of
         ``row``, takes the slot: ``0 - f * (unit / piv)`` below and above the
-        pivot, ``unit / piv`` in the pivot row, the full tableau's bits.
+        pivot, ``unit / piv`` in the pivot row, the full tableau's bits. A
+        pivot row that shares its stored row moves to a row of its own, and
+        its mirror keeps the stored row.
         """
         tab = self.tab
         leaving = self.basis[row]
-        col = tab[:, slot] * (1.0 if entering == self.ids[slot] else -1.0)
-        piv = col[row]
-        prow = tab[row] / piv
+        stored = self.srow[row]
+        piv = lcol[row]
+        # col[stored] is rsign * piv, and x / (rsign * piv) has the bits of
+        # the logical row over piv, (rsign * x) / piv
+        prow = tab[stored] / col[stored]
         prow[slot] = self.unit[leaving] / piv
-        col[row] = 0.0
-        tab[:, slot] = 0.0
+        tab[:col.size, slot] = 0.0
         # the same products as np.outer, written about twice as fast
-        tab -= np.einsum("i,j->ij", col, prow)
-        tab[row] = prow
+        tab[:col.size] -= np.einsum("i,j->ij", col, prow)
+        if self.shared[stored]:
+            self.shared[stored] = False
+            stored = self.srow[row] = self.used
+            self.used += 1
+        tab[stored] = prow
+        self.rsign[row] = 1.0
+        rhs = self.rhs
+        value = rhs[row] / piv
+        rhs -= lcol * value
+        rhs[row] = value
         self.basis[row] = entering
         self.ids[slot] = leaving - (self.unit[leaving] < 0)
 
     def run(self) -> str:
         """Bland-rule simplex on the objective row; 'optimal'/'unbounded'."""
-        tab, basis = self.tab, self.basis
+        basis = self.basis
         while True:
             if self.iterations >= MAX_ITER:
                 raise IterationLimitError(
                     f"simplex exceeded {MAX_ITER} pivots")
             # entering: the smallest index with a negative reduced cost; the
             # negative part of a free pair (index + 1) has the negated cost
-            reduced = tab[-1, :-1]
+            reduced = self.tab[0]
             negated = self.paired[self.ids] & (reduced > PIVOT_TOL)
             improving = (reduced < -PIVOT_TOL) | negated
             if not improving.any():
@@ -202,16 +244,44 @@ class _Tableau:
             # (the variable count lies past every index)
             index = np.where(improving, self.ids + negated, self.paired.size)
             slot = int(index.argmin())
-            col = tab[:-1, slot] * (-1.0 if negated[slot] else 1.0)
+            col, lcol = self.column(slot, -1.0 if negated[slot] else 1.0)
             # leaving: among the rows within PIVOT_TOL of the minimum ratio,
             # the one whose basic variable has the smallest index
-            rows = (col > PIVOT_TOL).nonzero()[0]
+            rows = (lcol[:-1] > PIVOT_TOL).nonzero()[0]
             if rows.size == 0:
                 return "unbounded"
-            ratios = tab[rows, -1] / col[rows]
+            ratios = self.rhs[rows] / lcol[rows]
             ties = rows[ratios <= ratios.min() + PIVOT_TOL]
-            self.pivot(ties[basis[ties].argmin()], slot, int(index[slot]))
+            self.pivot(ties[basis[ties].argmin()], slot, int(index[slot]),
+                       col, lcol)
             self.iterations += 1
+
+
+def _mirrored_pairs(coeff: np.ndarray, rows: np.ndarray):
+    """Pairs ``(i, j)``, ``i < j``, of ``rows`` with ``coeff[j] == -coeff[i]``.
+
+    Each row gets one key, its dot product with fixed weights. einsum sums
+    every row in the same order, so a negated row gets the exactly negated
+    key (BLAS may not: its kernels can sum rows in different orders). The
+    t-th row of a positive key is matched with the t-th row of the negated
+    key, in row order, and an exact ``==`` check keeps the matches that are
+    negations. (Distinct rows can share a key: the design LPs hold rows
+    that differ in the last bits only.)
+    """
+    if rows.size < 2:
+        return rows[:0], rows[:0]
+    weights = np.sqrt(np.arange(2.0, coeff.shape[1] + 2.0))
+    key = np.einsum("ij,j->i", coeff, weights)[rows]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(key > 0.0)
+    second = (np.searchsorted(key, -key[first])
+              + first - np.searchsorted(key, key[first]))
+    hit = second < np.searchsorted(key, -key[first], side="right")
+    first, second = rows[order[first[hit]]], rows[order[second[hit]]]
+    exact = (coeff[first] == -coeff[second]).all(axis=1)
+    first, second = first[exact], second[exact]
+    return np.minimum(first, second), np.maximum(first, second)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -276,41 +346,60 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     unit = np.ones(total)
     unit[pos[free] + 1] = -1.0
 
+    # Two <= rows whose coefficients are exact negations share one stored
+    # row, the second as its negation, until either leaves its slack.
+    first, second = _mirrored_pairs(coeff, np.flatnonzero(kinds == _LE))
+    own = np.ones(m, dtype=bool)
+    own[second] = False
+    own_rows = np.flatnonzero(own)
+    used = 1 + own_rows.size
+    srow = np.zeros(m + 1, dtype=int)
+    srow[own_rows] = np.arange(1, used)
+    srow[second] = srow[first]
+    rsign = np.ones(m + 1)
+    rsign[second] = -1.0
+    shared = np.zeros(m + 1, dtype=bool)
+    shared[srow[first]] = True
+
     # Stored at the start: every structural column (one per free pair) and
     # the surplus columns of >= rows; slacks of <= rows and the artificials
     # are basic.
     is_ge = kinds[slack_rows] == _GE
     surplus = slack_rows[is_ge]
     ids = np.concatenate([pos, slack_ids[is_ge]])
-    tab = np.zeros((m + 1, ids.size + 1))
-    tab[:m, :n] = coeff
-    tab[surplus, n + np.arange(surplus.size)] = -1.0
-    tab[:m, -1] = rhs
-    simplex = _Tableau(tab, basis, ids, paired, unit)
+    tab = np.zeros((m + 1, ids.size))
+    tab[1:used, :n] = coeff[own_rows]
+    tab[srow[surplus], n + np.arange(surplus.size)] = -1.0
+    del coeff                             # freed before the pivots
+    rhs = np.append(rhs, 0.0)             # the objective's rhs last
+    simplex = _Tableau(tab, used, srow, rsign, shared, rhs, basis, ids,
+                       paired, unit)
 
     # --- phase 1 -----------------------------------------------------------
     if n_art:
         for i in art_rows:
-            tab[m] -= tab[i]
+            tab[0] -= tab[srow[i]]
+            rhs[m] -= rhs[i]
         status = simplex.run()
-        infeasibility = -simplex.tab[m, -1]   # the artificials' sum
+        infeasibility = -rhs[m]   # the artificials' sum
         if status != "optimal" or infeasibility < -FEAS_TOL:
             raise NumericError(f"phase 1 ended {status} with artificial sum "
                                f"{infeasibility:.2g}")
         if infeasibility > FEAS_TOL:
             return LpSolution(INFEASIBLE, None, None, simplex.iterations)
         # Drive leftover artificials out of the basis; a row with no usable
-        # pivot is redundant and can stay (its rhs is ~0).
+        # pivot is redundant and can stay (its rhs is ~0). Such a row never
+        # shares its stored row.
         for i in np.flatnonzero(basis >= n_real):
             usable = np.where((simplex.ids < n_real)
-                              & (np.abs(simplex.tab[i, :-1]) > PIVOT_TOL),
+                              & (np.abs(simplex.tab[srow[i]]) > PIVOT_TOL),
                               simplex.ids, total)
             slot = int(usable.argmin())
             if usable[slot] < total:
-                simplex.pivot(i, slot, int(usable[slot]))
+                simplex.pivot(i, slot, int(usable[slot]),
+                              *simplex.column(slot, 1.0))
         keep = simplex.ids < n_real
-        simplex.tab = np.ascontiguousarray(
-            simplex.tab[:, np.append(keep, True)])
+        simplex.tab = np.ascontiguousarray(simplex.tab[:, keep])
         simplex.ids = simplex.ids[keep]
         unit[n_real:] = 0.0
 
@@ -318,17 +407,20 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # Basic columns are exact unit vectors, so pricing out one basic cost
     # leaves the others untouched and the rows can be picked up front.
     tab = simplex.tab
-    obj = tab[m]
-    obj[:-1] = cost[simplex.ids]
-    obj[-1] = 0.0
+    obj = tab[0]
+    obj[:] = cost[simplex.ids]
+    rhs[m] = 0.0
+    # (a row with a costed basic variable was a pivot row: it is stored as
+    # itself, with sign +1)
     for i in np.flatnonzero(cost[basis] != 0.0):
-        obj -= cost[basis[i]] * tab[i]
+        obj -= cost[basis[i]] * tab[srow[i]]
+        rhs[m] -= cost[basis[i]] * rhs[i]
     status = simplex.run()
     if status == "unbounded":
         return LpSolution(UNBOUNDED, None, None, simplex.iterations)
 
     xprime = np.zeros(total)
-    xprime[basis] = simplex.tab[:m, -1]
+    xprime[basis] = rhs[:m]
     x = offsets + flip * xprime[pos]
     x[free] -= xprime[pos[free] + 1]
     _check_point(problem, x)

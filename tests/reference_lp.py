@@ -8,11 +8,14 @@ included.
 
 ``solve_lp`` stores a condensed tableau instead: only the nonbasic columns,
 one column per free pair (the negative part's column is its exact
-negation), and no artificial columns after phase 1. Each entry it keeps is
-computed by the same operations as the entry here, and the columns it
-leaves out are unit vectors or exact negations, which cannot change a
-pivot choice. So on problems whose finite bounds are all zero it must
-follow the same pivots and return the same bits.
+negation), no artificial columns after phase 1, and one row per pair of
+``<=`` rows that are exact negations while both their slacks are basic
+(the second row is read as the negation of the first, with its own rhs).
+Each entry it keeps is computed by the same operations as the entry here,
+and the columns and rows it leaves out are unit vectors or exact
+negations, which cannot change a pivot choice. So on problems whose finite
+bounds are all zero it must follow the same pivots and return the same
+bits. Here every row is stored and updated on its own, mirrored or not.
 """
 
 from __future__ import annotations

@@ -202,6 +202,23 @@ class TestSweepPole:
             got = tmp_path / f"trace_p{pole:g}.csv"
             assert got.read_bytes() == expected.read_bytes(), pole
 
+    @pytest.mark.parametrize("flag, prefix, other", [
+        ("include_states", "X_", "Y_"),
+        ("include_measurements", "Y_", "X_"),
+    ])
+    def test_output_flags_add_columns(self, flag, prefix, other, tmp_path,
+                                      monkeypatch, capsys):
+        code, _, _ = run_cli(
+            ["--set", "scenario.horizon_s=10.0",
+             "--set", "scenario.onset_s=5.0",
+             "--set", f"output.{flag}=true", "sweep-pole", "--poles", "0.5,0.8"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 0
+        for name in ("trace_p0.5.csv", "trace_p0.8.csv"):
+            header = (tmp_path / name).read_text().splitlines()[0].split(",")
+            assert any(col.startswith(prefix) for col in header), name
+            assert not any(col.startswith(other) for col in header), name
+
 
 def test_reproduce_pass_work_counts(tmp_path, monkeypatch, capsys):
     """One pass of the reproduce script in this process simulates three

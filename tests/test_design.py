@@ -219,7 +219,7 @@ def corrupt_final_point(monkeypatch, change, which=None):
         # phase 2 is the run after the artificials' unit entries are zeroed
         if status == "optimal" and not self.unit.all():
             if which is None or which == len(solved):
-                change(self.tab[:-1, -1])
+                change(self.rhs[:-1])
             solved.append(status)
         return status
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agcdiag import lp
+from agcdiag.design import solve_lp_i
 from agcdiag.errors import DimensionError, NumericError
 
 from reference_lp import solve_lp_reference
@@ -22,7 +23,7 @@ def break_phase_1(monkeypatch, status, artificial_sum=0.0):
         calls.append(result)
         if len(calls) > 1:
             return result
-        self.tab[-1, -1] = -artificial_sum
+        self.rhs[-1] = -artificial_sum
         return status
 
     monkeypatch.setattr(lp._Tableau, "run", spy)
@@ -143,9 +144,9 @@ class TestBlandRule:
         pivots = []
         pivot = lp._Tableau.pivot
 
-        def spy(self, row, slot, entering):
+        def spy(self, row, slot, entering, col, lcol):
             pivots.append((int(row), int(entering)))
-            return pivot(self, row, slot, entering)
+            return pivot(self, row, slot, entering, col, lcol)
 
         monkeypatch.setattr(lp._Tableau, "pivot", spy)
         sol = solve("max", [1.0, 1.0],
@@ -198,12 +199,12 @@ class TestLoopReference:
         seen = {"negative_entered": 0, "free_left": 0}
         pivot = lp._Tableau.pivot
 
-        def spy(self, row, slot, entering):
+        def spy(self, row, slot, entering, col, lcol):
             leaving = self.basis[row]
             seen["negative_entered"] += int(entering != self.ids[slot])
             seen["free_left"] += int(self.paired[leaving]
                                      or self.unit[leaving] < 0)
-            return pivot(self, row, slot, entering)
+            return pivot(self, row, slot, entering, col, lcol)
 
         monkeypatch.setattr(lp._Tableau, "pivot", spy)
         rng = np.random.default_rng(13)
@@ -228,6 +229,113 @@ class TestLoopReference:
                 (ref.status, ref.iterations)
             if ref.x is not None:
                 assert ours.x == pytest.approx(ref.x, rel=1e-12, abs=1e-12)
+
+
+def ball_lp(rng, mirror=None):
+    """max/min c'x over ``-eta_1 <= z x``, ``z x <= eta_2`` with x free or
+    nonnegative: the design LP's mirrored ``<=`` rows, each pair with two
+    different rhs. Some entries of z are zero, and ``mirror`` (default
+    ``-z``) gives the second row block, so a caller can pick its zero signs.
+    """
+    n = int(rng.integers(2, 6))
+    z = rng.standard_normal((int(rng.integers(n + 1, 2 * n + 3)), n))
+    z[rng.random(z.shape) < 0.2] = 0.0
+    z[~z.any(axis=1), 0] = 1.0          # a zero row has key 0: never paired
+    eta = rng.uniform(0.5, 2.0, size=(2, z.shape[0]))
+    return lp.LpProblem(
+        "min" if rng.random() < 0.5 else "max", rng.standard_normal(n),
+        a_ge=np.vstack([z, -z if mirror is None else mirror(z)]),
+        b_ge=-eta.ravel(),
+        lower=np.where(rng.random(n) < 0.5, 0.0, -np.inf))
+
+
+class TestMirroredRows:
+    """Two ``<=`` rows whose coefficients are exact negations share one
+    stored row until either leaves its slack; the bits must stay those of
+    the full tableau, which stores both."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = {"pairs": [], "splits": 0}
+        pairs = lp._mirrored_pairs
+        pivot = lp._Tableau.pivot
+
+        def pairs_spy(coeff, rows):
+            first, second = pairs(coeff, rows)
+            seen["pairs"].append(sorted(zip(first.tolist(), second.tolist())))
+            return first, second
+
+        def pivot_spy(self, row, slot, entering, col, lcol):
+            seen["splits"] += int(self.shared[self.srow[row]])
+            return pivot(self, row, slot, entering, col, lcol)
+
+        monkeypatch.setattr(lp, "_mirrored_pairs", pairs_spy)
+        monkeypatch.setattr(lp._Tableau, "pivot", pivot_spy)
+        return seen
+
+    @staticmethod
+    def assert_reference_bits(problem):
+        ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
+        assert (ours.status, ours.iterations, ours.value) == \
+            (ref.status, ref.iterations, ref.value)
+        if ref.x is not None:
+            assert ours.x.tobytes() == ref.x.tobytes()
+        return ours
+
+    @pytest.mark.parametrize("mirror", [
+        None,                                   # [z, 0.0] against [-z, -0.0]
+        lambda z: -z + 0.0,                     # [z, 0.0] against [-z, 0.0]
+    ], ids=["negated-zeros", "positive-zeros"])
+    def test_ball_pairs_keep_the_bits(self, seen, mirror):
+        rng = np.random.default_rng(17)
+        for _ in range(80):
+            problem = ball_lp(rng, mirror)
+            half = problem.a_ge.shape[0] // 2
+            assert self.assert_reference_bits(problem).is_optimal
+            assert seen["pairs"][-1] == [(i, i + half) for i in range(half)]
+        assert seen["splits"] > 0
+
+    def test_pairs_with_equality_rows(self, seen):
+        # the design LP's shape: equality rows first, with artificials
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            ball = ball_lp(rng)
+            n = ball.n_vars
+            a_eq = rng.standard_normal((1, n))
+            problem = lp.LpProblem(ball.sense, ball.c, a_eq=a_eq,
+                                   b_eq=[0.0], a_ge=ball.a_ge,
+                                   b_ge=ball.b_ge, lower=ball.lower)
+            self.assert_reference_bits(problem)
+            half = ball.a_ge.shape[0] // 2
+            assert seen["pairs"][-1] == [(1 + i, 1 + i + half)
+                                         for i in range(half)]
+        assert seen["splits"] > 0
+
+    def test_design_lp_stores_each_ball_pair_once(self, seen, chain):
+        _, _, _, sol = solve_lp_i(1, 1, chain.basis, chain.ffb,
+                                  chain.space.a, chain.space.b)
+        assert sol.is_optimal
+        # rows: 3 equality rows, then the ball ``[z.T; -z.T]``
+        half = chain.basis.z.shape[1]
+        assert seen["pairs"] == [[(3 + i, 3 + half + i) for i in range(half)]]
+        assert seen["splits"] > 0
+
+    def test_only_negated_le_rows_pair(self, seen):
+        g = np.array([1.0, 2.0, -0.5])
+        h = np.array([0.5, -1.0, 1.0])
+        problem = lp.LpProblem(
+            "max", [1.0, 1.0, 1.0],
+            a_eq=[g, -g], b_eq=[0.0, 0.0],   # rows 0, 1: = rows, negated
+            a_ge=[h,        # row 2: h >= 0.25, a >= row with a positive rhs
+                  -h,       # row 3: h <= 4
+                  -g, -g,   # rows 4, 5: g <= 3 twice, duplicates
+                  h, h],    # rows 6, 7: -h <= 6 and -h <= 7
+            b_ge=[0.25, -4.0, -3.0, -3.0, -6.0, -7.0],
+            lower=[0.0, 0.0, 0.0])
+        assert self.assert_reference_bits(problem).is_optimal
+        # rows 6 and 7 both negate rows 2 and 3; only the <= rows pair, and
+        # row 3 pairs once, with the first of them
+        assert seen["pairs"] == [[(3, 6)]]
 
 
 class TestGuards:
