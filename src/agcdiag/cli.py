@@ -335,12 +335,16 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
         filt = realize_filter(dataclasses.replace(design, pole=pole),
                               pipe.dae.l)
         trace = dataclasses.replace(plant, r_d=filt.apply(plant.y))
-        name = f"trace_p{pole:g}.csv"
+        name = _pole_trace_name(pole)
         write_trace_csv(trace, os.path.join(out, name),
                         include_states=opts["include_states"],
                         include_measurements=opts["include_measurements"])
         print(f"wrote {os.path.join(out, name)}")
     return 0
+
+
+def _pole_trace_name(pole: float) -> str:
+    return f"trace_p{pole:g}.csv"
 
 
 def _parse_poles(text: str) -> list[float]:
@@ -352,10 +356,16 @@ def _parse_poles(text: str) -> list[float]:
                           ) from None
     if not poles:
         raise ConfigError("--poles", f"no pole given in {text!r}")
+    first = {}
     for pole in poles:
         if not 0.0 < pole < 1.0:    # also false for nan
             raise ConfigError("--poles",
                               f"pole must be a number in (0, 1), got {pole!r}")
+        name = _pole_trace_name(pole)
+        if name in first:
+            raise ConfigError("--poles", f"poles {first[name]!r} and {pole!r} "
+                                         f"share the trace file {name}")
+        first[name] = pole
     return poles
 
 

@@ -8,11 +8,15 @@ process noise, then measurement noise, each for the whole horizon), so a
 consume random draws.
 
 Only the state recursion x[k+1] = A_cl x[k] + u[k] and the dynamic
-filter's scalar denominator run sample by sample. The input terms, the
-measurements, the static residual and the filter numerator are stacked
-matrix-vector products over the whole series; each row uses the kernel of
-a one-sample product ``M @ v``, so a trace has the same bits as a loop
-over samples (kept as the test reference in ``tests/reference_sim.py``).
+filter's scalar denominator run sample by sample; the recursion writes
+each step in place into its row of the state log, with no temporaries.
+The input terms, the measurements, the static residual and the filter
+numerator are stacked matrix-vector products over the whole series; each
+row uses the kernel of a one-sample product ``M @ v``, so a trace has the
+same bits as a loop over samples (kept as the test reference in
+``tests/reference_sim.py``). The static-residual projector comes from
+``weighted_range_projector``'s cache, so a batch of runs on one model and
+one noise table builds it once.
 The divergence guard names the first state past it (a nan state counts as
 past it), as a check after every step would. A trace CSV's body is
 formatted a block of rows at a time, from one row format repeated for
@@ -176,7 +180,9 @@ def simulate(model: LtiModel, scenario: Scenario,
     """Run the closed loop from the origin and record both residuals.
 
     The static residual is noise-weighted (covariance from the scenario)
-    whenever every measurement has a positive noise variance. The dynamic
+    whenever every measurement has a positive noise variance; a variance
+    so small that its reciprocal overflows raises
+    ``ConfigError("measurement_noise", ...)``. The dynamic
     filter, if given, is reset and then filters the whole measurement
     series once the state recursion has run. The scenario must sample at
     the model's ``t_s``, and its label maps must pass ``label_values``
@@ -203,25 +209,37 @@ def simulate(model: LtiModel, scenario: Scenario,
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
     weighted = bool(np.all(meas_var > 0))
-    proj = weighted_range_projector(model.c,
-                                    1.0 / meas_var if weighted else None)
+    weights = None
+    if weighted:
+        # a tiny variance (1e-310) has no finite reciprocal
+        with np.errstate(over="ignore"):
+            weights = 1.0 / meas_var
+        if not np.all(np.isfinite(weights)):
+            raise ConfigError("measurement_noise",
+                              "a variance is too small to invert: "
+                              f"min {float(meas_var.min())!r}")
+    proj = weighted_range_projector(model.c, weights)
 
     t = np.arange(steps + 1) * scenario.t_s
     f_log = np.zeros((steps + 1, n_f))
     if scenario.attack_f is not None:
         f_log[scenario.onset_index + 1:] = scenario.attack_f
 
-    # A_cl x + B_d d + B_f f + w is added left to right: summing the input
-    # terms ahead of the loop would round differently. Row k + 1 holds
-    # x[k + 1]; the last row is only checked by the guard.
+    # A_cl x + B_d d + B_f f + w is added left to right, straight into
+    # row k + 1: summing the input terms ahead of the loop would round
+    # differently. Row k + 1 holds x[k + 1]; the last row is only checked
+    # by the guard. The row views are made once, not indexed per step.
     x_all = np.zeros((steps + 2, n_x))
-    x = x_all[0]
-    inputs = zip(_rowwise(model.b_d, d_log), _rowwise(model.b_f, f_log),
-                 w_series)
+    rows = list(x_all)
+    a_cl, matmul, add = model.a_cl, np.matmul, np.add
+    steps_in = zip(rows, rows[1:], _rowwise(model.b_d, d_log),
+                   _rowwise(model.b_f, f_log), w_series)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (bd_d, bf_f, w) in enumerate(inputs):
-            x = model.a_cl @ x + bd_d + bf_f + w
-            x_all[k + 1] = x
+        for x, x_next, bd_d, bf_f, w in steps_in:
+            matmul(a_cl, x, x_next)     # the third argument is ``out``
+            add(x_next, bd_d, x_next)
+            add(x_next, bf_f, x_next)
+            add(x_next, w, x_next)
     # the guard names the first state past it, as a check after each step
     # would; the states after that one, which may have overflowed, are
     # discarded with the run. A nan state is past the guard too.
@@ -311,6 +329,10 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     if len(lines) < 2:
         raise ValidationError(f"malformed trace CSV: {path}")
     header = lines[0].rstrip("\n").split(",")
+    if len(set(header)) < len(header):
+        name = next(n for n in header if header.count(n) > 1)
+        raise ValidationError(
+            f"malformed trace CSV {path}: column {name!r} repeats")
     try:
         data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from agcdiag import cli
+from agcdiag import cli, linalg
 from agcdiag import config as cfgmod
 from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
 from agcdiag.design import design_robust, feasible_basis
@@ -41,6 +41,29 @@ def no_kept_design(monkeypatch):
     """Every test starts with no design kept by ``agcdiag.cli``, so a test
     that patches a layer below the CLI sees that layer run."""
     monkeypatch.setattr(cli, "_last_design", None)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_projector():
+    """Every test starts with an empty projector cache in
+    ``agcdiag.linalg``, so no count of computed projectors depends on
+    which tests ran before."""
+    linalg._projectors.clear()
+
+
+@pytest.fixture
+def projectors_computed(monkeypatch):
+    """Records each projector that ``weighted_range_projector`` had to
+    compute rather than take from its cache."""
+    calls = []
+    compute = linalg._range_projector
+
+    def counted(cm, wdiag):
+        calls.append(1)
+        return compute(cm, wdiag)
+
+    monkeypatch.setattr(linalg, "_range_projector", counted)
+    return calls
 
 
 # Small closed loop with a nonzero certified steady-state gain (mu > 0),

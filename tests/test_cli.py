@@ -239,6 +239,18 @@ def test_reproduce_pass_work_counts(tmp_path, monkeypatch, capsys):
     assert len(runs) == 3
 
 
+def test_reproduce_pass_projector_counts(tmp_path, monkeypatch, capsys,
+                                         projectors_computed):
+    """One pass of the reproduce script in this process computes two
+    static-residual projectors: C alone, and C weighted by the shipped
+    noise table. Every other call takes one from the cache."""
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(tmp_path)])
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    assert len(projectors_computed) == 2
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Records every design the CLI solves, robust or steady-state."""
@@ -444,6 +456,17 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("poles", ["0.1,0.1000001", "0.5,0.8,0.5"])
+    def test_poles_sharing_a_trace_name_exit_2(self, poles, tmp_path,
+                                               monkeypatch, capsys):
+        # trace_p{pole:g}.csv would be written twice: nothing is written
+        code, _, err = run_cli(["sweep-pole", "--poles", poles],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=--poles ")
+        assert "share the trace file" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_dir_is_a_file_exits_1(self, tmp_path, monkeypatch,
                                           capsys):
         # os.makedirs raises FileExistsError: a non-package exception
@@ -527,6 +550,8 @@ class TestErrors:
         (["attack.basis=" + json.dumps(
             [[0.1, 0.0, 0.1, 0.0, float("nan")], [0.1, 0.15, 0.25, 0.0, 0.0],
              [0.0, 0.0, 0.0, 0.1, 0.1]])], "attack.basis"),
+        (['scenario.measurement_noise={"area1.*":1e-310,"area2.*":1e-310,'
+          '"area3.*":1e-310}'], "measurement_noise"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):
@@ -535,6 +560,7 @@ class TestErrors:
         assert code == 2
         assert err.startswith(f"error: code=config field={field} ")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_infinite_area_number_in_config_file_exits_2(self, tmp_path,
                                                          monkeypatch, capsys):

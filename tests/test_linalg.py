@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from agcdiag import linalg
 from agcdiag.errors import DimensionError, SingularMatrixError
 from agcdiag.linalg import expm, left_null_basis, weighted_range_projector
 
@@ -81,6 +82,9 @@ class TestLeftNullBasis:
 
 
 class TestWeightedRangeProjector:
+    C = np.array([[1.0, 0.5], [0.0, 2.0], [3.0, -1.0], [0.25, 0.0]])
+    W = np.array([1.0, 4.0, 0.5, 2.0])
+
     def test_full_space(self):
         assert np.allclose(weighted_range_projector(np.eye(4)), np.eye(4))
 
@@ -110,3 +114,54 @@ class TestWeightedRangeProjector:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             weighted_range_projector(np.eye(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_range_projector(np.eye(3)[:, :2],
+                                     np.array([bad, 1.0, 1.0]))
+        assert linalg._projectors == {}
+
+    def test_repeat_returns_same_read_only_bits(self, projectors_computed):
+        first = weighted_range_projector(self.C, self.W)
+        again = weighted_range_projector(self.C.copy(), self.W.copy())
+        assert again is first
+        assert projectors_computed == [1]
+        fresh = linalg._range_projector(self.C, self.W)
+        assert again.tobytes() == fresh.tobytes()
+        assert not again.flags.writeable
+        with pytest.raises(ValueError):
+            again[0, 0] = 1.0
+
+    @pytest.mark.parametrize("which, index, value", [
+        ("c", (1, 0), -0.0), ("c", (2, 1), -1.0 + 2 ** -52),
+        ("w", 3, 2.0 + 2 ** -51),
+    ])
+    def test_one_differing_entry_gets_its_own_projector(
+            self, projectors_computed, which, index, value):
+        base = weighted_range_projector(self.C, self.W)
+        c, w = self.C.copy(), self.W.copy()
+        (c if which == "c" else w)[index] = value
+        other = weighted_range_projector(c, w)
+        assert other is not base
+        assert projectors_computed == [1, 1]
+
+    def test_rank_deficient_raises_on_every_call(self, projectors_computed):
+        c = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        for _ in range(3):
+            with pytest.raises(SingularMatrixError):
+                weighted_range_projector(c)
+        assert projectors_computed == [1, 1, 1]
+        assert linalg._projectors == {}
+
+    def test_holds_at_most_the_cache_size(self, projectors_computed):
+        size = linalg.PROJECTOR_CACHE_SIZE
+        for i in range(size + 5):
+            weighted_range_projector(self.C, self.W * (i + 1))
+            assert len(linalg._projectors) <= size
+        assert len(linalg._projectors) == size
+        # the oldest entries went first; the newest is still kept
+        weighted_range_projector(self.C, self.W * (size + 5))
+        assert len(projectors_computed) == size + 5
+        weighted_range_projector(self.C, self.W)
+        assert len(projectors_computed) == size + 6

@@ -253,6 +253,13 @@ def test_malformed_trace_csv_rejected(tmp_path):
         read_trace_csv(bad)
 
 
+def test_repeated_trace_csv_column_rejected(tmp_path):
+    bad = tmp_path / "repeated.csv"
+    bad.write_text("t,t\n1,2\n3,4\n")
+    with pytest.raises(ValidationError, match="column 't' repeats"):
+        read_trace_csv(bad)
+
+
 def test_non_numeric_trace_csv_rejected(tmp_path):
     bad = tmp_path / "bad2.csv"
     bad.write_text("k,t,r_D\n0,zero,0.1\n")
@@ -267,3 +274,21 @@ def test_empty_or_misshapen_trace_csv_rejected(tmp_path, text):
     bad.write_text(text)
     with pytest.raises(ValidationError, match="malformed"):
         read_trace_csv(bad)
+
+
+def test_batch_on_one_noise_table_computes_one_projector(
+        chain, projectors_computed):
+    noise = {"area1.*": 1e-4, "area2.*": 2e-4, "area3.*": 1e-4}
+    for seed in range(16):
+        simulate(chain.discrete, quiet_scenario(
+            horizon_s=5.0, onset_s=2.0, seed=seed, measurement_noise=noise))
+    assert projectors_computed == [1]
+
+
+def test_too_small_variance_is_a_config_error(chain):
+    sc = quiet_scenario(measurement_noise={
+        "area1.*": 1e-310, "area2.*": 1e-310, "area3.*": 1e-310})
+    with np.errstate(all="raise"):
+        with pytest.raises(ConfigError, match="too small") as exc:
+            simulate(chain.discrete, sc)
+    assert exc.value.field == "measurement_noise"
