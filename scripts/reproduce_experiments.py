@@ -6,12 +6,14 @@ Runs the full pipeline on the shipped default configuration:
   1. robust filter design (8 relaxation LPs, 4 solved and 4 mirrored;
      report + coefficients), solved once: the later steps repeat its
      inputs and reuse it in this process
-  2. worst-case attack coefficients for the designed filter
+  2. worst-case attack coefficients for the designed filter, solved
+     once: scenario 2 and the pole sweep reuse the reply in this process
   3. scenario 1: basic (inconsistent) attack, noise-free
   4. scenario 2: stealthy worst-case attack, sensor-grade noise
   5. per-panel plot CSVs for both scenarios
-  6. pole sweep, stealthy scenario: the closed loop is simulated once and
-     its measurements filtered with each pole
+  6. pole sweep, stealthy scenario: the closed loop is simulated once,
+     its measurements filtered with each pole, and the trace columns other
+     than r_D formatted once for all five trace files
 
 Everything lands under out/experiments/ (override with --out).
 """

@@ -16,13 +16,18 @@ solver function that produced it, and a later command whose design inputs
 and solver repeat exactly reuses it without solving again. Replacing
 ``design_robust`` or ``design_steady_state`` in this module (a test's
 patch, a profiler's wrapper) therefore solves afresh. The attacker's best
-reply is still solved once per command.
+reply is kept beside it the same way: it reads only the design and inputs
+inside the design's key, so it is returned again, unsolved, while the
+design is the kept object and ``worst_case_alpha`` in this module is the
+function that solved it.
 
 The sweep runs the closed loop once: the diagnosis filter reads the
 measurements and never feeds back into the loop, so the pole changes r_D
 alone. Each pole's filter is applied to that one run's measurements, as
 ``simulate`` applies a filter after its state loop, and every
 ``trace_p*.csv`` has the bytes of a full simulation with that pole. The
+columns other than ``r_D`` are formatted once for the whole sweep
+(``trace_csv_template``) and each pole fills in its own ``r_D``. The
 output flags ``include_states`` and ``include_measurements`` add their
 columns to every sweep trace, as they do to ``simulate``'s.
 
@@ -51,16 +56,19 @@ from .attacks import synthesize_attack
 from .design import (FilterDesign, design_robust, design_steady_state,
                      feasible_basis, worst_case_alpha)
 from .errors import (AgcDiagError, ConfigError, InfeasibleDesignError,
-                     NumericError)
+                     NumericError, ValidationError)
 from .residual import realize_filter
-from .simulate import (read_trace_csv, simulate, write_csv_table,
-                       write_trace_csv)
+from .simulate import (fill_trace_csv, read_trace_csv, simulate,
+                       trace_csv_template, write_csv_table, write_trace_csv)
 
 DEFAULT_POLE_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.98)
 
 # (key, solver, design) of the last design this process solved; see
 # Pipeline.design
 _last_design: tuple[str, Callable, FilterDesign] | None = None
+# (design, solver, (alpha, payoff)) of the last best reply solved; see
+# Pipeline.worst_case
+_last_reply: tuple[FilterDesign, Callable, tuple] | None = None
 
 
 def _error_line(code: str, msg: str, field: str = "-") -> None:
@@ -145,17 +153,31 @@ class Pipeline:
 
         A robust design's gamma lower-bounds the payoff of every admissible
         attack, so a payoff below gamma (beyond rounding) is a numeric
-        failure. A steady-state design's mu bounds the summed gain, not
-        this payoff, and is not compared.
+        failure, checked on every solve. A steady-state design's mu bounds
+        the summed gain, not this payoff, and is not compared.
+
+        The reply reads ``nbar``, ``d_n``, ``dae.f``, ``space.basis``,
+        ``space.a`` and ``space.b``, all inside the design's key, so the
+        last reply solved (and checked) in this process is returned again,
+        unsolved, while the design is the object it answered and the
+        solver (the module attribute looked up at call time) is the same.
+        Its ``alpha`` is read-only.
         """
+        global _last_reply
         design = self.design
-        alpha, payoff = worst_case_alpha(design.nbar, self.ffb, design.d_n,
-                                         self.space.a, self.space.b)
+        solve = worst_case_alpha
+        if (_last_reply is not None and _last_reply[0] is design
+                and _last_reply[1] is solve):
+            return _last_reply[2]
+        alpha, payoff = solve(design.nbar, self.ffb, design.d_n,
+                              self.space.a, self.space.b)
         floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
         if design.kind == "robust" and payoff < floor:
             raise NumericError(
                 f"worst-case payoff {payoff!r} is below the certified "
                 f"gamma = {design.gamma!r}")
+        alpha.flags.writeable = False
+        _last_reply = (design, solve, (alpha, payoff))
         return alpha, payoff
 
     def attack_vector(self):
@@ -302,6 +324,10 @@ def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
     out = pipe.out_dir()
     path = trace_path or os.path.join(out, "trace.csv")
     cols = read_trace_csv(path)
+    for name in ("t", "rS_inf", "r_D"):
+        if name not in cols:
+            raise ValidationError(
+                f"malformed trace CSV {path}: no column {name!r}")
 
     def write_panel(name, fields):
         panel = os.path.join(out, name)
@@ -331,15 +357,15 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
     scenario = _scenario(pipe)
     design = pipe.design
     plant = simulate(pipe.discrete, scenario)
+    template = trace_csv_template(
+        plant, include_states=opts["include_states"],
+        include_measurements=opts["include_measurements"])
     for pole in poles:
         filt = realize_filter(dataclasses.replace(design, pole=pole),
                               pipe.dae.l)
-        trace = dataclasses.replace(plant, r_d=filt.apply(plant.y))
-        name = _pole_trace_name(pole)
-        write_trace_csv(trace, os.path.join(out, name),
-                        include_states=opts["include_states"],
-                        include_measurements=opts["include_measurements"])
-        print(f"wrote {os.path.join(out, name)}")
+        path = os.path.join(out, _pole_trace_name(pole))
+        fill_trace_csv(template, filt.apply(plant.y), path)
+        print(f"wrote {path}")
     return 0
 
 

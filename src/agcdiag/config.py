@@ -32,7 +32,7 @@ from .agc import AreaParams, GeneratorParams, assemble_system
 from .attacks import AttackSpace, compute_basis, validate_attack_space
 from .discretize import LtiModel, zoh_discretize
 from .errors import ConfigError, UnknownLabelError, ValidationError
-from .simulate import Scenario, label_values
+from .simulate import Scenario, label_values, static_weights
 
 #: Frequency entries of the "freq-scaled" noise tables are scaled by this.
 FREQ_NOISE_FACTOR = 0.03
@@ -332,6 +332,8 @@ def build_scenario(cfg: dict, model: LtiModel,
         if name not in maps:
             maps[name] = _noise_table(sc[name], base, labels,
                                       f"scenario.{name}")
-        label_values(maps[name], labels, f"scenario.{name}")
+        values = label_values(maps[name], labels, f"scenario.{name}")
+        if name == "measurement_noise":
+            static_weights(values, f"scenario.{name}")
     return Scenario(horizon_s=horizon_s, t_s=_number(cfg, "scenario.t_s"),
                     onset_s=onset_s, attack_f=attack_f, seed=seed, **maps)

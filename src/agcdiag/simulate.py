@@ -20,7 +20,10 @@ one noise table builds it once.
 The divergence guard names the first state past it (a nan state counts as
 past it), as a check after every step would. A trace CSV's body is
 formatted a block of rows at a time, from one row format repeated for
-every row of the block.
+every row of the block. The ``r_D`` column is filled in a second step
+(``trace_csv_template``, then ``fill_trace_csv``), so runs that differ
+only in ``r_D``, such as the filters of a pole sweep, format the other
+columns once.
 """
 
 from __future__ import annotations
@@ -158,6 +161,20 @@ def label_values(table: dict[str, float], labels: tuple[str, ...],
     return out
 
 
+def static_weights(meas_var: np.ndarray, path: str) -> np.ndarray | None:
+    """The static residual's weights ``1 / meas_var``, or None unless every
+    variance is positive. A variance so small that its reciprocal
+    overflows (1e-310) raises ``ConfigError(path, ...)``."""
+    if not np.all(meas_var > 0):
+        return None
+    with np.errstate(over="ignore"):
+        weights = 1.0 / meas_var
+    if not np.all(np.isfinite(weights)):
+        raise ConfigError(path, "a variance is too small to invert: "
+                                f"min {float(meas_var.min())!r}")
+    return weights
+
+
 def gen_disturbance(scenario: Scenario, rng: np.random.Generator,
                     labels: tuple[str, ...]) -> np.ndarray:
     """Per-step disturbance matrix, (n_steps+1, n_d): i.i.d. Gaussian steps
@@ -208,16 +225,8 @@ def simulate(model: LtiModel, scenario: Scenario,
     w_series = rng.standard_normal((steps + 1, n_x)) * np.sqrt(proc_var)
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
-    weighted = bool(np.all(meas_var > 0))
-    weights = None
-    if weighted:
-        # a tiny variance (1e-310) has no finite reciprocal
-        with np.errstate(over="ignore"):
-            weights = 1.0 / meas_var
-        if not np.all(np.isfinite(weights)):
-            raise ConfigError("measurement_noise",
-                              "a variance is too small to invert: "
-                              f"min {float(meas_var.min())!r}")
+    weights = static_weights(meas_var, "measurement_noise")
+    weighted = weights is not None
     proj = weighted_range_projector(model.c, weights)
 
     t = np.arange(steps + 1) * scenario.t_s
@@ -277,6 +286,26 @@ def simulate(model: LtiModel, scenario: Scenario,
 # trace CSV round-trip
 # --------------------------------------------------------------------------
 
+def _csv_body(data: np.ndarray, cells: list[str]) -> str:
+    """The rows of ``data`` formatted by the cells of one row format; a
+    cell without a conversion (``%%``) consumes no value."""
+    row = ",".join(cells) + "\n"
+    # one ``%`` per block of rows: a call per row costs more, and one call
+    # per table left peak RSS about 9 MB above row-at-a-time formatting
+    # after 1 000 reproduce passes in one process
+    n_cols = data.shape[1]
+    step = CSV_BLOCK_ROWS * n_cols
+    flat = data.ravel().tolist()
+    return "".join((row * (len(block) // n_cols)) % tuple(block)
+                   for block in (flat[i:i + step]
+                                 for i in range(0, len(flat), step)))
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", newline="\n") as handle:
+        handle.write(text)
+
+
 def write_csv_table(path, header: list[str], columns: list[np.ndarray],
                     index_column: bool = False) -> None:
     """Write equal-length columns as a CSV table: one header line, then
@@ -287,24 +316,16 @@ def write_csv_table(path, header: list[str], columns: list[np.ndarray],
     cells = ["%.12g"] * data.shape[1]
     if index_column:
         cells[0] = "%d"
-    row = ",".join(cells) + "\n"
-    # one ``%`` per block of rows: a call per row costs more, and one call
-    # per table left peak RSS about 9 MB above row-at-a-time formatting
-    # after 1 000 reproduce passes in one process
-    n_cols = data.shape[1]
-    step = CSV_BLOCK_ROWS * n_cols
-    flat = data.ravel().tolist()
-    body = "".join((row * (len(block) // n_cols)) % tuple(block)
-                   for block in (flat[i:i + step]
-                                 for i in range(0, len(flat), step)))
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n" + body)
+    _write_text(path, ",".join(header) + "\n" + _csv_body(data, cells))
 
 
-def write_trace_csv(trace: SimulationTrace, path,
-                    include_states: bool = False,
-                    include_measurements: bool = False) -> None:
-    """Write the canonical trace CSV (12 significant digits, LF endings)."""
+def trace_csv_template(trace: SimulationTrace, include_states: bool = False,
+                       include_measurements: bool = False) -> str:
+    """The trace CSV's text with every ``r_D`` cell left as a literal
+    ``%.12g`` (and any ``%`` of the header doubled), so that
+    ``fill_trace_csv`` writes the bytes of ``write_trace_csv`` for any
+    ``r_D`` series of the trace's length. Every other column is formatted
+    here, once."""
     n_d = trace.d.shape[1]
     n_f = trace.f.shape[1]
     header = ["k", "t"]
@@ -312,14 +333,32 @@ def write_trace_csv(trace: SimulationTrace, path,
     header += [f"f_{i + 1}" for i in range(n_f)]
     header += ["rS_inf", "r_D"]
     columns = [np.arange(trace.n_records), trace.t, trace.d, trace.f,
-               trace.rs_inf, trace.r_d]
+               trace.rs_inf]
     if include_states:
         header += [f"X_{lab}" for lab in trace.metadata["state_labels"]]
         columns.append(trace.x)
     if include_measurements:
         header += [f"Y_{lab}" for lab in trace.metadata["measurement_labels"]]
         columns.append(trace.y)
-    write_csv_table(path, header, columns, index_column=True)
+    cells = ["%d"] + ["%.12g"] * (len(header) - 1)
+    cells[header.index("r_D")] = "%%.12g"
+    return (",".join(header).replace("%", "%%") + "\n"
+            + _csv_body(np.column_stack(columns), cells))
+
+
+def fill_trace_csv(template: str, r_d: np.ndarray, path) -> None:
+    """Write a ``trace_csv_template`` with ``r_d`` in its ``r_D`` cells,
+    formatted ``%.12g`` by one ``%``."""
+    _write_text(path, template % tuple(r_d.tolist()))
+
+
+def write_trace_csv(trace: SimulationTrace, path,
+                    include_states: bool = False,
+                    include_measurements: bool = False) -> None:
+    """Write the canonical trace CSV (12 significant digits, LF endings)."""
+    fill_trace_csv(trace_csv_template(trace, include_states,
+                                      include_measurements),
+                   trace.r_d, path)
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

@@ -38,9 +38,11 @@ def chain() -> DefaultChain:
 
 @pytest.fixture(autouse=True)
 def no_kept_design(monkeypatch):
-    """Every test starts with no design kept by ``agcdiag.cli``, so a test
-    that patches a layer below the CLI sees that layer run."""
+    """Every test starts with no design and no best reply kept by
+    ``agcdiag.cli``, so a test that patches a layer below the CLI sees that
+    layer run."""
     monkeypatch.setattr(cli, "_last_design", None)
+    monkeypatch.setattr(cli, "_last_reply", None)
 
 
 @pytest.fixture(autouse=True)

@@ -131,6 +131,24 @@ class TestAttackCommand:
 
 
 class TestReportCommand:
+    @pytest.mark.parametrize("text, missing", [
+        ("k,t,d_1\n0,0,0.5\n1,0.1,0.5\n", "rS_inf"),
+        ("k,t,d_1,rS_inf\n0,0,0.5,0\n", "r_D"),
+        ("k,d_1,rS_inf,r_D\n0,0.5,0,0\n", "t"),
+    ], ids=["no-rS_inf", "no-r_D", "no-t"])
+    def test_missing_column_exits_1_without_panels(self, text, missing,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        trace = tmp_path / "short.csv"
+        trace.write_text(text)
+        code, out, err = run_cli(["report", "--trace", str(trace)],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: code=runtime field=- ")
+        assert f"no column {missing!r}" in err
+        assert len(err.splitlines()) == 1 and out == ""
+        assert not list(tmp_path.glob("panel_*.csv"))
+
     def test_panels_written(self, tmp_path, monkeypatch, capsys):
         run_cli(["simulate"], tmp_path, monkeypatch, capsys)
         code, _, _ = run_cli(["report"], tmp_path, monkeypatch, capsys)
@@ -178,7 +196,9 @@ class TestSweepPole:
         ["attack.mode=worst-case"],
         ["attack.mode=raw", "attack.raw_f=[0.38,0.0,0.53,-0.23,-0.23]",
          "scenario.process_noise=null", "scenario.measurement_noise=null"],
-    ], ids=["noisy-worst-case", "noise-free-raw"])
+        ["attack.mode=worst-case", "output.include_states=true",
+         "output.include_measurements=true"],
+    ], ids=["noisy-worst-case", "noise-free-raw", "every-column"])
     def test_each_trace_matches_a_full_simulation(self, overrides, tmp_path,
                                                   monkeypatch, capsys):
         overrides = [*overrides, "scenario.horizon_s=20.0",
@@ -192,13 +212,16 @@ class TestSweepPole:
         pipe = cli.Pipeline(cfg, overrides)
         scenario = cfgmod.build_scenario(cfg, pipe.discrete,
                                          pipe.attack_vector())
+        opts = cfgmod.output_params(cfg)
         for pole in cli.DEFAULT_POLE_SWEEP:
             design = dataclasses.replace(pipe.design, pole=pole)
             trace = simulate(pipe.discrete, scenario,
                              realize_filter(design, pipe.dae.l))
             assert np.abs(trace.r_d).max() > 0.0
             expected = tmp_path / "expected.csv"
-            write_trace_csv(trace, expected)
+            write_trace_csv(trace, expected,
+                            include_states=opts["include_states"],
+                            include_measurements=opts["include_measurements"])
             got = tmp_path / f"trace_p{pole:g}.csv"
             assert got.read_bytes() == expected.read_bytes(), pole
 
@@ -237,6 +260,26 @@ def test_reproduce_pass_work_counts(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(list((tmp_path / "pole_sweep").glob("trace_p*.csv"))) == 5
     assert len(runs) == 3
+
+
+def test_reproduce_pass_solves_the_reply_once(tmp_path, monkeypatch,
+                                              capsys):
+    """One pass of the reproduce script in this process solves the
+    attacker's best reply once: ``attack``, scenario 2 and the sweep share
+    one design, so they share its reply."""
+    replies = []
+    solve = cli.worst_case_alpha
+
+    def counted(*args, **kwargs):
+        replies.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case_alpha", counted)
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(tmp_path)])
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    assert len(replies) == 1
 
 
 def test_reproduce_pass_projector_counts(tmp_path, monkeypatch, capsys,
@@ -356,6 +399,71 @@ class TestDesignMemo:
                 arr[0] = 0.0
         again = cli.Pipeline(cfgmod.default_config(), []).design
         assert again is design and solves == ["design_robust"]
+
+
+@pytest.fixture
+def replies(monkeypatch):
+    """Records every best reply the CLI solves."""
+    calls = []
+    solve = cli.worst_case_alpha
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case_alpha", counted)
+    return calls
+
+
+class TestReplyMemo:
+    @pytest.mark.parametrize("override", [
+        "design.polytope_b=[2.0]", "design.eta=5.0", "design.d_n=4"])
+    def test_each_reply_input_solves_again(self, override, replies, tmp_path,
+                                           monkeypatch, capsys):
+        payloads = []
+        for args in (["attack"], ["--set", override, "attack"],
+                     ["--set", override, "attack"]):
+            assert run_cli(args, tmp_path, monkeypatch, capsys)[0] == 0
+            payloads.append(json.loads((tmp_path / "attack.json").read_text()))
+        assert len(replies) == 2
+        assert payloads[1] == payloads[2]
+        assert payloads[0]["payoff"] != payloads[1]["payoff"]
+
+    def test_replaced_solver_runs(self, replies, tmp_path, monkeypatch,
+                                  capsys):
+        assert run_cli(["attack"], tmp_path, monkeypatch, capsys)[0] == 0
+        again = []
+        solve = cli.worst_case_alpha
+
+        def counted(*args, **kwargs):
+            again.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "worst_case_alpha", counted)
+        for _ in range(2):
+            assert run_cli(["attack"], tmp_path, monkeypatch, capsys)[0] == 0
+        assert again == [1] and replies == [1, 1]
+
+    def test_failed_check_is_not_kept(self, replies, tmp_path, monkeypatch,
+                                      capsys):
+        solve = cli.worst_case_alpha
+
+        def low_once(*args, **kwargs):
+            alpha, payoff = solve(*args, **kwargs)
+            return alpha, payoff - (0.5 if len(replies) == 1 else 0.0)
+
+        monkeypatch.setattr(cli, "worst_case_alpha", low_once)
+        code, _, err = run_cli(["attack"], tmp_path, monkeypatch, capsys)
+        assert code == 1 and "below the certified gamma" in err
+        assert run_cli(["attack"], tmp_path, monkeypatch, capsys)[0] == 0
+        assert replies == [1, 1]
+
+    def test_kept_alpha_is_read_only(self, replies):
+        alpha, payoff = cli.Pipeline(cfgmod.default_config(), []).worst_case
+        with pytest.raises(ValueError, match="read-only"):
+            alpha[0] = 0.0
+        again = cli.Pipeline(cfgmod.default_config(), []).worst_case
+        assert again[0] is alpha and again[1] == payoff and replies == [1]
 
 
 def typo_in_areas(key, value, generator=False):
@@ -551,7 +659,7 @@ class TestErrors:
             [[0.1, 0.0, 0.1, 0.0, float("nan")], [0.1, 0.15, 0.25, 0.0, 0.0],
              [0.0, 0.0, 0.0, 0.1, 0.1]])], "attack.basis"),
         (['scenario.measurement_noise={"area1.*":1e-310,"area2.*":1e-310,'
-          '"area3.*":1e-310}'], "measurement_noise"),
+          '"area3.*":1e-310}'], "scenario.measurement_noise"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):

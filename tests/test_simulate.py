@@ -5,8 +5,9 @@ from agcdiag.attacks import synthesize_attack
 from agcdiag.discretize import LtiModel, zoh_discretize
 from agcdiag.errors import ConfigError, DivergenceError, ValidationError
 from agcdiag.residual import realize_filter
-from agcdiag.simulate import (Scenario, gen_disturbance, label_values,
-                              read_trace_csv, simulate, write_trace_csv)
+from agcdiag.simulate import (Scenario, SimulationTrace, fill_trace_csv,
+                              gen_disturbance, label_values, read_trace_csv,
+                              simulate, trace_csv_template, write_trace_csv)
 
 
 def quiet_scenario(**kw):
@@ -239,6 +240,33 @@ class TestTraceCsv:
         assert header[2:5] == ["d_1", "d_2", "d_3"]
         assert header[5:10] == ["f_1", "f_2", "f_3", "f_4", "f_5"]
         assert header[10:] == ["rS_inf", "r_D"]
+
+    def test_template_fill_formats_every_cell_like_format(self, tmp_path):
+        """A filled template has the bytes of ``format(v, ".12g")`` in every
+        cell, ``r_D`` included, for signed zeros, 1e-300 and values that
+        need all 12 digits; a ``%`` in a label stays one ``%``."""
+        vals = np.array([-0.0, 0.0, 1e-300, -1e-300, 0.123456789012,
+                         -98765.4321098765, 123456789012.0, 1.0 / 3.0])
+        trace = SimulationTrace(
+            t=vals, d=np.column_stack([vals, -vals]), f=vals[::-1, None],
+            x=-vals[:, None], y=vals[::-1, None], rs_inf=vals[::-1],
+            r_d=vals, metadata={"state_labels": ["a%d.x"],
+                                "measurement_labels": ["a.y%%"]})
+        columns = [trace.t, trace.d[:, 0], trace.d[:, 1], trace.f[:, 0],
+                   trace.rs_inf, trace.r_d, trace.x[:, 0], trace.y[:, 0]]
+        lines = ["k,t,d_1,d_2,f_1,rS_inf,r_D,X_a%d.x,Y_a.y%%"]
+        lines += [",".join([str(k)] + [format(col[k], ".12g")
+                                        for col in columns])
+                  for k in range(vals.size)]
+        expected = ("\n".join(lines) + "\n").encode()
+        filled = tmp_path / "filled.csv"
+        fill_trace_csv(trace_csv_template(trace, True, True), trace.r_d,
+                       filled)
+        written = tmp_path / "written.csv"
+        write_trace_csv(trace, written, True, True)
+        assert filled.read_bytes() == expected
+        assert written.read_bytes() == expected
+        assert b"-0," in expected and b"1e-300" in expected
 
 
 def test_unknown_pattern_area_rejected():
