@@ -209,11 +209,9 @@ class Pipeline:
 
 
 def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
-    lines = ["diagnosis filter design report", ""]
-    lines.append(f"kind: {design.kind}")
-    lines.append(f"degree d_N: {design.d_n}")
-    lines.append(f"pole: {design.pole}")
-    lines.append(f"gamma: {design.gamma:.12g}")
+    lines = ["diagnosis filter design report", "", f"kind: {design.kind}",
+             f"degree d_N: {design.d_n}", f"pole: {design.pole}",
+             f"gamma: {design.gamma:.12g}"]
     if design.index is not None:
         lines.append(f"winning index: block {design.index[0]}, "
                      f"sign {design.index[1]:+d}")
@@ -221,9 +219,8 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
         lines.append(f"diagnostic: {design.diagnostic}")
     if overrides:
         lines.append("overrides: " + " ".join(overrides))
-    lines.append("")
-    lines.append("per-index LP results:")
-    lines.append("  block  sign  status      gamma_i        pivots  wall_s")
+    lines += ["", "per-index LP results:",
+              "  block  sign  status      gamma_i        pivots  wall_s"]
     for row in design.table:
         block = f"{row.block:5d}" if row.block >= 0 else "   ss"
         sign = f"{row.sign:+4d}" if row.block >= 0 else "    "
@@ -232,12 +229,9 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
                      f"  {row.gamma:<13.6g}  {row.pivots:6d}  {wall}")
     if design.multiplier is not None:
         mult = " ".join(format(v, ".12g") for v in np.atleast_1d(design.multiplier))
-        lines.append("")
-        lines.append(f"multiplier: {mult}")
-    lines.append("")
-    lines.append("stacked coefficients N_0..N_dN (row-major):")
-    blocks = design.blocks()
-    for j, block in enumerate(blocks):
+        lines += ["", f"multiplier: {mult}"]
+    lines += ["", "stacked coefficients N_0..N_dN (row-major):"]
+    for j, block in enumerate(design.blocks()):
         body = " ".join(format(v, ".12g") for v in block)
         lines.append(f"  N_{j}: {body}")
     return "\n".join(lines) + "\n"
@@ -323,6 +317,8 @@ def cmd_simulate(pipe: Pipeline) -> int:
 def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
     out = pipe.out_dir()
     path = trace_path or os.path.join(out, "trace.csv")
+    if not os.path.isfile(path):
+        raise ConfigError("--trace", f"no trace file at {path}")
     cols = read_trace_csv(path)
     for name in ("t", "rS_inf", "r_D"):
         if name not in cols:
@@ -357,14 +353,15 @@ def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
     scenario = _scenario(pipe)
     design = pipe.design
     plant = simulate(pipe.discrete, scenario)
+    # every r_D before any file, so a non-finite one leaves no file behind
+    r_ds = [realize_filter(dataclasses.replace(design, pole=pole),
+                           pipe.dae.l).apply(plant.y) for pole in poles]
     template = trace_csv_template(
         plant, include_states=opts["include_states"],
         include_measurements=opts["include_measurements"])
-    for pole in poles:
-        filt = realize_filter(dataclasses.replace(design, pole=pole),
-                              pipe.dae.l)
+    for pole, r_d in zip(poles, r_ds):
         path = os.path.join(out, _pole_trace_name(pole))
-        fill_trace_csv(template, filt.apply(plant.y), path)
+        fill_trace_csv(template, r_d, path)
         print(f"wrote {path}")
     return 0
 

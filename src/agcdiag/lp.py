@@ -1,4 +1,6 @@
-"""Self-contained dense linear-programming solver.
+"""Self-contained dense linear-programming solver over free and nonnegative
+variables, the two kinds every LP of the package uses (any other bound is
+written as a row).
 
 Two-phase primal simplex with Bland's rule on a condensed (dictionary)
 tableau (Chvatal, *Linear Programming*, ch. 2-3). Every step of a pivot is
@@ -51,10 +53,8 @@ slack column is left out, stays the exact negation of its stored row. The
 ratio test and the rhs update read each row's entry as ``sign * col[stored
 row]``, the full tableau's entry. Pairs are found with ``==``, which does
 not see a zero's sign. So entries may differ from the full tableau's only
-in the sign of a zero, which no comparison sees, and the bound offsets
-added to the solution turn such a zero into +0.0.
-
-The public model keeps explicit (possibly infinite) bounds.
+in the sign of a zero, which no comparison sees, and the ``0.0 +`` that
+reads the solution off the tableau turns such a zero into +0.0.
 """
 
 from __future__ import annotations
@@ -74,14 +74,15 @@ CHECK_TOL = 1e-9
 PIVOT_TOL = 1e-10
 MAX_ITER = 10 ** 6
 
-# row kinds; a row flipped to a nonnegative rhs swaps >= and <=
+# row kinds; a row negated to a nonnegative rhs swaps >= and <=
 _EQ, _GE, _LE = 0, 1, 2
 _SWAP = np.array([_EQ, _LE, _GE])
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max/min c'x subject to A_eq x = b_eq, A_ge x >= b_ge, lo <= x <= up."""
+    """max/min c'x subject to A_eq x = b_eq, A_ge x >= b_ge, each variable
+    free (``lower`` -inf, the default) or nonnegative (``lower`` 0)."""
 
     sense: str
     c: np.ndarray
@@ -127,9 +128,10 @@ class LpProblem:
                  else np.atleast_1d(np.asarray(self.upper, dtype=float)))
         if lower.size != n or upper.size != n:
             raise DimensionError("bound vectors must match the variable count")
-        if np.any(lower > upper):
-            bad = int(np.argmax(lower > upper))
-            raise ValueError(f"lower bound exceeds upper bound at variable {bad}")
+        bad = ~((lower == 0.0) | (lower == -np.inf)) | (upper != np.inf)
+        if bad.any():
+            raise ValueError(f"variable {int(np.argmax(bad))} is neither free "
+                             "nor nonnegative (lower -inf or 0, upper +inf)")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -288,36 +290,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an ``LpProblem``, returning status, optimum, and primal point."""
     n = problem.n_vars
     minimize_c = problem.c if problem.sense == "min" else -problem.c
-    lower, upper = problem.lower, problem.upper
 
-    # --- variable transform to x' >= 0 ------------------------------------
-    # Each original variable becomes one or two nonnegative variables plus a
-    # constant offset:  x_j = offset_j + flip_j * x'_pos - x'_neg, where
-    # flip_j = -1 substitutes x = u - x' for variables bounded above only
-    # and free variables get the negative part pos_j + 1, whose column is
-    # never stored (it is the negated positive column).
-    lo_fin, up_fin = np.isfinite(lower), np.isfinite(upper)
-    free = ~(lo_fin | up_fin)
+    # --- variables x' >= 0 -------------------------------------------------
+    # A free x_j is x'_pos - x'_neg; the negative part, pos_j + 1, has a
+    # column that is never stored (the negated positive column).
+    free = problem.lower == -np.inf
     width = np.where(free, 2, 1)
     pos = np.cumsum(width) - width
     ncols = int(width.sum())
-    flip = np.where(~lo_fin & up_fin, -1.0, 1.0)
-    offsets = np.where(lo_fin, lower, np.where(up_fin, upper, 0.0))
 
-    # Rows: equalities, >= rows, then x_j - lo_j <= up_j - lo_j for every
-    # two-sided bound (already shifted, so its column is +1).
-    two_sided = np.flatnonzero(lo_fin & up_fin)
-    a_rows, rhs, kinds = [], [], []
+    # Rows: equalities, then >= rows (none at all is allowed).
+    a_rows, rhs, kinds = [np.zeros((0, n))], [np.zeros(0)], [np.zeros(0, int)]
     for a, b, kind in ((problem.a_eq, problem.b_eq, _EQ),
                        (problem.a_ge, problem.b_ge, _GE)):
         if a is not None:
             a_rows.append(a)
-            rhs.append(b - a @ offsets)
+            rhs.append(b)
             kinds.append(np.full(b.size, kind))
-    a_rows.append(np.eye(n)[two_sided])
-    rhs.append((upper - lower)[two_sided])
-    kinds.append(np.full(two_sided.size, _LE))
-    coeff = np.vstack(a_rows) * flip
+    coeff = np.vstack(a_rows)
     rhs = np.concatenate(rhs)
     kinds = np.concatenate(kinds)
 
@@ -339,7 +329,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     basis[slack_rows] = slack_ids
     basis[art_rows] = n_real + np.arange(n_art)
     cost = np.zeros(total)
-    cost[pos] = minimize_c * flip
+    cost[pos] = minimize_c
     cost[pos[free] + 1] = -minimize_c[free]
     paired = np.zeros(total, dtype=bool)
     paired[pos[free]] = True
@@ -421,7 +411,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     xprime = np.zeros(total)
     xprime[basis] = rhs[:m]
-    x = offsets + flip * xprime[pos]
+    x = 0.0 + xprime[pos]     # a -0.0 becomes +0.0 (module docstring)
     x[free] -= xprime[pos[free] + 1]
     _check_point(problem, x)
     value = float(minimize_c @ x)
@@ -431,7 +421,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 
 def _check_point(problem: LpProblem, x: np.ndarray) -> None:
-    """Raise ``NumericError`` when ``x`` misses a row or bound of
+    """Raise ``NumericError`` when ``x`` misses a row or a lower bound of
     ``problem`` by more than ``CHECK_TOL * max(1, |rhs|)``, or by nan."""
     checks = []
     if problem.a_eq is not None:
@@ -440,8 +430,7 @@ def _check_point(problem: LpProblem, x: np.ndarray) -> None:
     if problem.a_ge is not None:
         checks.append(("inequality rows", problem.b_ge - problem.a_ge @ x,
                        problem.b_ge))
-    checks += [("lower bounds", problem.lower - x, problem.lower),
-               ("upper bounds", x - problem.upper, problem.upper)]
+    checks.append(("lower bounds", problem.lower - x, problem.lower))
     for kind, miss, rhs in checks:
         if not np.all(miss <= CHECK_TOL * np.maximum(1.0, np.abs(rhs))):
             raise NumericError(f"LP point breaks its {kind} by {miss.max():.2g}")

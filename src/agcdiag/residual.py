@@ -16,7 +16,14 @@ from operator import mul
 import numpy as np
 
 from .design import FilterDesign
-from .errors import DimensionError, StabilityError
+from .errors import DimensionError, NumericError, StabilityError
+
+
+def check_finite(name: str, series: np.ndarray) -> None:
+    """Raise ``NumericError`` naming the first inf or nan of ``series``."""
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        raise NumericError(f"{name} is {series[bad[0]]} at sample {bad[0]}")
 
 
 def denominator_coefficients(pole: float, d_n: int) -> np.ndarray:
@@ -37,7 +44,9 @@ class RealizedFilter:
     d_N + 1 shifted products, and only the scalar denominator recursion
     runs sample by sample. The delay lines (the last d_N measurements and
     outputs) carry over from one call to the next until ``reset``; the
-    first `warmup` outputs after a reset see zero-filled delay lines.
+    first `warmup` outputs after a reset see zero-filled delay lines. A
+    non-finite output raises ``NumericError`` naming its first sample in
+    the series, and the delay lines stay as they were.
     """
 
     def __init__(self, numerator_rows: np.ndarray, pole: float, d_n: int):
@@ -56,6 +65,7 @@ class RealizedFilter:
         self._y_hist = np.zeros((self.d_n, self.numerator.shape[1]))
         self._r_hist = [0.0] * self.d_n
 
+    @np.errstate(over="ignore", invalid="ignore")   # see check_finite
     def apply(self, y_series) -> np.ndarray:
         """Filter the rows of ``y_series`` in order; returns r_D per row."""
         y = np.asarray(y_series, dtype=float)
@@ -77,9 +87,11 @@ class RealizedFilter:
         r = self._r_hist + [0.0] * n
         for k, v in enumerate(num.tolist()):
             r[k + d_n] = (v - sum(map(mul, a_head, r[k:k + d_n]))) / a_last
+        out = np.array(r[d_n:])
+        check_finite("r_D", out)
         self._y_hist = ext[n:]
         self._r_hist = r[n:]
-        return np.array(r[d_n:])
+        return out
 
     def step(self, y) -> float:
         """Filter one measurement vector; ``apply`` on a one-row series."""

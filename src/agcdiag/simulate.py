@@ -18,7 +18,9 @@ same bits as a loop over samples (kept as the test reference in
 ``weighted_range_projector``'s cache, so a batch of runs on one model and
 one noise table builds it once.
 The divergence guard names the first state past it (a nan state counts as
-past it), as a check after every step would. A trace CSV's body is
+past it), as a check after every step would, and so does the check of
+the residuals rS_inf and r_D, which an attack on measurements alone can
+overflow with every state inside the guard. A trace CSV's body is
 formatted a block of rows at a time, from one row format repeated for
 every row of the block. The ``r_D`` column is filled in a second step
 (``trace_csv_template``, then ``fill_trace_csv``), so runs that differ
@@ -39,7 +41,7 @@ from .discretize import LtiModel
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      ValidationError)
 from .linalg import weighted_range_projector
-from .residual import RealizedFilter
+from .residual import RealizedFilter, check_finite
 
 DIVERGENCE_GUARD = 1e6
 CSV_BLOCK_ROWS = 16    # rows formatted by one ``%`` in write_csv_table
@@ -192,6 +194,7 @@ def _rowwise(mat: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.matmul(mat, series[:, :, None])[:, :, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the guard, check_finite
 def simulate(model: LtiModel, scenario: Scenario,
              dynamic_filter: RealizedFilter | None = None) -> SimulationTrace:
     """Run the closed loop from the origin and record both residuals.
@@ -201,7 +204,8 @@ def simulate(model: LtiModel, scenario: Scenario,
     so small that its reciprocal overflows raises
     ``ConfigError("measurement_noise", ...)``. The dynamic
     filter, if given, is reset and then filters the whole measurement
-    series once the state recursion has run. The scenario must sample at
+    series once the state recursion has run. A non-finite residual raises
+    ``NumericError`` naming its first sample. The scenario must sample at
     the model's ``t_s``, and its label maps must pass ``label_values``
     against the model's labels.
     """
@@ -243,12 +247,11 @@ def simulate(model: LtiModel, scenario: Scenario,
     a_cl, matmul, add = model.a_cl, np.matmul, np.add
     steps_in = zip(rows, rows[1:], _rowwise(model.b_d, d_log),
                    _rowwise(model.b_f, f_log), w_series)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, x_next, bd_d, bf_f, w in steps_in:
-            matmul(a_cl, x, x_next)     # the third argument is ``out``
-            add(x_next, bd_d, x_next)
-            add(x_next, bf_f, x_next)
-            add(x_next, w, x_next)
+    for x, x_next, bd_d, bf_f, w in steps_in:
+        matmul(a_cl, x, x_next)     # the third argument is ``out``
+        add(x_next, bd_d, x_next)
+        add(x_next, bf_f, x_next)
+        add(x_next, w, x_next)
     # the guard names the first state past it, as a check after each step
     # would; the states after that one, which may have overflowed, are
     # discarded with the run. A nan state is past the guard too.
@@ -260,6 +263,7 @@ def simulate(model: LtiModel, scenario: Scenario,
 
     y_log = _rowwise(model.c, x_log) + _rowwise(model.d_f, f_log) + v_series
     rs_log = np.abs(y_log - _rowwise(proj, y_log)).max(axis=1, initial=0.0)
+    check_finite("rS_inf", rs_log)    # also false for a non-finite y
     if dynamic_filter is None:
         rd_log = np.zeros(steps + 1)
     else:
@@ -306,16 +310,13 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def write_csv_table(path, header: list[str], columns: list[np.ndarray],
-                    index_column: bool = False) -> None:
+def write_csv_table(path, header: list[str],
+                    columns: list[np.ndarray]) -> None:
     """Write equal-length columns as a CSV table: one header line, then
     each value at 12 significant digits (``%.12g``, the bytes of
-    ``format(v, ".12g")``), LF endings. With ``index_column`` the first
-    column is printed as an integer."""
+    ``format(v, ".12g")``), LF endings."""
     data = np.column_stack(columns)
     cells = ["%.12g"] * data.shape[1]
-    if index_column:
-        cells[0] = "%d"
     _write_text(path, ",".join(header) + "\n" + _csv_body(data, cells))
 
 

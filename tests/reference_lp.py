@@ -13,9 +13,9 @@ negation), no artificial columns after phase 1, and one row per pair of
 (the second row is read as the negation of the first, with its own rhs).
 Each entry it keeps is computed by the same operations as the entry here,
 and the columns and rows it leaves out are unit vectors or exact
-negations, which cannot change a pivot choice. So on problems whose finite
-bounds are all zero it must follow the same pivots and return the same
-bits. Here every row is stored and updated on its own, mirrored or not.
+negations, which cannot change a pivot choice. So it must follow the same
+pivots and return the same bits. Here every row is stored and updated on
+its own, mirrored or not.
 """
 
 from __future__ import annotations
@@ -32,25 +32,13 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
     n = problem.n_vars
     minimize_c = problem.c if problem.sense == "min" else -problem.c
 
-    # --- variable transform to x' >= 0 ------------------------------------
-    # Each original variable becomes one or two nonnegative columns plus a
-    # constant offset:  x_j = offset_j + col_pos - col_neg.
+    # --- variables x' >= 0 ------------------------------------------------
+    # A nonnegative variable is one column, a free one two:
+    # x_j = col_pos - col_neg.
     col_of = []           # per variable: (pos_col, neg_col or None)
-    offsets = np.zeros(n)
-    flip = np.ones(n)     # -1 when substituting x = u - x'
-    extra_upper_rows = []  # (var_index, cap) rows for two-sided bounds
     ncols = 0
     for j in range(n):
-        lo, up = problem.lower[j], problem.upper[j]
-        if np.isfinite(lo):
-            offsets[j] = lo
-            col_of.append((ncols, None))
-            ncols += 1
-            if np.isfinite(up):
-                extra_upper_rows.append((j, up - lo))
-        elif np.isfinite(up):
-            offsets[j] = up
-            flip[j] = -1.0
+        if np.isfinite(problem.lower[j]):
             col_of.append((ncols, None))
             ncols += 1
         else:
@@ -61,7 +49,7 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
         out = np.zeros(ncols)
         for j in range(n):
             pos, neg = col_of[j]
-            out[pos] += flip[j] * row[j]
+            out[pos] += row[j]
             if neg is not None:
                 out[neg] -= row[j]
         return out
@@ -71,15 +59,10 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
     rows = []   # (coeffs over x', rhs, kind) with kind in {"eq", "ge", "le"}
     if problem.a_eq is not None:
         for a_row, b_val in zip(problem.a_eq, problem.b_eq):
-            rows.append((expand(a_row), b_val - a_row @ offsets, "eq"))
+            rows.append((expand(a_row), b_val, "eq"))
     if problem.a_ge is not None:
         for a_row, b_val in zip(problem.a_ge, problem.b_ge):
-            rows.append((expand(a_row), b_val - a_row @ offsets, "ge"))
-    for j, cap in extra_upper_rows:
-        a_row = np.zeros(n)
-        a_row[j] = 1.0
-        # x_j - lo <= cap, already shifted: the expanded column is +1
-        rows.append((expand(a_row), cap, "le"))
+            rows.append((expand(a_row), b_val, "ge"))
 
     # Normalise to nonnegative rhs; >= rows with positive rhs need surplus +
     # artificial, everything that lands as <= gets a basis-ready slack.
@@ -201,10 +184,10 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
     xprime = np.zeros(total)
     for i in range(m):
         xprime[basis[i]] = tab[i, -1]
-    x = offsets.copy()
+    x = np.zeros(n)
     for j in range(n):
         pos, neg = col_of[j]
-        x[j] += flip[j] * xprime[pos]
+        x[j] += xprime[pos]
         if neg is not None:
             x[j] -= xprime[neg]
     value = float(minimize_c @ x)

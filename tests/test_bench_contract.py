@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from agcdiag.lp import LpProblem
+from agcdiag.design import _certificate_lp
 from agcdiag.simulate import Scenario, simulate, write_trace_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,8 +49,10 @@ def call_args(chain, tmp_path):
     trace = simulate(chain.discrete, scenario)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
-    problem = LpProblem("max", [1.0, 1.0], a_ge=[[1.0, -1.0]], b_ge=[0.5],
-                        lower=[0.0, 0.0], upper=[2.0, 1.0])
+    # the default design's winning relaxation LP (1, +1), as the design
+    # builds it
+    problem = _certificate_lp(chain.basis.block(1) @ chain.ffb, chain.basis,
+                              chain.space.a, chain.space.b)
     return {"solve_lp": (problem,), "left_null_basis": (chain.hbar,),
             "simulate": (chain.discrete, scenario),
             "write_trace_csv": (trace, path), "read_trace_csv": (path,)}

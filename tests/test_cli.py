@@ -481,6 +481,29 @@ class TestErrors:
         assert code == 2
         assert "error: code=config" in err
 
+    def test_missing_trace_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(["report", "--trace",
+                                  str(tmp_path / "nope.csv")],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("error: code=config field=--trace ")
+        assert len(err.splitlines()) == 1 and out == ""
+        assert not list(tmp_path.glob("panel_*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-pole"])
+    def test_overflowing_raw_attack_exits_1(self, command, tmp_path,
+                                            monkeypatch, capsys):
+        # the last channel (area2.tie_total) reaches no state, so only the
+        # residual check can stop the run
+        code, out, err = run_cli(
+            ["--set", "attack.mode=raw",
+             "--set", "attack.raw_f=[1,2,3,4,1e308]", command],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith('error: code=runtime field=- msg="r_D is ')
+        assert len(err.splitlines()) == 1 and out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_bad_field_names_path(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"design": {"d_n": "three"}}))

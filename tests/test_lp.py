@@ -31,15 +31,16 @@ def break_phase_1(monkeypatch, status, artificial_sum=0.0):
 
 class TestBasics:
     def test_box_maximum(self):
-        sol = solve("max", [1.0], lower=[0.0], upper=[1.0])
+        # max x s.t. x <= 1, x >= 0
+        sol = solve("max", [1.0], a_ge=[[-1.0]], b_ge=[-1.0], lower=[0.0])
         assert sol.status == lp.OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-9)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_conflicting_bounds_infeasible(self):
-        # x >= 2 via constraint, x <= 1 via bound
-        sol = solve("max", [1.0], a_ge=[[1.0]], b_ge=[2.0],
-                    lower=[-np.inf], upper=[1.0])
+        # x >= 2 and x <= 1, x free
+        sol = solve("max", [1.0], a_ge=[[1.0], [-1.0]], b_ge=[2.0, -1.0],
+                    lower=[-np.inf])
         assert sol.status == lp.INFEASIBLE
 
     def test_degenerate_duplicate_constraint(self):
@@ -67,9 +68,9 @@ class TestBasics:
         assert sol.status == lp.OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-9)
 
-    def test_flipped_variable(self):
-        # max x with x <= 4 only (lower = -inf)
-        sol = solve("max", [1.0], upper=[4.0])
+    def test_free_variable_bounded_above(self):
+        # max x with x <= 4 only, x free
+        sol = solve("max", [1.0], a_ge=[[-1.0]], b_ge=[-4.0])
         assert sol.status == lp.OPTIMAL
         assert sol.value == pytest.approx(4.0, abs=1e-9)
 
@@ -79,8 +80,12 @@ class TestBasics:
                          b_ge=np.ones(1))
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            lp.LpProblem("max", np.ones(1), lower=[2.0], upper=[1.0])
+        # a variable is free or nonnegative; any other bound is a row
+        for bounds in ({"lower": [0.0, 2.0]}, {"lower": [0.0, np.nan]},
+                       {"lower": [0.0, -np.inf], "upper": [np.inf, 1.0]},
+                       {"upper": [np.inf, -np.inf]}):
+            with pytest.raises(ValueError, match="^variable 1 is neither"):
+                lp.LpProblem("max", np.ones(2), **bounds)
 
     def test_feasibility_of_optimal_point(self):
         rng = np.random.default_rng(0)
@@ -119,8 +124,10 @@ class TestDuality:
             x0 = rng.uniform(0.0, 2.0, size=n)
             b = a @ x0 - rng.uniform(0.0, 1.0, size=m)
             c = rng.uniform(-1.0, 2.0, size=n)
-            ours = solve("min", c, a_ge=a, b_ge=b,
-                         lower=np.zeros(n), upper=np.full(n, 10.0))
+            # x <= 10 as the rows -x >= -10
+            ours = solve("min", c, a_ge=np.vstack([a, -np.eye(n)]),
+                         b_ge=np.concatenate([b, np.full(n, -10.0)]),
+                         lower=np.zeros(n))
             ref = linprog(c, A_ub=-a, b_ub=-b, bounds=[(0, 10)] * n,
                           method="highs")
             assert ours.status == lp.OPTIMAL
@@ -158,33 +165,38 @@ class TestBlandRule:
         assert sol.x == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
-def random_lp(rng, zero_offsets, free_share=0.5):
-    """Small mixed LP; with ``zero_offsets`` every finite bound is 0 and
-    about ``free_share`` of the variables are free."""
+def random_lp(rng, bound_rows=False, free_share=0.5):
+    """Small mixed LP. About ``free_share`` of the variables are free and
+    the rest nonnegative; with ``bound_rows`` every variable is free, and
+    each gets ``x_j >= x0_j - 1`` and ``x_j <= x0_j + 1`` as ``>=`` rows,
+    each with probability 1/2."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 8))
     a = rng.standard_normal((m, n))
     x0 = rng.uniform(-1.0, 2.0, size=n)
     b = a @ x0 - rng.uniform(-0.5, 1.0, size=m)
     k = int(rng.integers(0, m + 1))
-    if zero_offsets:
-        lower = np.where(rng.random(n) < 1.0 - free_share, 0.0, -np.inf)
-        upper = np.full(n, np.inf)
+    if bound_rows:
+        lower = np.full(n, -np.inf)
+        eye = np.eye(n)
+        below, above = rng.random(n) < 0.5, rng.random(n) < 0.5
+        a = np.vstack([a, eye[below], -eye[above]])
+        b = np.concatenate([b, (x0 - 1.0)[below], -(x0 + 1.0)[above]])
+        m = b.size
     else:
-        lower = np.where(rng.random(n) < 0.5, -np.inf, x0 - 1.0)
-        upper = np.where(rng.random(n) < 0.5, np.inf, x0 + 1.0)
+        lower = np.where(rng.random(n) < 1.0 - free_share, 0.0, -np.inf)
     return lp.LpProblem(
         "min" if rng.random() < 0.5 else "max", rng.standard_normal(n),
         a_eq=a[:k] if k else None, b_eq=b[:k] if k else None,
         a_ge=a[k:] if k < m else None, b_ge=b[k:] if k < m else None,
-        lower=lower, upper=upper)
+        lower=lower)
 
 
 class TestLoopReference:
     def test_bit_identical_with_zero_offsets(self):
         rng = np.random.default_rng(11)
         for _ in range(150):
-            problem = random_lp(rng, zero_offsets=True)
+            problem = random_lp(rng)
             ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
             assert (ours.status, ours.iterations, ours.value) == \
                 (ref.status, ref.iterations, ref.value)
@@ -209,7 +221,7 @@ class TestLoopReference:
         monkeypatch.setattr(lp._Tableau, "pivot", spy)
         rng = np.random.default_rng(13)
         for _ in range(150):
-            problem = random_lp(rng, zero_offsets=True, free_share=0.85)
+            problem = random_lp(rng, free_share=0.85)
             ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
             assert (ours.status, ours.iterations, ours.value) == \
                 (ref.status, ref.iterations, ref.value)
@@ -218,17 +230,20 @@ class TestLoopReference:
         assert seen["negative_entered"] > 0
         assert seen["free_left"] > 0
 
-    def test_same_pivots_with_shifted_bounds(self):
-        # the bound shift of the rhs is one matvec here and one dot per
-        # row in the reference, so x may differ in the last bits
+    def test_bit_identical_with_bound_rows(self):
+        # finite bounds other than x >= 0 are written as rows, which the
+        # solver keeps as given: the bits of the full tableau
         rng = np.random.default_rng(12)
+        statuses = set()
         for _ in range(150):
-            problem = random_lp(rng, zero_offsets=False)
+            problem = random_lp(rng, bound_rows=True)
             ours, ref = lp.solve_lp(problem), solve_lp_reference(problem)
-            assert (ours.status, ours.iterations) == \
-                (ref.status, ref.iterations)
+            assert (ours.status, ours.iterations, ours.value) == \
+                (ref.status, ref.iterations, ref.value)
             if ref.x is not None:
-                assert ours.x == pytest.approx(ref.x, rel=1e-12, abs=1e-12)
+                assert ours.x.tobytes() == ref.x.tobytes()
+            statuses.add(ours.status)
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
 def ball_lp(rng, mirror=None):

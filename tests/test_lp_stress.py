@@ -1,7 +1,7 @@
 """Randomized cross-checks of the simplex against an independent solver.
 
 Every certificate in the package rests on solve_lp, so this module hammers
-it across problem archetypes (equalities + inequalities + mixed bounds,
+it across problem archetypes (equalities + inequalities + mixed bound rows,
 free variables, infeasible and unbounded families) and replays the actual
 design LPs through scipy's HiGHS for value agreement.
 """
@@ -24,23 +24,23 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 
 
 def random_problem(rng):
-    """Feasible-by-construction instance with every feature mixed in."""
+    """Feasible-by-construction instance with every feature mixed in: the
+    bounds of a variable (two-sided, lower only, upper only or none) are
+    ``>=`` rows on a free variable."""
     n = int(rng.integers(2, 8))
     m_eq = int(rng.integers(0, 3))
     m_ge = int(rng.integers(1, 6))
     x0 = rng.uniform(-1.0, 2.0, size=n)
 
-    lower = np.full(n, -np.inf)
-    upper = np.full(n, np.inf)
+    bound_rows, bound_rhs = [], []
     for j in range(n):
         kind = rng.integers(0, 4)
-        if kind == 0:          # two-sided
-            lower[j] = x0[j] - rng.uniform(0.5, 2.0)
-            upper[j] = x0[j] + rng.uniform(0.5, 2.0)
-        elif kind == 1:        # lower only
-            lower[j] = x0[j] - rng.uniform(0.5, 2.0)
-        elif kind == 2:        # upper only
-            upper[j] = x0[j] + rng.uniform(0.5, 2.0)
+        if kind in (0, 1):     # two-sided or lower only: x_j >= lo
+            bound_rows.append(np.eye(n)[j])
+            bound_rhs.append(x0[j] - rng.uniform(0.5, 2.0))
+        if kind in (0, 2):     # two-sided or upper only: -x_j >= -up
+            bound_rows.append(-np.eye(n)[j])
+            bound_rhs.append(-(x0[j] + rng.uniform(0.5, 2.0)))
         # kind == 3: free
 
     a_eq = rng.standard_normal((m_eq, n)) if m_eq else None
@@ -49,14 +49,13 @@ def random_problem(rng):
     b_ge = a_ge @ x0 - rng.uniform(0.0, 1.5, size=m_ge)
     c = rng.standard_normal(n)
     problem = lp.LpProblem("min", c, a_eq=a_eq, b_eq=b_eq,
-                           a_ge=a_ge, b_ge=b_ge, lower=lower, upper=upper)
+                           a_ge=np.vstack([a_ge] + bound_rows),
+                           b_ge=np.concatenate([b_ge, bound_rhs]))
     return problem
 
 
 def scipy_solve(problem):
-    bounds = [(lo if np.isfinite(lo) else None,
-               up if np.isfinite(up) else None)
-              for lo, up in zip(problem.lower, problem.upper)]
+    bounds = [(0.0 if lo == 0.0 else None, None) for lo in problem.lower]
     a_ub = -problem.a_ge if problem.a_ge is not None else None
     b_ub = -problem.b_ge if problem.b_ge is not None else None
     return scipy_opt.linprog(

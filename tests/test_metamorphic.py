@@ -1,15 +1,24 @@
-"""Metamorphic laws of the robust design, which need no oracle.
+"""Metamorphic laws of the robust design and the simulator, which need no
+oracle.
 
 The feasible filters {Nbar : Nbar Hbar = 0, ||Nbar||_inf <= eta} scale
 with eta, and the attack polytope {A alpha >= b} scales with b for c > 0.
 The payoff is linear in Nbar and in alpha, so on the default model at
 d_n = 3 the certified gamma scales by c in both cases; the solver keeps
 that to within 2 ulp.
+
+Without noise the closed loop is linear, so the designed filter's r_D is
+linear in the attack f, and since Nbar Hbar = 0 it does not see the loads.
+Both hold up to rounding, which is measured against ``rounding(y)``:
+eps times the filter's largest absolute numerator row sum (about 206)
+times max |y|, the size of one rounding in the numerator's products.
 """
 
 import numpy as np
 import pytest
 from agcdiag.design import design_robust, feasible_basis
+from agcdiag.residual import realize_filter
+from agcdiag.simulate import Scenario, simulate
 
 SCALES = (0.5, 2.0, 7.0)
 
@@ -31,3 +40,40 @@ def test_gamma_scales_with_polytope_rhs(chain, c):
     design = design_robust(chain.basis, chain.ffb, chain.space.a,
                            c * chain.space.b)
     assert_scaled(design.gamma, chain.design.gamma, c)
+
+
+def noise_free_run(chain, attack_f=None, load_std=None, seed=1):
+    """The default design's filter over 60 s without noise, attacked from
+    10 s on; returns (r_D, rounding(y))."""
+    filt = realize_filter(chain.design, chain.dae.l)
+    scenario = Scenario(horizon_s=60.0, t_s=chain.discrete.t_s, onset_s=10.0,
+                        attack_f=attack_f, load_std=load_std or {}, seed=seed)
+    trace = simulate(chain.discrete, scenario, filt)
+    gain = np.abs(filt.numerator).sum(axis=1).max()
+    return trace.r_d, np.finfo(float).eps * gain * np.abs(trace.y).max()
+
+
+def test_dynamic_residual_is_linear_in_the_attack(chain):
+    # r_D(a f1 + b f2) = a r_D(f1) + b r_D(f2). Over 200 random draws the
+    # largest miss was 2.7 times the summed rounding(y) of the three runs,
+    # so 10 times leaves a margin of 3.7; each r_D is at least 3.7e12 times
+    # its rounding(y), so the law is far from vacuous.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        f1, f2 = rng.standard_normal(5), rng.standard_normal(5)
+        a, b = rng.uniform(-3.0, 3.0, size=2)
+        r1, round1 = noise_free_run(chain, f1)
+        r2, round2 = noise_free_run(chain, f2)
+        r12, round12 = noise_free_run(chain, a * f1 + b * f2)
+        miss = np.abs(r12 - (a * r1 + b * r2)).max()
+        assert miss <= 10.0 * (abs(a) * round1 + abs(b) * round2 + round12)
+        assert np.abs(r12).max() > 1e6 * round12
+
+
+def test_dynamic_residual_is_blind_to_loads(chain):
+    # loads alone: over 20 seeds the largest |r_D| was 0.19 rounding(y)
+    # (1.8e-15 absolute), so rounding(y) itself leaves a margin of 5
+    loads = {"area1.load": 0.05, "area2.load": 0.02, "area3.load": 0.04}
+    for seed in range(10):
+        r_d, rounding = noise_free_run(chain, load_std=loads, seed=seed)
+        assert np.abs(r_d).max() <= rounding

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agcdiag.design import FilterDesign
-from agcdiag.errors import DimensionError, StabilityError
+from agcdiag.errors import DimensionError, NumericError, StabilityError
 from agcdiag.residual import (RealizedFilter, denominator_coefficients,
                               realize_filter)
 
@@ -156,6 +156,26 @@ class TestRealizedFilter:
             expected = [stream.step(y) for y in series]
             got = RealizedFilter(rows, pole=0.6, d_n=d_n).apply(series)
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("big, sample, value", [
+        (1e308, 5, "inf"),       # the numerator overflows at sample 5
+        (np.nan, 5, "nan"),
+    ])
+    def test_non_finite_output_raises_without_warnings(self, big, sample,
+                                                       value):
+        # (the suite turns warnings into errors, so a numpy warning fails)
+        rows = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, 3.0]])
+        series = np.ones((12, 3))
+        series[sample:, 2] = big
+        filt = RealizedFilter(rows, pole=0.5, d_n=1)
+        filt.apply(np.ones((3, 3)))
+        with pytest.raises(NumericError,
+                           match=f"^r_D is {value} at sample {sample}$"):
+            filt.apply(series)
+        # the delay lines are those of the last good call
+        assert np.array_equal(filt.apply(np.ones((2, 3))),
+                              RealizedFilter(rows, pole=0.5, d_n=1)
+                              .apply(np.ones((5, 3)))[3:])
 
     def test_wrong_width_rejected(self):
         filt = RealizedFilter(np.ones((2, 3)), pole=0.5, d_n=1)

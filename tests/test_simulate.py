@@ -3,7 +3,8 @@ import pytest
 
 from agcdiag.attacks import synthesize_attack
 from agcdiag.discretize import LtiModel, zoh_discretize
-from agcdiag.errors import ConfigError, DivergenceError, ValidationError
+from agcdiag.errors import (ConfigError, DivergenceError, NumericError,
+                            ValidationError)
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import (Scenario, SimulationTrace, fill_trace_csv,
                               gen_disturbance, label_values, read_trace_csv,
@@ -147,6 +148,30 @@ class TestSimulate:
         with pytest.raises(DivergenceError) as err:
             simulate(model, sc)
         assert err.value.step > 0
+
+    def test_overflowing_measurement_attack_raises(self, chain):
+        # area2.tie_total has no B_f column, so no state sees this attack
+        # and the divergence guard cannot trip. r_D is near the float limit
+        # at the first attacked sample, 21, and overflows at the next.
+        filt = realize_filter(chain.design, chain.dae.l)
+        sc = quiet_scenario(attack_f=[1.0, 2.0, 3.0, 4.0, 1e308])
+        with pytest.raises(NumericError,
+                           match=r"^r_D is -?inf at sample 22$"):
+            simulate(chain.discrete, sc, filt)
+
+    def test_overflowing_static_residual_raises(self):
+        # y_1 = f_1 + f_2 overflows while the state stays at 0
+        model = LtiModel(
+            a_cl=np.array([[0.5]]), b_d=np.ones((1, 1)),
+            b_f=np.zeros((1, 2)), c=np.ones((2, 1)),
+            d_f=np.array([[1.0, 1.0], [0.0, 0.0]]), t_s=1.0,
+            state_labels=("u.x",), measurement_labels=("u.y1", "u.y2"),
+            attack_labels=("u.y1", "u.y2"), disturbance_labels=("u.load",))
+        sc = Scenario(horizon_s=10.0, t_s=1.0, onset_s=3.0,
+                      attack_f=[1.7e308, 1.7e308])
+        with pytest.raises(NumericError,
+                           match=r"^rS_inf is (inf|nan) at sample 4$"):
+            simulate(model, sc)
 
     def test_decoupling_from_loads_in_closed_loop(self, chain):
         # the designed filter ignores load disturbances entirely
