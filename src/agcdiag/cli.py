@@ -32,8 +32,9 @@ output flags ``include_states`` and ``include_measurements`` add their
 columns to every sweep trace, as they do to ``simulate``'s.
 
 Exit codes: 0 success, 2 bad config or command line (field named on
-stderr, ``argv`` for the command line), 3 infeasible design, 1 anything
-else. Errors print one machine-readable line:
+stderr, ``argv`` for the command line), 3 infeasible design (a zero
+certificate), 1 anything else, an empty attack polytope included. Errors
+print one machine-readable line:
 ``error: code=<kind> field=<path> msg="..."``.
 """
 
@@ -47,8 +48,6 @@ import os
 import sys
 from collections.abc import Callable
 from functools import cached_property
-
-import numpy as np
 
 from . import config as cfgmod
 from . import dae as daemod
@@ -130,20 +129,17 @@ class Pipeline:
         module attribute looked up at call time) repeat exactly."""
         global _last_design
         p = self.params
-        steady = p["kind"] == "steady-state"
-        solve = design_steady_state if steady else design_robust
+        solve = (design_steady_state if p["kind"] == "steady-state"
+                 else design_robust)
         key = self._design_key()
         if (_last_design is not None and _last_design[0] == key
                 and _last_design[1] is solve):
             return _last_design[2]
-        a_pol, b_pol = self.space.a, self.space.b
-        gain = (daemod.build_fbar(self.dae, self.space.basis, p["d_n"])
-                if steady else self.ffb)
-        design = solve(self.basis, gain, a_pol, b_pol, p["pole"])
+        design = solve(self.basis, self.ffb, self.space.a, self.space.b,
+                       p["pole"])
         # a reused design must not carry an earlier caller's writes
         for arr in (design.nbar, design.multiplier):
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
         _last_design = (key, solve, design)
         return design
 
@@ -227,9 +223,8 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
         wall = "mirrored" if row.mirrored else f"{row.wall_time:.4f}"
         lines.append(f"  {block}  {sign}  {row.status:<10s}"
                      f"  {row.gamma:<13.6g}  {row.pivots:6d}  {wall}")
-    if design.multiplier is not None:
-        mult = " ".join(format(v, ".12g") for v in np.atleast_1d(design.multiplier))
-        lines += ["", f"multiplier: {mult}"]
+    mult = " ".join(format(v, ".12g") for v in design.multiplier)
+    lines += ["", f"multiplier: {mult}"]
     lines += ["", "stacked coefficients N_0..N_dN (row-major):"]
     for j, block in enumerate(design.blocks()):
         body = " ".join(format(v, ".12g") for v in block)
@@ -251,8 +246,7 @@ def _write_filter(design: FilterDesign, eta: float, path: str) -> None:
         "gamma": design.gamma,
         "eta": eta,
         "index": list(design.index) if design.index else None,
-        "multiplier": (None if design.multiplier is None
-                       else list(np.atleast_1d(design.multiplier))),
+        "multiplier": list(design.multiplier),
         "nbar": list(design.nbar),
         "diagnostic": design.diagnostic,
     }
@@ -331,12 +325,16 @@ def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
         write_csv_table(panel, header, [cols[f] for f in header])
         return panel
 
-    d_fields = sorted((k for k in cols if k.startswith("d_")),
-                      key=lambda s: int(s.split("_")[1]))
-    f_fields = sorted((k for k in cols if k.startswith("f_")),
-                      key=lambda s: int(s.split("_")[1]))
+    def index(name):
+        if not name[2:].isdecimal():    # int() also takes "1_0" and " 1"
+            raise ValidationError(f"malformed trace CSV {path}: column "
+                                  f"{name!r} has no integer index")
+        return int(name[2:])
+
+    load_attack = [name for prefix in ("d_", "f_") for name in sorted(
+        (k for k in cols if k.startswith(prefix)), key=index)]
     wrote = [
-        write_panel("panel_load_attack.csv", d_fields + f_fields),
+        write_panel("panel_load_attack.csv", load_attack),
         write_panel("panel_static_residual.csv", ["rS_inf"]),
         write_panel("panel_dynamic_residual.csv", ["r_D"]),
     ]

@@ -10,8 +10,8 @@ L = [0; -I] and F = [B_f; D_f]. H always has degree 1 and L and F are
 constant, so the system is the four arrays H_0, H_1, L and F. A degree-d_N
 residual generator N(q) acts on these rows; its coefficients are kept as
 one stacked row vector, and the polynomial products it enters become
-products with the banded matrix `stack_hbar` and the attack gains
-`attack_gain` and `build_fbar`.
+products with the banded matrix `stack_hbar` and the attack gain
+`attack_gain`.
 """
 
 from __future__ import annotations
@@ -76,8 +76,3 @@ def attack_gain(dae: DaeSystem, basis: np.ndarray) -> np.ndarray:
             f"expected {dae.f.shape[1]}")
     return dae.f @ basis.T
 
-
-def build_fbar(dae: DaeSystem, basis: np.ndarray, d_n: int) -> np.ndarray:
-    """Vertical stack of d_n+1 copies of F F_b' (steady-state gain matrix)."""
-    gain = attack_gain(dae, basis)
-    return np.vstack([gain] * (d_n + 1))

@@ -16,9 +16,14 @@ are solved. The equality Nbar Hbar = 0 is eliminated by parameterizing
 Nbar = theta @ Z over an orthonormal null basis Z, which keeps the LPs
 small and feasibility structural.
 
-``lp.solve_lp`` checks every solved point against its LP's rows. The
-independent checks of the LP route (the brute-force game value, the
-finite-reformulation test) are test oracles in ``tests/oracles.py``.
+Every certificate LP (the relaxations and the steady-state LP) ends
+optimal or raises. Its zero point is feasible, so it is never infeasible,
+and as theta is bounded it is unbounded exactly when {A a >= b} is empty
+(Farkas), which raises ``EmptyAttackSetError``; any other verdict raises
+``NumericError`` naming the LP. ``lp.solve_lp`` checks every solved point
+against its LP's rows. The independent checks of the LP route (the
+brute-force game value, the finite-reformulation test) are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ class FilterDesign:
     gamma: float
     kind: str                      # "robust" | "steady-state"
     index: tuple[int, int] | None  # (block, sign) for the robust design
-    multiplier: np.ndarray | None  # lam (robust) or z (steady-state)
+    multiplier: np.ndarray         # lam (robust) or z (steady-state)
     table: tuple[LpIndexReport, ...] = field(default_factory=tuple)
     diagnostic: str = ""
 
@@ -139,14 +144,23 @@ def _solve_named(name: str, problem: lp.LpProblem) -> lp.LpSolution:
         raise NumericError(f"{name}: {exc}") from exc
 
 
+def _solve_certificate(name: str, gain, basis: FeasibleSetBasis, a_pol,
+                       b_pol) -> lp.LpSolution:
+    """The optimal solution of ``_certificate_lp``, or the module
+    docstring's error."""
+    sol = _solve_named(name, _certificate_lp(gain, basis, a_pol, b_pol))
+    if sol.status == lp.UNBOUNDED:
+        raise EmptyAttackSetError("empty attack set: {A a >= b} has no points")
+    if not sol.is_optimal:
+        raise NumericError(f"{name} ended {sol.status}")
+    return sol
+
+
 def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
                a_pol, b_pol):
     """One relaxation LP: pin coefficient `block` with `sign`.
 
-    Returns ``(gamma_i, nbar, lam, solution)``; infeasibility degrades to a
-    zero certificate with the zero filter, matching the convention that the
-    relaxation only ever under-promises. A point that fails the solver's
-    post-solve check raises ``NumericError`` naming the LP.
+    Returns ``(gamma_i, nbar, lam, solution)`` of the optimal solution.
     """
     ffb = np.asarray(ffb, dtype=float)
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
@@ -157,11 +171,8 @@ def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
         raise ValueError(f"block {block} outside 0..{basis.d_n}")
     n_z = basis.n_free
     gain_j = basis.block(block) @ ffb          # (n_z, d)
-    sol = _solve_named(f"relaxation LP ({block}, {sign:+d})",
-                       _certificate_lp(sign * gain_j, basis, a_pol, b_pol))
-    if not sol.is_optimal:
-        zeros = np.zeros(basis.z.shape[1])
-        return 0.0, zeros, np.zeros(b_pol.size), sol
+    sol = _solve_certificate(f"relaxation LP ({block}, {sign:+d})",
+                             sign * gain_j, basis, a_pol, b_pol)
     theta = sol.x[:n_z]
     lam = sol.x[n_z:]
     return float(sol.value), theta @ basis.z, lam, sol
@@ -178,8 +189,8 @@ def design_robust(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
     toward the smallest block index, then the +1 sign, so a mirrored row
     never wins and the returned design is deterministic. A positive gamma
     certifies detection of every attack in the polytope; gamma = 0 means no
-    single-block certificate exists and the result carries a diagnostic
-    instead.
+    single-block certificate exists, and the result is the zero filter with
+    a diagnostic beside the best index and its multiplier.
     """
     best = None
     rows = []
@@ -193,22 +204,16 @@ def design_robust(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
         rows.append(LpIndexReport(j, -1, sol.status, gamma_i, 0.0, 0,
                                   mirrored=True))
         # ties (within solver noise) keep the earlier index
-        if sol.is_optimal and (
-                best is None
-                or gamma_i > best[0] + 1e-9 * max(1.0, abs(best[0]))):
+        if best is None or gamma_i > best[0] + 1e-9 * max(1.0, abs(best[0])):
             best = (gamma_i, j, nbar_i, lam_i)
-    if best is None or best[0] <= 0.0:
-        nbar = np.zeros(basis.z.shape[1])
+    gamma, j, nbar, lam = best
+    note = ""
+    if gamma <= 0.0:
+        gamma, nbar = max(gamma, 0.0), np.zeros(basis.z.shape[1])
         note = ("no relaxation index yields a positive certificate; "
                 "every admissible attack direction can null this filter family")
-        gamma = 0.0 if best is None else max(best[0], 0.0)
-        index = None if best is None else (best[1], 1)
-        mult = None if best is None else best[3]
-        return FilterDesign(nbar, basis.d_n, pole, gamma, "robust",
-                            index, mult, tuple(rows), note)
-    gamma, j, nbar, lam = best
     return FilterDesign(nbar, basis.d_n, pole, gamma, "robust",
-                        (j, 1), lam, tuple(rows))
+                        (j, 1), lam, tuple(rows), note)
 
 
 def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
@@ -244,30 +249,27 @@ def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
     return alpha, float(sol.value)
 
 
-def design_steady_state(basis: FeasibleSetBasis, fbar, a_pol, b_pol,
+def design_steady_state(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
                         pole: float = 0.8) -> FilterDesign:
     """Maximize the certified steady-state residual magnitude.
 
     Single LP over (theta, z >= 0): max b'z with Nbar @ Fbar = z'A and the
-    usual feasible-set constraints. The symmetry of the feasible set makes
-    the one-sided equality lossless. mu = 0 means no decoupled filter can
-    hold a nonzero steady-state alert over the whole polytope.
+    usual feasible-set constraints, where Fbar stacks d_n+1 copies of
+    ``ffb``. The symmetry of the feasible set makes the one-sided equality
+    lossless. mu = 0 means no decoupled filter can hold a nonzero
+    steady-state alert over the whole polytope.
     """
-    fbar = np.asarray(fbar, dtype=float)
+    fbar = np.vstack([np.asarray(ffb, dtype=float)] * (basis.d_n + 1))
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
     b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
     n_z = basis.n_free
     gain = basis.z @ fbar                      # (n_z, d)
     start = time.perf_counter()
-    sol = _solve_named("steady-state LP",
-                       _certificate_lp(gain, basis, a_pol, b_pol))
+    sol = _solve_certificate("steady-state LP", gain, basis, a_pol, b_pol)
     elapsed = time.perf_counter() - start
+    # (``or`` prints the -0.0 of a max LP solved at x = 0 as 0)
     row = LpIndexReport(-1, 0, sol.status, sol.value or 0.0, elapsed,
                         sol.iterations)
-    if not sol.is_optimal:
-        return FilterDesign(np.zeros(basis.z.shape[1]), basis.d_n, pole, 0.0,
-                            "steady-state", None, None, (row,),
-                            f"steady-state LP ended with {sol.status}")
     theta = sol.x[:n_z]
     z = sol.x[n_z:]
     mu = max(0.0, float(sol.value))

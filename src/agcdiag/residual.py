@@ -42,11 +42,11 @@ class RealizedFilter:
 
     ``apply`` filters a whole (n_samples, n_y) series: the numerator is
     d_N + 1 shifted products, and only the scalar denominator recursion
-    runs sample by sample. The delay lines (the last d_N measurements and
-    outputs) carry over from one call to the next until ``reset``; the
-    first `warmup` outputs after a reset see zero-filled delay lines. A
+    runs sample by sample. Every call starts from zero delay lines (no
+    earlier measurement or output), so the first d_N outputs of a series
+    are its warm-up and the filter keeps no state between calls. A
     non-finite output raises ``NumericError`` naming its first sample in
-    the series, and the delay lines stay as they were.
+    the series.
     """
 
     def __init__(self, numerator_rows: np.ndarray, pole: float, d_n: int):
@@ -58,12 +58,6 @@ class RealizedFilter:
         self.pole = float(pole)
         self.d_n = int(d_n)
         self.denominator = denominator_coefficients(pole, d_n)
-        self.warmup = d_n
-        self.reset()
-
-    def reset(self) -> None:
-        self._y_hist = np.zeros((self.d_n, self.numerator.shape[1]))
-        self._r_hist = [0.0] * self.d_n
 
     @np.errstate(over="ignore", invalid="ignore")   # see check_finite
     def apply(self, y_series) -> np.ndarray:
@@ -75,22 +69,19 @@ class RealizedFilter:
                 f"measurement series has shape {y.shape}, expected "
                 f"(n_samples, {n_y})")
         n, d_n = y.shape[0], self.d_n
-        # y[k - d_N + i] is ext[k + i]; the products are stacked one-row
-        # dot products, row @ y[k] for each k, so the output does not depend
-        # on how a series is split between calls
-        ext = np.concatenate([self._y_hist, y])
+        # y[k - d_N + i] is ext[k + i], zero before the series; the
+        # products are stacked one-row dot products, row @ y[k] for each k
+        ext = np.concatenate([np.zeros((d_n, n_y)), y])
         num = np.zeros(n)
         for i, row in enumerate(self.numerator):
             num = num + np.matmul(ext[i:i + n, None, :], row[:, None])[:, 0, 0]
         a = self.denominator.tolist()
         a_head, a_last = a[:d_n], a[d_n]
-        r = self._r_hist + [0.0] * n
+        r = [0.0] * (d_n + n)
         for k, v in enumerate(num.tolist()):
             r[k + d_n] = (v - sum(map(mul, a_head, r[k:k + d_n]))) / a_last
         out = np.array(r[d_n:])
         check_finite("r_D", out)
-        self._y_hist = ext[n:]
-        self._r_hist = r[n:]
         return out
 
     def step(self, y) -> float:

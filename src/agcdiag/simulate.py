@@ -203,8 +203,9 @@ def simulate(model: LtiModel, scenario: Scenario,
     whenever every measurement has a positive noise variance; a variance
     so small that its reciprocal overflows raises
     ``ConfigError("measurement_noise", ...)``. The dynamic
-    filter, if given, is reset and then filters the whole measurement
-    series once the state recursion has run. A non-finite residual raises
+    filter, if given, filters the whole measurement series once the state
+    recursion has run; its first d_n outputs, the warm-up, see zero delay
+    lines. A non-finite residual raises
     ``NumericError`` naming its first sample. The scenario must sample at
     the model's ``t_s``, and its label maps must pass ``label_values``
     against the model's labels.
@@ -264,18 +265,15 @@ def simulate(model: LtiModel, scenario: Scenario,
     y_log = _rowwise(model.c, x_log) + _rowwise(model.d_f, f_log) + v_series
     rs_log = np.abs(y_log - _rowwise(proj, y_log)).max(axis=1, initial=0.0)
     check_finite("rS_inf", rs_log)    # also false for a non-finite y
-    if dynamic_filter is None:
-        rd_log = np.zeros(steps + 1)
-    else:
-        dynamic_filter.reset()
-        rd_log = dynamic_filter.apply(y_log)
+    rd_log = (np.zeros(steps + 1) if dynamic_filter is None
+              else dynamic_filter.apply(y_log))
 
     metadata = {
         "seed": scenario.seed,
         "scenario": scenario.fingerprint(),
         "t_s": scenario.t_s,
         "onset_s": scenario.onset_s,
-        "warmup_samples": 0 if dynamic_filter is None else dynamic_filter.warmup,
+        "warmup_samples": 0 if dynamic_filter is None else dynamic_filter.d_n,
         "weighted_static": weighted,
         "state_labels": list(model.state_labels),
         "measurement_labels": list(model.measurement_labels),

@@ -4,9 +4,11 @@ from hypothesis import HealthCheck, settings
 
 from agcdiag import cli, linalg
 from agcdiag import config as cfgmod
-from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
+from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import design_robust, feasible_basis
 from agcdiag.discretize import LtiModel
+
+from oracles import build_fbar
 
 settings.register_profile(
     "suite", deadline=None, derandomize=True,

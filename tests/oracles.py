@@ -7,7 +7,8 @@ parameters (grid over the coefficient ball, attack polytope sampled at
 vertices and edges) and returns a propagated grid-resolution tolerance.
 ``check_reformulation_feasible`` tests a point against the exact finite
 reformulation the relaxation LPs come from. ``build_v`` is the
-block-diagonal attack gain V(alpha) of that reformulation. The payoff,
+block-diagonal attack gain V(alpha) of that reformulation, and
+``build_fbar`` the stacked steady-state gain Fbar. The payoff,
 polytope, stealth, static-residual and settled-gain evaluations state the paper's
 quantities directly, for the tests to hold the pipeline's results against.
 """
@@ -253,6 +254,13 @@ def brute_force_gamma(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
     h = axis[1] - axis[0] if npts > 1 else 0.0
     tolerance = 0.5 * h * (lipschitz + z_colsum * j_ub / eta)
     return gamma_bf, float(tolerance)
+
+
+def build_fbar(dae: DaeSystem, basis: np.ndarray, d_n: int) -> np.ndarray:
+    """Vertical stack of d_n+1 copies of F F_b' (steady-state gain matrix),
+    the Fbar that ``design_steady_state`` builds from ``ffb``."""
+    gain = attack_gain(dae, basis)
+    return np.vstack([gain] * (d_n + 1))
 
 
 def build_v(dae: DaeSystem, basis: np.ndarray, alpha: np.ndarray,

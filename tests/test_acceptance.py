@@ -10,7 +10,7 @@ import numpy as np
 
 from agcdiag.attacks import synthesize_attack
 from agcdiag.config import noise_pattern
-from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
+from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import (design_robust, design_steady_state,
                             feasible_basis, solve_lp_i)
 from agcdiag.linalg import expm
@@ -18,7 +18,7 @@ from agcdiag.residual import realize_filter
 from agcdiag.simulate import Scenario, simulate, write_trace_csv
 
 from helpers import fine_step_from, random_stable_continuous
-from oracles import (beta_for_index, brute_force_gamma,
+from oracles import (beta_for_index, brute_force_gamma, build_fbar,
                      check_reformulation_feasible, evaluate_payoff,
                      in_polytope, steady_state_gain)
 from test_design import tiny_instance
@@ -48,7 +48,7 @@ def test_criterion_1_decoupling(chain):
                         load_std={"area1.load": 0.03, "area2.load": 0.03,
                                   "area3.load": 0.03})
     trace = simulate(chain.discrete, scenario, filt)
-    worst = np.abs(trace.r_d[filt.warmup:]).max()
+    worst = np.abs(trace.r_d[filt.d_n:]).max()
     elapsed = time.perf_counter() - start
     assert trace.n_records == 121
     assert worst <= 1e-6
@@ -124,7 +124,7 @@ def test_criterion_5_steady_state(chain, toy_ss_model):
     # the AGC default is structurally transient-only: mu = 0 is the honest
     # answer there, so the nonzero steady-state contract is exercised on a
     # small closed loop that admits one
-    agc_ss = design_steady_state(chain.basis, chain.fbar, chain.space.a,
+    agc_ss = design_steady_state(chain.basis, chain.ffb, chain.space.a,
                                  chain.space.b)
     assert agc_ss.gamma == 0.0
 
@@ -133,7 +133,7 @@ def test_criterion_5_steady_state(chain, toy_ss_model):
     fb = compute_basis(toy_ss_model.c, toy_ss_model.d_f)
     basis = feasible_basis(stack_hbar(dae, 1), 1.0, 1)
     a_pol, b_pol = np.array([[1.0]]), np.array([1.0])
-    design = design_steady_state(basis, build_fbar(dae, fb, 1), a_pol, b_pol)
+    design = design_steady_state(basis, attack_gain(dae, fb), a_pol, b_pol)
     assert design.gamma > 0
 
     alpha = np.array([1.3])
@@ -200,7 +200,7 @@ def test_criterion_8_experiment_shape(chain):
     start = time.perf_counter()
     filt = realize_filter(chain.design, chain.dae.l)
     onset_idx = int(30.0 / 0.5)
-    pre = slice(filt.warmup, onset_idx + 1)
+    pre = slice(filt.d_n, onset_idx + 1)
     post = slice(onset_idx + 1, None)
 
     # scenario 1: basic attack (tie13 component zeroed), noise-free

@@ -58,6 +58,19 @@ class TestDesignCommand:
         assert code == 3
         assert "error: code=infeasible" in err
 
+    @pytest.mark.parametrize("command", ["design", "attack"])
+    def test_empty_polytope_exits_1(self, command, tmp_path, monkeypatch,
+                                    capsys):
+        # used to exit 3, as if every attack could null the filter family
+        code, out, err = run_cli(
+            ["--set", "design.polytope_a=[[1,0,0],[-1,0,0]]",
+             "--set", "design.polytope_b=[1,1]", command],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == ('error: code=runtime field=- msg="empty attack set: '
+                       '{A a >= b} has no points"\n')
+        assert not list(tmp_path.iterdir())
+
     def test_steady_state_kind_selected(self, tmp_path, monkeypatch, capsys):
         # structurally mu = 0 on the AGC default: exit 3 with the diagnostic
         code, out, err = run_cli(
@@ -147,6 +160,21 @@ class TestReportCommand:
         assert err.startswith("error: code=runtime field=- ")
         assert f"no column {missing!r}" in err
         assert len(err.splitlines()) == 1 and out == ""
+        assert not list(tmp_path.glob("panel_*.csv"))
+
+    @pytest.mark.parametrize("column", ["d_a", "f_1_2"])
+    def test_non_integer_column_suffix_exits_1_without_panels(
+            self, column, tmp_path, monkeypatch, capsys):
+        # d_a used to end in main's last-resort handler as a bare
+        # ValueError, and f_1_2 was read as f_1
+        trace = tmp_path / "odd.csv"
+        trace.write_text(f"k,t,{column},rS_inf,r_D\n0,0,0.5,0,0\n")
+        code, out, err = run_cli(["report", "--trace", str(trace)],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == (f'error: code=runtime field=- msg="malformed trace '
+                       f"CSV {trace}: column {column!r} has no integer "
+                       f'index"\n')
         assert not list(tmp_path.glob("panel_*.csv"))
 
     def test_panels_written(self, tmp_path, monkeypatch, capsys):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
+from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.discretize import LtiModel
 from agcdiag.errors import DimensionError
 
 from helpers import poly_mat_multiply
-from oracles import build_v
+from oracles import build_fbar, build_v
 
 
 def toy_model(n_d=1):

@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agcdiag import lp
-from agcdiag.dae import build_dae, build_fbar, stack_hbar
+from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import (FeasibleSetBasis, design_robust,
                             design_steady_state, feasible_basis, solve_lp_i,
                             worst_case_alpha)
 from agcdiag.errors import EmptyAttackSetError, NumericError, ValidationError
 
-from oracles import (beta_for_index, brute_force_gamma,
+from oracles import (beta_for_index, brute_force_gamma, build_fbar,
                      check_reformulation_feasible, evaluate_payoff,
                      polytope_vertices)
 from reference_lp import solve_lp_reference
@@ -284,15 +284,38 @@ class TestCertificateCheck:
         dae = build_dae(toy_ss_model)
         fb = compute_basis(toy_ss_model.c, toy_ss_model.d_f)
         basis = feasible_basis(stack_hbar(dae, 1), 1.0, 1)
-        fbar = build_fbar(dae, fb, 1)
 
         def shift(values):
             values += 1e-3
 
         corrupt_final_point(monkeypatch, shift)
         with pytest.raises(NumericError, match=r"^steady-state LP: "):
-            design_steady_state(basis, fbar, np.array([[1.0]]),
+            design_steady_state(basis, attack_gain(dae, fb), np.array([[1.0]]),
                                 np.array([1.0]))
+
+
+class TestCertificateOutcome:
+    # a certificate LP ends optimal or raises: (theta, lam) = 0 is feasible,
+    # and with theta bounded the LP is unbounded only on an empty polytope
+    EMPTY = (np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("solve", [design_robust, design_steady_state])
+    def test_empty_polytope_raises(self, chain, solve):
+        # used to read as a zero certificate (exit 3 in the CLI)
+        with pytest.raises(EmptyAttackSetError, match=r"^empty attack set: "
+                           r"\{A a >= b\} has no points$"):
+            solve(chain.basis, chain.ffb, *self.EMPTY)
+
+    @pytest.mark.parametrize("solve, name", [
+        (design_robust, r"relaxation LP \(0, \+1\)"),
+        (design_steady_state, "steady-state LP"),
+    ])
+    def test_infeasible_verdict_raises(self, chain, monkeypatch, solve, name):
+        # used to be counted as a zero certificate with the zero filter
+        monkeypatch.setattr(lp, "solve_lp", lambda problem: lp.LpSolution(
+            lp.INFEASIBLE, None, None, 0))
+        with pytest.raises(NumericError, match=rf"^{name} ended infeasible$"):
+            solve(chain.basis, chain.ffb, chain.space.a, chain.space.b)
 
 
 class TestWorstCase:
@@ -348,7 +371,7 @@ class TestEvaluatePayoff:
 class TestSteadyState:
     def test_empty_basis_zero_mu(self):
         basis = FeasibleSetBasis(z=np.zeros((0, 4)), eta=1.0, d_n=1)
-        design = design_steady_state(basis, np.ones((4, 2)),
+        design = design_steady_state(basis, np.ones((2, 2)),
                                      np.ones((1, 2)), np.array([1.0]))
         assert design.gamma == 0.0
 
@@ -356,7 +379,7 @@ class TestSteadyState:
         # decoupling forces a zero steady-state gain on every stealthy-basis
         # attack for this model: the filter alert is transient-only
         assert np.abs(chain.basis.z @ chain.fbar).max() <= 1e-10
-        design = design_steady_state(chain.basis, chain.fbar,
+        design = design_steady_state(chain.basis, chain.ffb,
                                      chain.space.a, chain.space.b)
         assert design.gamma == 0.0
         assert "transient-only" in design.diagnostic
@@ -368,7 +391,7 @@ class TestSteadyState:
         basis = feasible_basis(stack_hbar(dae, 1), 1.0, 1)
         fbar = build_fbar(dae, fb, 1)
         a_pol, b_pol = np.array([[1.0]]), np.array([1.0])
-        design = design_steady_state(basis, fbar, a_pol, b_pol)
+        design = design_steady_state(basis, attack_gain(dae, fb), a_pol, b_pol)
         assert design.gamma > 1e-3
         rng = np.random.default_rng(9)
         gain_row = design.nbar @ fbar
@@ -380,11 +403,11 @@ class TestSteadyState:
         from agcdiag.attacks import compute_basis
         dae = build_dae(toy_ss_model)
         fb = compute_basis(toy_ss_model.c, toy_ss_model.d_f)
-        fbar = build_fbar(dae, fb, 1)
+        ffb = attack_gain(dae, fb)
         hbar = stack_hbar(dae, 1)
-        one = design_steady_state(feasible_basis(hbar, 1.0, 1), fbar,
+        one = design_steady_state(feasible_basis(hbar, 1.0, 1), ffb,
                                   np.array([[1.0]]), np.array([1.0]))
-        two = design_steady_state(feasible_basis(hbar, 2.0, 1), fbar,
+        two = design_steady_state(feasible_basis(hbar, 2.0, 1), ffb,
                                   np.array([[1.0]]), np.array([1.0]))
         assert two.gamma == pytest.approx(2 * one.gamma, rel=1e-8)
 

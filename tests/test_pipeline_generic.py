@@ -70,7 +70,7 @@ def test_full_design_on_augmented_loop(augmented_model):
     filt = realize_filter(design, dae.l)
     quiet = simulate(model, Scenario(horizon_s=40.0, t_s=1.0, seed=8,
                                      load_std={"g.load": 0.1}), filt)
-    assert np.abs(quiet.r_d[filt.warmup:]).max() <= 1e-8
+    assert np.abs(quiet.r_d[filt.d_n:]).max() <= 1e-8
 
     f_vec = synthesize_attack(space, alpha_star)
     attacked = simulate(model, Scenario(horizon_s=40.0, t_s=1.0, onset_s=20.0,

@@ -180,18 +180,18 @@ class TestSimulate:
                                                       "area2.load": 0.02,
                                                       "area3.load": 0.04})
         trace = simulate(chain.discrete, sc, filt)
-        assert np.abs(trace.r_d[filt.warmup:]).max() <= 1e-6
+        assert np.abs(trace.r_d[filt.d_n:]).max() <= 1e-6
 
     def test_constant_stealthy_attack_settles_at_dc_gain(self, toy_ss_model):
         # noise-free run converges to -N(1) F F_b' alpha (here nonzero)
         from agcdiag.attacks import compute_basis
-        from agcdiag.dae import attack_gain, build_dae, build_fbar, stack_hbar
+        from agcdiag.dae import attack_gain, build_dae, stack_hbar
         from agcdiag.design import design_steady_state, feasible_basis
         from oracles import steady_state_gain
         dae = build_dae(toy_ss_model)
         fb = compute_basis(toy_ss_model.c, toy_ss_model.d_f)
         basis = feasible_basis(stack_hbar(dae, 1), 1.0, 1)
-        design = design_steady_state(basis, build_fbar(dae, fb, 1),
+        design = design_steady_state(basis, attack_gain(dae, fb),
                                      np.array([[1.0]]), np.array([1.0]))
         assert design.gamma > 0
         alpha = np.array([1.3])
