@@ -120,7 +120,9 @@ def _certificate_lp(gain, basis: FeasibleSetBasis, a_pol,
 
         max b' lam  s.t.  gain' theta = A' lam,  ||theta @ Z||_inf <= eta,
 
-    where ``gain`` (n_z, d) maps theta to the pinned attack gain.
+    where ``gain`` (n_z, d) maps theta to the pinned attack gain. The ball
+    rows are the two halves ``[Z'; -Z']``, the layout ``lp.solve_lp``
+    stores as one row per mirrored pair (its input convention).
     """
     n_z, d = gain.shape
     if d != a_pol.shape[1]:
@@ -267,9 +269,7 @@ def design_steady_state(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
     start = time.perf_counter()
     sol = _solve_certificate("steady-state LP", gain, basis, a_pol, b_pol)
     elapsed = time.perf_counter() - start
-    # (``or`` prints the -0.0 of a max LP solved at x = 0 as 0)
-    row = LpIndexReport(-1, 0, sol.status, sol.value or 0.0, elapsed,
-                        sol.iterations)
+    row = LpIndexReport(-1, 0, sol.status, sol.value, elapsed, sol.iterations)
     theta = sol.x[:n_z]
     z = sol.x[n_z:]
     mu = max(0.0, float(sol.value))

@@ -20,11 +20,16 @@ an array operation; only the pivot sequence itself is a Python loop:
   enters with the negated column, and the partner of a basic part is not
   stored at all;
 * the same holds for rows: two ``<=`` rows whose coefficients are exact
-  negations (the ``||theta Z||_inf <= eta`` rows of the design LPs come in
-  such pairs) are one stored row while both slacks are basic, and the
+  negations are one stored row while both slacks are basic, and the
   second row is read as its negation. The rhs is kept per row, since the
   two rows' rhs may differ. A pivot on either row gives that row a stored
-  row of its own, and its mirror keeps the shared one;
+  row of its own, and its mirror keeps the shared one. The solver pairs
+  rows by their layout, its input convention: the i-th ``<=`` row of the
+  first half with the i-th of the second half, as the design LPs write
+  their ``||theta Z||_inf <= eta`` rows (``[Z'; -Z']``). Rows laid out
+  otherwise solve to the same bits, each in a stored row of its own;
+* a pivot row or rhs entry above ``GROWTH_LIMIT`` in magnitude, or nan,
+  raises ``NumericError``: a tiny pivot has blown the tableau up;
 * Bland's smallest-index rule picks both variables, which rules out
   cycling: the entering variable is the first one with a negative reduced
   cost (index q of a stored pair when its cost is below ``-PIVOT_TOL``,
@@ -51,7 +56,7 @@ exact and commutes with ``x - f * p`` (round-to-nearest is symmetric, so
 exact negation of its partner's, and the mirror row of a pair, whose basic
 slack column is left out, stays the exact negation of its stored row. The
 ratio test and the rhs update read each row's entry as ``sign * col[stored
-row]``, the full tableau's entry. Pairs are found with ``==``, which does
+row]``, the full tableau's entry. Pairs are kept by ``==``, which does
 not see a zero's sign. So entries may differ from the full tableau's only
 in the sign of a zero, which no comparison sees, and the ``0.0 +`` that
 reads the solution off the tableau turns such a zero into +0.0.
@@ -72,6 +77,7 @@ UNBOUNDED = "unbounded"
 FEAS_TOL = 1e-8
 CHECK_TOL = 1e-9
 PIVOT_TOL = 1e-10
+GROWTH_LIMIT = 1e12
 MAX_ITER = 10 ** 6
 
 # row kinds; a row negated to a nonnegative rhs swaps >= and <=
@@ -203,7 +209,8 @@ class _Tableau:
         ``row``, takes the slot: ``0 - f * (unit / piv)`` below and above the
         pivot, ``unit / piv`` in the pivot row, the full tableau's bits. A
         pivot row that shares its stored row moves to a row of its own, and
-        its mirror keeps the stored row.
+        its mirror keeps the stored row. A pivot row or rhs entry beyond
+        ``GROWTH_LIMIT`` raises ``NumericError`` before the tableau changes.
         """
         tab = self.tab
         leaving = self.basis[row]
@@ -213,6 +220,13 @@ class _Tableau:
         # the logical row over piv, (rsign * x) / piv
         prow = tab[stored] / col[stored]
         prow[slot] = self.unit[leaving] / piv
+        rhs = self.rhs
+        value = rhs[row] / piv
+        peak = np.abs(prow).max()
+        if not (peak <= GROWTH_LIMIT and abs(value) <= GROWTH_LIMIT):
+            raise NumericError(
+                f"pivot {self.iterations + 1} grows the tableau to "
+                f"{np.maximum(peak, abs(value)):.2g} (limit {GROWTH_LIMIT:.0e})")
         tab[:col.size, slot] = 0.0
         # the same products as np.outer, written about twice as fast
         tab[:col.size] -= np.einsum("i,j->ij", col, prow)
@@ -222,8 +236,6 @@ class _Tableau:
             self.used += 1
         tab[stored] = prow
         self.rsign[row] = 1.0
-        rhs = self.rhs
-        value = rhs[row] / piv
         rhs -= lcol * value
         rhs[row] = value
         self.basis[row] = entering
@@ -260,30 +272,13 @@ class _Tableau:
 
 
 def _mirrored_pairs(coeff: np.ndarray, rows: np.ndarray):
-    """Pairs ``(i, j)``, ``i < j``, of ``rows`` with ``coeff[j] == -coeff[i]``.
-
-    Each row gets one key, its dot product with fixed weights. einsum sums
-    every row in the same order, so a negated row gets the exactly negated
-    key (BLAS may not: its kernels can sum rows in different orders). The
-    t-th row of a positive key is matched with the t-th row of the negated
-    key, in row order, and an exact ``==`` check keeps the matches that are
-    negations. (Distinct rows can share a key: the design LPs hold rows
-    that differ in the last bits only.)
-    """
-    if rows.size < 2:
-        return rows[:0], rows[:0]
-    weights = np.sqrt(np.arange(2.0, coeff.shape[1] + 2.0))
-    key = np.einsum("ij,j->i", coeff, weights)[rows]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(key > 0.0)
-    second = (np.searchsorted(key, -key[first])
-              + first - np.searchsorted(key, key[first]))
-    hit = second < np.searchsorted(key, -key[first], side="right")
-    first, second = rows[order[first[hit]]], rows[order[second[hit]]]
+    """Pairs ``(i, j)`` of ``rows`` laid out as two halves: the i-th row of
+    the first half with the i-th of the second (the middle row of an odd
+    count stays unpaired), kept when ``coeff[j] == -coeff[i]``."""
+    half = rows.size // 2
+    first, second = rows[:half], rows[rows.size - half:]
     exact = (coeff[first] == -coeff[second]).all(axis=1)
-    first, second = first[exact], second[exact]
-    return np.minimum(first, second), np.maximum(first, second)
+    return first[exact], second[exact]
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -336,8 +331,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     unit = np.ones(total)
     unit[pos[free] + 1] = -1.0
 
-    # Two <= rows whose coefficients are exact negations share one stored
-    # row, the second as its negation, until either leaves its slack.
+    # Mirrored <= rows of the two halves share one stored row, the second
+    # as its negation, until either leaves its slack.
     first, second = _mirrored_pairs(coeff, np.flatnonzero(kinds == _LE))
     own = np.ones(m, dtype=bool)
     own[second] = False
@@ -414,10 +409,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x = 0.0 + xprime[pos]     # a -0.0 becomes +0.0 (module docstring)
     x[free] -= xprime[pos[free] + 1]
     _check_point(problem, x)
-    value = float(minimize_c @ x)
-    if problem.sense == "max":
-        value = -value
-    return LpSolution(OPTIMAL, value, x, simplex.iterations)
+    return LpSolution(OPTIMAL, float(problem.c @ x), x, simplex.iterations)
 
 
 def _check_point(problem: LpProblem, x: np.ndarray) -> None:

@@ -9,7 +9,8 @@ included.
 ``solve_lp`` stores a condensed tableau instead: only the nonbasic columns,
 one column per free pair (the negative part's column is its exact
 negation), no artificial columns after phase 1, and one row per pair of
-``<=`` rows that are exact negations while both their slacks are basic
+``<=`` rows that are exact negations, the i-th of the first half of the
+``<=`` rows with the i-th of the second, while both their slacks are basic
 (the second row is read as the negation of the first, with its own rhs).
 Each entry it keeps is computed by the same operations as the entry here,
 and the columns and rows it leaves out are unit vectors or exact
@@ -190,7 +191,4 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
         x[j] += xprime[pos]
         if neg is not None:
             x[j] -= xprime[neg]
-    value = float(minimize_c @ x)
-    if problem.sense == "max":
-        value = -value
-    return LpSolution(OPTIMAL, value, x, iterations)
+    return LpSolution(OPTIMAL, float(problem.c @ x), x, iterations)

@@ -384,6 +384,23 @@ class TestSteadyState:
         assert design.gamma == 0.0
         assert "transient-only" in design.diagnostic
 
+    def test_agc_default_lp_value_is_positive_zero(self, chain, monkeypatch):
+        # the max LP ends at x = 0 with the value +0.0, not its negation
+        values = []
+        solve_lp = lp.solve_lp
+
+        def spy(problem):
+            sol = solve_lp(problem)
+            values.append(sol.value)
+            return sol
+
+        monkeypatch.setattr(lp, "solve_lp", spy)
+        design = design_steady_state(chain.basis, chain.ffb,
+                                     chain.space.a, chain.space.b)
+        assert values == [0.0]
+        assert np.copysign(1.0, values[0]) == 1.0
+        assert np.copysign(1.0, design.table[0].gamma) == 1.0
+
     def test_toy_has_positive_mu_with_certificate(self, toy_ss_model):
         from agcdiag.attacks import compute_basis
         dae = build_dae(toy_ss_model)

@@ -255,7 +255,7 @@ def ball_lp(rng, mirror=None):
     n = int(rng.integers(2, 6))
     z = rng.standard_normal((int(rng.integers(n + 1, 2 * n + 3)), n))
     z[rng.random(z.shape) < 0.2] = 0.0
-    z[~z.any(axis=1), 0] = 1.0          # a zero row has key 0: never paired
+    z[~z.any(axis=1), 0] = 1.0          # every row bounds x
     eta = rng.uniform(0.5, 2.0, size=(2, z.shape[0]))
     return lp.LpProblem(
         "min" if rng.random() < 0.5 else "max", rng.standard_normal(n),
@@ -265,7 +265,8 @@ def ball_lp(rng, mirror=None):
 
 
 class TestMirroredRows:
-    """Two ``<=`` rows whose coefficients are exact negations share one
+    """Two ``<=`` rows whose coefficients are exact negations, the i-th of
+    the first half of the ``<=`` rows and the i-th of the second, share one
     stored row until either leaves its slack; the bits must stay those of
     the full tableau, which stores both."""
 
@@ -297,18 +298,21 @@ class TestMirroredRows:
             assert ours.x.tobytes() == ref.x.tobytes()
         return ours
 
-    @pytest.mark.parametrize("mirror", [
-        None,                                   # [z, 0.0] against [-z, -0.0]
-        lambda z: -z + 0.0,                     # [z, 0.0] against [-z, 0.0]
-    ], ids=["negated-zeros", "positive-zeros"])
-    def test_ball_pairs_keep_the_bits(self, seen, mirror):
+    @pytest.mark.parametrize("mirror, paired", [
+        (None, True),                           # [z, 0.0] against [-z, -0.0]
+        (lambda z: -z + 0.0, True),             # [z, 0.0] against [-z, 0.0]
+        # every mirror one row off its place in the second half
+        (lambda z: -np.roll(z, 1, axis=0), False),
+    ], ids=["negated-zeros", "positive-zeros", "shuffled"])
+    def test_ball_pairs_keep_the_bits(self, seen, mirror, paired):
         rng = np.random.default_rng(17)
         for _ in range(80):
             problem = ball_lp(rng, mirror)
             half = problem.a_ge.shape[0] // 2
             assert self.assert_reference_bits(problem).is_optimal
-            assert seen["pairs"][-1] == [(i, i + half) for i in range(half)]
-        assert seen["splits"] > 0
+            assert seen["pairs"][-1] == (
+                [(i, i + half) for i in range(half)] if paired else [])
+        assert (seen["splits"] > 0) == paired
 
     def test_pairs_with_equality_rows(self, seen):
         # the design LP's shape: equality rows first, with artificials
@@ -336,21 +340,23 @@ class TestMirroredRows:
         assert seen["splits"] > 0
 
     def test_only_negated_le_rows_pair(self, seen):
+        # mirrored <= rows outside the halves layout share no stored row
         g = np.array([1.0, 2.0, -0.5])
         h = np.array([0.5, -1.0, 1.0])
         problem = lp.LpProblem(
             "max", [1.0, 1.0, 1.0],
             a_eq=[g, -g], b_eq=[0.0, 0.0],   # rows 0, 1: = rows, negated
             a_ge=[h,        # row 2: h >= 0.25, a >= row with a positive rhs
-                  -h,       # row 3: h <= 4
-                  -g, -g,   # rows 4, 5: g <= 3 twice, duplicates
-                  h, h],    # rows 6, 7: -h <= 6 and -h <= 7
-            b_ge=[0.25, -4.0, -3.0, -3.0, -6.0, -7.0],
+                  -h, h,    # rows 3, 4: h <= 4 and -h <= 6, side by side
+                  -g, g,    # rows 5, 6: g <= 3 and -g <= 7, side by side
+                  -g],      # row 7: g <= 3 again, the mirror of row 6
+            b_ge=[0.25, -4.0, -6.0, -3.0, -7.0, -3.0],
             lower=[0.0, 0.0, 0.0])
         assert self.assert_reference_bits(problem).is_optimal
-        # rows 6 and 7 both negate rows 2 and 3; only the <= rows pair, and
-        # row 3 pairs once, with the first of them
-        assert seen["pairs"] == [[(3, 6)]]
+        # the <= rows 3..7 pair as (3, 6) and (4, 7), with row 5 in the
+        # middle; neither pair is a negation
+        assert seen["pairs"] == [[]]
+        assert seen["splits"] == 0
 
 
 class TestGuards:
@@ -371,6 +377,31 @@ class TestGuards:
             solve("max", [1.0, 1.0],
                   a_ge=[[-1.0, -2.0], [-3.0, -1.0]], b_ge=[-4.0, -6.0],
                   lower=[0.0, 0.0])
+
+    @pytest.mark.parametrize("spoil", ["tiny-pivot", "nan-rhs"])
+    def test_tableau_blow_up_fails_fast(self, monkeypatch, spoil):
+        # the first pivot divides rows of ~1e3 by an element just above
+        # PIVOT_TOL (or meets a nan rhs); the guard stops the solve there
+        # instead of letting the simplex run on
+        pivots = []
+        pivot = lp._Tableau.pivot
+
+        def spy(self, row, slot, entering, col, lcol):
+            pivots.append(row)
+            if len(pivots) == 1 and spoil == "tiny-pivot":
+                col = col.copy()
+                col[self.srow[row]] = self.rsign[row] * 1.5 * lp.PIVOT_TOL
+                lcol = col[self.srow] * self.rsign
+            elif len(pivots) == 1:
+                self.rhs[row] = np.nan
+            return pivot(self, row, slot, entering, col, lcol)
+
+        monkeypatch.setattr(lp._Tableau, "pivot", spy)
+        a = 1e3 * np.random.default_rng(23).uniform(0.5, 1.5, size=(5, 5))
+        with pytest.raises(NumericError, match=r"^pivot 1 grows the tableau"):
+            solve("max", np.ones(5), a_ge=-a, b_ge=-np.ones(5),
+                  lower=np.zeros(5))
+        assert len(pivots) == 1
 
     def test_non_finite_data_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -159,8 +159,9 @@ class TestDesignLpAgreement:
                                           abs=1e-9)
 
     def test_six_area_ring_fails_its_post_solve_check(self):
-        # LP (2, +1) ends "optimal" at a point that breaks its rows (HiGHS
-        # gives gamma = 3); the check must refuse it, not print it
+        # a tiny pivot of LP (2, +1) blows its tableau up (HiGHS gives
+        # gamma = 3); the growth guard, or else the post-solve check, must
+        # refuse it, not print it
         with pytest.raises(NumericError, match=r"^relaxation LP \(2, \+1\)"):
             design_robust(*ring_instance(6))
 

@@ -32,11 +32,11 @@ def assert_scaled(gamma: float, base: float, c: float) -> None:
     assert abs(gamma - want) <= 2 * np.spacing(want), (gamma, want)
 
 
-# ROADMAP item 1: eta = 1e-9 breaks LP (1, +1)'s equality rows by 0.26,
-# eta = 1e8 those of LP (0, +1)
+# ROADMAP item 1: eta = 1e-9 blows LP (1, +1)'s tableau up past the growth
+# limit, eta = 1e8 breaks LP (0, +1)'s equality rows by 5.6e-9
 ETA_DEFECT = pytest.mark.xfail(raises=NumericError, strict=True,
                                reason="ROADMAP item 1: eta outside "
-                                      "[1e-7, 1e6] breaks an LP's rows")
+                                      "[1e-7, 1e6] breaks an LP")
 
 
 @pytest.mark.parametrize("c", SCALES + tuple(
