@@ -65,6 +65,8 @@ def load_config(path) -> dict:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), f"config file not readable: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"not valid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -16,14 +16,14 @@ are solved. The equality Nbar Hbar = 0 is eliminated by parameterizing
 Nbar = theta @ Z over an orthonormal null basis Z, which keeps the LPs
 small and feasibility structural.
 
-Every certificate LP (the relaxations and the steady-state LP) ends
-optimal or raises. Its zero point is feasible, so it is never infeasible,
-and as theta is bounded it is unbounded exactly when {A a >= b} is empty
-(Farkas), which raises ``EmptyAttackSetError``; any other verdict raises
-``NumericError`` naming the LP. ``lp.solve_lp`` checks every solved point
-against its LP's rows. The independent checks of the LP route (the
-brute-force game value, the finite-reformulation test) are test oracles in
-``tests/oracles.py``.
+Every LP of the design ends optimal or raises (``_solve``). A certificate
+LP (a relaxation or the steady-state LP) has a feasible zero point, and as
+theta is bounded it is unbounded exactly when {A a >= b} is empty (Farkas);
+the worst-case LP is infeasible exactly then. That verdict raises
+``EmptyAttackSetError``, and any other raises ``NumericError`` naming the
+LP. ``lp.solve_lp`` checks every solved point against its LP's rows. The
+independent checks of the LP route (the brute-force game value, the
+finite-reformulation test) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -138,24 +138,29 @@ def _certificate_lp(gain, basis: FeasibleSetBasis, a_pol,
         lower=np.concatenate([np.full(n_z, -np.inf), np.zeros(n_b)]))
 
 
-def _solve_named(name: str, problem: lp.LpProblem) -> lp.LpSolution:
-    """``lp.solve_lp``, with ``name`` put before a failed check's message."""
+def _solve(name: str, problem: lp.LpProblem, empty: str) -> lp.LpSolution:
+    """The optimal solution of ``problem``, the LP ``name``. The verdict
+    ``empty``, which means {A a >= b} has no points, raises
+    ``EmptyAttackSetError``; any other failure raises ``NumericError``
+    naming the LP."""
     try:
-        return lp.solve_lp(problem)
+        sol = lp.solve_lp(problem)
     except NumericError as exc:
         raise NumericError(f"{name}: {exc}") from exc
-
-
-def _solve_certificate(name: str, gain, basis: FeasibleSetBasis, a_pol,
-                       b_pol) -> lp.LpSolution:
-    """The optimal solution of ``_certificate_lp``, or the module
-    docstring's error."""
-    sol = _solve_named(name, _certificate_lp(gain, basis, a_pol, b_pol))
-    if sol.status == lp.UNBOUNDED:
+    if sol.status == empty:
         raise EmptyAttackSetError("empty attack set: {A a >= b} has no points")
     if not sol.is_optimal:
         raise NumericError(f"{name} ended {sol.status}")
     return sol
+
+
+def _certificate(name: str, gain, basis: FeasibleSetBasis, a_pol, b_pol):
+    """``(value, theta @ Z, multiplier, solution)`` of the optimal solution
+    of ``_certificate_lp``, or the module docstring's error."""
+    sol = _solve(name, _certificate_lp(gain, basis, a_pol, b_pol),
+                 lp.UNBOUNDED)
+    n_z = basis.n_free
+    return float(sol.value), sol.x[:n_z] @ basis.z, sol.x[n_z:], sol
 
 
 def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
@@ -171,13 +176,8 @@ def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
         raise ValueError("sign must be +1 or -1")
     if not 0 <= block <= basis.d_n:
         raise ValueError(f"block {block} outside 0..{basis.d_n}")
-    n_z = basis.n_free
-    gain_j = basis.block(block) @ ffb          # (n_z, d)
-    sol = _solve_certificate(f"relaxation LP ({block}, {sign:+d})",
-                             sign * gain_j, basis, a_pol, b_pol)
-    theta = sol.x[:n_z]
-    lam = sol.x[n_z:]
-    return float(sol.value), theta @ basis.z, lam, sol
+    return _certificate(f"relaxation LP ({block}, {sign:+d})",
+                        sign * (basis.block(block) @ ffb), basis, a_pol, b_pol)
 
 
 def design_robust(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
@@ -242,13 +242,8 @@ def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
     cost[-1] = 1.0
     lower = np.concatenate([np.full(d, -np.inf), [0.0]])
     problem = lp.LpProblem("min", cost, a_ge=a_ge, b_ge=b_ge, lower=lower)
-    sol = _solve_named("worst-case LP", problem)
-    if sol.status == lp.INFEASIBLE:
-        raise EmptyAttackSetError("empty attack set: {A a >= b} has no points")
-    if not sol.is_optimal:
-        raise ValidationError(f"inner minimization ended with {sol.status}")
-    alpha = sol.x[:d]
-    return alpha, float(sol.value)
+    sol = _solve("worst-case LP", problem, lp.INFEASIBLE)
+    return sol.x[:d], float(sol.value)
 
 
 def design_steady_state(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
@@ -264,17 +259,14 @@ def design_steady_state(basis: FeasibleSetBasis, ffb, a_pol, b_pol,
     fbar = np.vstack([np.asarray(ffb, dtype=float)] * (basis.d_n + 1))
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
     b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
-    n_z = basis.n_free
-    gain = basis.z @ fbar                      # (n_z, d)
     start = time.perf_counter()
-    sol = _solve_certificate("steady-state LP", gain, basis, a_pol, b_pol)
+    value, nbar, z, sol = _certificate("steady-state LP", basis.z @ fbar,
+                                       basis, a_pol, b_pol)
     elapsed = time.perf_counter() - start
-    row = LpIndexReport(-1, 0, sol.status, sol.value, elapsed, sol.iterations)
-    theta = sol.x[:n_z]
-    z = sol.x[n_z:]
-    mu = max(0.0, float(sol.value))
+    row = LpIndexReport(-1, 0, sol.status, value, elapsed, sol.iterations)
+    mu = max(0.0, value)
     note = "" if mu > 0 else (
         "mu = 0: every decoupled filter has zero worst-case steady-state "
         "gain over this attack polytope (transient-only detection)")
-    return FilterDesign(theta @ basis.z, basis.d_n, pole, mu, "steady-state",
+    return FilterDesign(nbar, basis.d_n, pole, mu, "steady-state",
                         None, z, (row,), note)

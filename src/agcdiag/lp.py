@@ -1,6 +1,7 @@
 """Self-contained dense linear-programming solver over free and nonnegative
 variables, the two kinds every LP of the package uses (any other bound is
-written as a row).
+written as a row). A row block left out of an ``LpProblem`` is an empty
+``(0, n)`` block, and ``upper`` is a read-only +inf property.
 
 Two-phase primal simplex with Bland's rule on a condensed (dictionary)
 tableau (Chvatal, *Linear Programming*, ch. 2-3). Every step of a pivot is
@@ -38,9 +39,13 @@ an array operation; only the pivot sequence itself is a Python loop:
   variable has the smallest index;
 * a hard pivot cap converts a hypothetical stall into an error instead of
   an infinite loop;
-* a phase 1 that ends unbounded or with a negative sum of artificials,
-  both impossible in exact arithmetic, raises ``NumericError`` instead of
-  reporting the problem infeasible;
+* ``_Tableau.price`` prices the objective row: a cost of 1 on each
+  artificial in phase 1, the problem's cost in phase 2;
+* a phase-1 sum of artificials above ``FEAS_TOL * max(1, max |b|)`` means
+  infeasible; one that ends unbounded or below minus that, both
+  impossible in exact arithmetic, raises ``NumericError``;
+* so does an objective row or value that is not finite at the end of
+  either phase: its nans would hide every improving column;
 * every optimal point is checked against the rows and bounds of the
   problem as given before it is returned (``_check_point``); the check
   only reads the point, so it changes no pivot and no bit of the result.
@@ -88,7 +93,8 @@ _SWAP = np.array([_EQ, _LE, _GE])
 @dataclass(frozen=True)
 class LpProblem:
     """max/min c'x subject to A_eq x = b_eq, A_ge x >= b_ge, each variable
-    free (``lower`` -inf, the default) or nonnegative (``lower`` 0)."""
+    free (``lower`` -inf, the default) or nonnegative (``lower`` 0). A block
+    left out is an empty ``(0, n)`` block; ``upper`` is a +inf property."""
 
     sense: str
     c: np.ndarray
@@ -97,7 +103,6 @@ class LpProblem:
     a_ge: np.ndarray | None = None
     b_ge: np.ndarray | None = None
     lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -110,7 +115,7 @@ class LpProblem:
 
         def norm_rows(a, b, what):
             if a is None and b is None:
-                return None, None
+                return np.zeros((0, n)), np.zeros(0)
             a = np.atleast_2d(np.asarray(a, dtype=float))
             b = np.atleast_1d(np.asarray(b, dtype=float))
             if a.shape != (b.size, n):
@@ -130,20 +135,21 @@ class LpProblem:
 
         lower = (np.full(n, -np.inf) if self.lower is None
                  else np.atleast_1d(np.asarray(self.lower, dtype=float)))
-        upper = (np.full(n, np.inf) if self.upper is None
-                 else np.atleast_1d(np.asarray(self.upper, dtype=float)))
-        if lower.size != n or upper.size != n:
-            raise DimensionError("bound vectors must match the variable count")
-        bad = ~((lower == 0.0) | (lower == -np.inf)) | (upper != np.inf)
+        if lower.size != n:
+            raise DimensionError("lower must match the variable count")
+        bad = ~((lower == 0.0) | (lower == -np.inf))
         if bad.any():
             raise ValueError(f"variable {int(np.argmax(bad))} is neither free "
-                             "nor nonnegative (lower -inf or 0, upper +inf)")
+                             "nor nonnegative (lower -inf or 0)")
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def n_vars(self) -> int:
         return self.c.size
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.full(self.n_vars, np.inf)
 
 
 @dataclass(frozen=True)
@@ -241,8 +247,21 @@ class _Tableau:
         self.basis[row] = entering
         self.ids[slot] = leaving - (self.unit[leaving] < 0)
 
+    def price(self, cost: np.ndarray) -> None:
+        """Row 0 := the reduced costs of ``cost`` (one per variable): the
+        stored columns' costs less ``cost[basis[i]]`` times row i for each
+        costed basic, i ascending. Such a row is stored as itself: an
+        artificial's row is never paired, a costed basic came in by pivot."""
+        obj, rhs = self.tab[0], self.rhs
+        obj[:] = cost[self.ids]
+        rhs[-1] = 0.0
+        for i in np.flatnonzero(cost[self.basis] != 0.0):
+            obj -= cost[self.basis[i]] * self.tab[self.srow[i]]
+            rhs[-1] -= cost[self.basis[i]] * rhs[i]
+
     def run(self) -> str:
-        """Bland-rule simplex on the objective row; 'optimal'/'unbounded'."""
+        """Bland-rule simplex on the objective row; 'optimal'/'unbounded'
+        (or ``NumericError`` if the objective row ends not finite)."""
         basis = self.basis
         while True:
             if self.iterations >= MAX_ITER:
@@ -254,7 +273,8 @@ class _Tableau:
             negated = self.paired[self.ids] & (reduced > PIVOT_TOL)
             improving = (reduced < -PIVOT_TOL) | negated
             if not improving.any():
-                return "optimal"
+                status = "optimal"
+                break
             # (the variable count lies past every index)
             index = np.where(improving, self.ids + negated, self.paired.size)
             slot = int(index.argmin())
@@ -263,12 +283,17 @@ class _Tableau:
             # the one whose basic variable has the smallest index
             rows = (lcol[:-1] > PIVOT_TOL).nonzero()[0]
             if rows.size == 0:
-                return "unbounded"
+                status = "unbounded"
+                break
             ratios = self.rhs[rows] / lcol[rows]
             ties = rows[ratios <= ratios.min() + PIVOT_TOL]
             self.pivot(ties[basis[ties].argmin()], slot, int(index[slot]),
                        col, lcol)
             self.iterations += 1
+        if not (np.isfinite(self.tab[0]).all() and np.isfinite(self.rhs[-1])):
+            raise NumericError(f"the objective row is not finite after "
+                               f"{self.iterations} pivots")
+        return status
 
 
 def _mirrored_pairs(coeff: np.ndarray, rows: np.ndarray):
@@ -281,6 +306,7 @@ def _mirrored_pairs(coeff: np.ndarray, rows: np.ndarray):
     return first[exact], second[exact]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # see _Tableau.run
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an ``LpProblem``, returning status, optimum, and primal point."""
     n = problem.n_vars
@@ -294,17 +320,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     pos = np.cumsum(width) - width
     ncols = int(width.sum())
 
-    # Rows: equalities, then >= rows (none at all is allowed).
-    a_rows, rhs, kinds = [np.zeros((0, n))], [np.zeros(0)], [np.zeros(0, int)]
-    for a, b, kind in ((problem.a_eq, problem.b_eq, _EQ),
-                       (problem.a_ge, problem.b_ge, _GE)):
-        if a is not None:
-            a_rows.append(a)
-            rhs.append(b)
-            kinds.append(np.full(b.size, kind))
-    coeff = np.vstack(a_rows)
-    rhs = np.concatenate(rhs)
-    kinds = np.concatenate(kinds)
+    # Rows: equalities, then >= rows (either block may be empty).
+    coeff = np.vstack([problem.a_eq, problem.a_ge])
+    rhs = np.concatenate([problem.b_eq, problem.b_ge])
+    kinds = np.repeat([_EQ, _GE], [problem.b_eq.size, problem.b_ge.size])
 
     # Normalise to nonnegative rhs; >= rows with positive rhs need surplus +
     # artificial, everything that lands as <= gets a basis-ready slack.
@@ -360,17 +379,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     simplex = _Tableau(tab, used, srow, rsign, shared, rhs, basis, ids,
                        paired, unit)
 
-    # --- phase 1 -----------------------------------------------------------
+    # --- phase 1: minimize the sum of the artificials ---------------------
     if n_art:
-        for i in art_rows:
-            tab[0] -= tab[srow[i]]
-            rhs[m] -= rhs[i]
+        # the rhs as given sets the scale of the sum's rounding
+        tol = FEAS_TOL * max(1.0, rhs.max())
+        simplex.price(np.where(np.arange(total) < n_real, 0.0, 1.0))
         status = simplex.run()
         infeasibility = -rhs[m]   # the artificials' sum
-        if status != "optimal" or infeasibility < -FEAS_TOL:
+        if status != "optimal" or infeasibility < -tol:
             raise NumericError(f"phase 1 ended {status} with artificial sum "
                                f"{infeasibility:.2g}")
-        if infeasibility > FEAS_TOL:
+        if infeasibility > tol:
             return LpSolution(INFEASIBLE, None, None, simplex.iterations)
         # Drive leftover artificials out of the basis; a row with no usable
         # pivot is redundant and can stay (its rhs is ~0). Such a row never
@@ -389,17 +408,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         unit[n_real:] = 0.0
 
     # --- phase 2 -----------------------------------------------------------
-    # Basic columns are exact unit vectors, so pricing out one basic cost
-    # leaves the others untouched and the rows can be picked up front.
-    tab = simplex.tab
-    obj = tab[0]
-    obj[:] = cost[simplex.ids]
-    rhs[m] = 0.0
-    # (a row with a costed basic variable was a pivot row: it is stored as
-    # itself, with sign +1)
-    for i in np.flatnonzero(cost[basis] != 0.0):
-        obj -= cost[basis[i]] * tab[srow[i]]
-        rhs[m] -= cost[basis[i]] * rhs[i]
+    simplex.price(cost)
     status = simplex.run()
     if status == "unbounded":
         return LpSolution(UNBOUNDED, None, None, simplex.iterations)
@@ -415,14 +424,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 def _check_point(problem: LpProblem, x: np.ndarray) -> None:
     """Raise ``NumericError`` when ``x`` misses a row or a lower bound of
     ``problem`` by more than ``CHECK_TOL * max(1, |rhs|)``, or by nan."""
-    checks = []
-    if problem.a_eq is not None:
-        checks.append(("equality rows", np.abs(problem.a_eq @ x - problem.b_eq),
-                       problem.b_eq))
-    if problem.a_ge is not None:
-        checks.append(("inequality rows", problem.b_ge - problem.a_ge @ x,
-                       problem.b_ge))
-    checks.append(("lower bounds", problem.lower - x, problem.lower))
-    for kind, miss, rhs in checks:
+    p = problem
+    for kind, miss, rhs in (
+            ("equality rows", np.abs(p.a_eq @ x - p.b_eq), p.b_eq),
+            ("inequality rows", p.b_ge - p.a_ge @ x, p.b_ge),
+            ("lower bounds", p.lower - x, p.lower)):
         if not np.all(miss <= CHECK_TOL * np.maximum(1.0, np.abs(rhs))):
             raise NumericError(f"LP point breaks its {kind} by {miss.max():.2g}")

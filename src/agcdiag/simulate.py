@@ -362,8 +362,11 @@ def write_trace_csv(trace: SimulationTrace, path,
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
     """Parse a trace CSV back into column arrays keyed by header name."""
-    with open(path, newline="\n") as handle:
-        lines = [ln for ln in handle if ln.strip()]
+    try:
+        with open(path, newline="\n") as handle:
+            lines = [ln for ln in handle if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"malformed trace CSV {path}: {exc}") from exc
     if len(lines) < 2:
         raise ValidationError(f"malformed trace CSV: {path}")
     header = lines[0].rstrip("\n").split(",")

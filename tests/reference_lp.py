@@ -58,12 +58,10 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
     cost = expand(minimize_c)
 
     rows = []   # (coeffs over x', rhs, kind) with kind in {"eq", "ge", "le"}
-    if problem.a_eq is not None:
-        for a_row, b_val in zip(problem.a_eq, problem.b_eq):
-            rows.append((expand(a_row), b_val, "eq"))
-    if problem.a_ge is not None:
-        for a_row, b_val in zip(problem.a_ge, problem.b_ge):
-            rows.append((expand(a_row), b_val, "ge"))
+    for a_row, b_val in zip(problem.a_eq, problem.b_eq):
+        rows.append((expand(a_row), b_val, "eq"))
+    for a_row, b_val in zip(problem.a_ge, problem.b_ge):
+        rows.append((expand(a_row), b_val, "ge"))
 
     # Normalise to nonnegative rhs; >= rows with positive rhs need surplus +
     # artificial, everything that lands as <= gets a basis-ready slack.
@@ -153,7 +151,9 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
             if basis[i] in art_cols:
                 obj -= tab[i]
         status = run_simplex(obj)
-        if status != "optimal" or -obj[-1] > FEAS_TOL:
+        # the sum's threshold scales with the rhs, as in solve_lp
+        if (status != "optimal"
+                or -obj[-1] > FEAS_TOL * max(1.0, np.abs(rhs).max(initial=0))):
             return LpSolution(INFEASIBLE, None, None, iterations)
         # Drive leftover artificials out of the basis; a row with no usable
         # pivot is redundant and can stay (its rhs is ~0).

@@ -509,6 +509,57 @@ class TestErrors:
         assert code == 2
         assert "error: code=config" in err
 
+    @pytest.mark.parametrize("make", ["directory", "non-utf8"])
+    def test_unreadable_config_file_exits_2(self, make, tmp_path, monkeypatch,
+                                            capsys):
+        path = tmp_path / "cfg.json"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"design": {"eta": "\xff"}}')
+        code, out, err = run_cli(["--config", str(path), "design"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: code=config field={path} ")
+        assert "config file not readable" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_trace_exits_1(self, tmp_path, monkeypatch, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_bytes(b"t,rS_inf,r_D\n0,0,\xff\n")
+        code, out, err = run_cli(["report", "--trace", str(trace)],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith('error: code=runtime field=- '
+                              f'msg="malformed trace CSV {trace}: ')
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("panel_*.csv"))
+
+    def test_large_polytope_offset_is_no_empty_attack_set(
+            self, tmp_path, monkeypatch, capsys):
+        # 1'a >= 1e6 has points; phase 1 of the worst-case LP ends with an
+        # artificial sum of 3.6e-8, rounding at this rhs, not a sign that
+        # the attack set is empty
+        code, out, err = run_cli(["--set", "design.polytope_b=[1e6]",
+                                  "attack"], tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith('error: code=runtime field=- '
+                              'msg="worst-case LP: ')
+        assert "empty attack set" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_overflowing_objective_exits_1(self, tmp_path, monkeypatch,
+                                           capsys):
+        # the optimum of LP (1, +1) overflows; nans in its objective row
+        # hide every improving column, so the point is not optimal
+        code, out, err = run_cli(["--set", "design.polytope_b=[1e308]",
+                                  "design"], tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == ('error: code=runtime field=- msg="relaxation LP '
+                       '(1, +1): the objective row is not finite after 220 '
+                       'pivots"\n')
+        assert not list(tmp_path.iterdir())
+
     def test_missing_trace_file_exits_2(self, tmp_path, monkeypatch, capsys):
         code, out, err = run_cli(["report", "--trace",
                                   str(tmp_path / "nope.csv")],

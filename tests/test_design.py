@@ -278,6 +278,16 @@ class TestCertificateCheck:
             worst_case_alpha(chain.design.nbar, chain.ffb, 3, chain.space.a,
                              chain.space.b)
 
+    def test_unbounded_verdict_names_the_lp(self, chain, monkeypatch):
+        # t >= 0 bounds the LP below, so only a solver fault ends it
+        # unbounded
+        monkeypatch.setattr(lp, "solve_lp", lambda problem: lp.LpSolution(
+            lp.UNBOUNDED, None, None, 0))
+        with pytest.raises(NumericError,
+                           match=r"^worst-case LP ended unbounded$"):
+            worst_case_alpha(chain.design.nbar, chain.ffb, 3, chain.space.a,
+                             chain.space.b)
+
     def test_corrupted_steady_state_raises(self, toy_ss_model, monkeypatch):
         # the toy loop's steady-state LP has mu > 0, so its point is nonzero
         from agcdiag.attacks import compute_basis

@@ -81,11 +81,24 @@ class TestBasics:
 
     def test_bad_bounds_rejected(self):
         # a variable is free or nonnegative; any other bound is a row
-        for bounds in ({"lower": [0.0, 2.0]}, {"lower": [0.0, np.nan]},
-                       {"lower": [0.0, -np.inf], "upper": [np.inf, 1.0]},
-                       {"upper": [np.inf, -np.inf]}):
+        for lower in ([0.0, 2.0], [0.0, np.nan]):
             with pytest.raises(ValueError, match="^variable 1 is neither"):
+                lp.LpProblem("max", np.ones(2), lower=lower)
+        # the upper bound is +inf, not an argument
+        for bounds in ({"lower": [0.0, -np.inf], "upper": [np.inf, 1.0]},
+                       {"upper": [np.inf, -np.inf]}):
+            with pytest.raises(TypeError, match="'upper'"):
                 lp.LpProblem("max", np.ones(2), **bounds)
+
+    def test_left_out_block_is_empty(self):
+        problem = lp.LpProblem("max", np.ones(3), a_ge=np.ones((2, 3)),
+                               b_ge=np.ones(2))
+        assert problem.a_eq.shape == (0, 3)
+        assert problem.b_eq.shape == (0,)
+        assert problem.a_ge.shape == (2, 3)
+        assert np.array_equal(problem.upper, np.full(3, np.inf))
+        with pytest.raises(AttributeError):
+            problem.upper = np.zeros(3)
 
     def test_feasibility_of_optimal_point(self):
         rng = np.random.default_rng(0)
@@ -369,6 +382,25 @@ class TestGuards:
         with pytest.raises(NumericError, match=f"^phase 1 ended {status}"):
             solve("min", [1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[1.0],
                   lower=[0.0, 0.0])
+
+    def test_overflowing_objective_raises(self):
+        # the objective value overflows to inf; a nan would hide every
+        # improving column and let Bland's rule call the point optimal
+        with pytest.raises(NumericError,
+                           match=r"^the objective row is not finite after "
+                                 r"1 pivots$"):
+            solve("max", [1e308, 1e308], a_ge=[[-1.0, -1.0]], b_ge=[-2.0],
+                  lower=[0.0, 0.0])
+
+    @pytest.mark.parametrize("rhs, status", [(1e6, lp.OPTIMAL),
+                                             (1.0, lp.INFEASIBLE)])
+    def test_phase_1_threshold_scales_with_the_rhs(self, monkeypatch, rhs,
+                                                   status):
+        # an artificial sum of 1e-3 is rounding on a row with rhs 1e6, but
+        # an empty feasible set on a row with rhs 1
+        break_phase_1(monkeypatch, "optimal", 1e-3)
+        assert solve("min", [1.0, 1.0], a_ge=[[1.0, 1.0]], b_ge=[rhs],
+                     lower=[0.0, 0.0]).status == status
 
     def test_iteration_cap_raises(self, monkeypatch):
         from agcdiag.errors import IterationLimitError

@@ -56,12 +56,10 @@ def random_problem(rng):
 
 def scipy_solve(problem):
     bounds = [(0.0 if lo == 0.0 else None, None) for lo in problem.lower]
-    a_ub = -problem.a_ge if problem.a_ge is not None else None
-    b_ub = -problem.b_ge if problem.b_ge is not None else None
     return scipy_opt.linprog(
         problem.c if problem.sense == "min" else -problem.c,
-        A_ub=a_ub, b_ub=b_ub, A_eq=problem.a_eq, b_eq=problem.b_eq,
-        bounds=bounds, method="highs")
+        A_ub=-problem.a_ge, b_ub=-problem.b_ge, A_eq=problem.a_eq,
+        b_eq=problem.b_eq, bounds=bounds, method="highs")
 
 
 class TestRandomizedAgreement:

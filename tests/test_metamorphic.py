@@ -6,7 +6,9 @@ with eta, and the attack polytope {A alpha >= b} scales with b for c > 0.
 The payoff is linear in Nbar and in alpha, so on the default model at
 d_n = 3 the certified gamma scales by c in both cases; the solver keeps
 that to within 2 ulp. The eta law fails outside eta in [1e-7, 1e6]
-(ROADMAP item 1), which two strict xfails pin. The polytope itself does
+(ROADMAP item 1), which two strict xfails pin. The attacker's best reply
+to the design scales with b too, to within 32 ulp for c up to 1e4; at
+c = 1e5 a strict xfail pins the worst-case LP's failed point check. The polytope itself does
 not change when both sides of a row are scaled by c > 0 or a row is
 repeated, and neither does gamma.
 
@@ -19,7 +21,7 @@ times max |y|, the size of one rounding in the numerator's products.
 
 import numpy as np
 import pytest
-from agcdiag.design import design_robust, feasible_basis
+from agcdiag.design import design_robust, feasible_basis, worst_case_alpha
 from agcdiag.errors import NumericError
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import Scenario, simulate
@@ -52,6 +54,28 @@ def test_gamma_scales_with_polytope_rhs(chain, c):
     design = design_robust(chain.basis, chain.ffb, chain.space.a,
                            c * chain.space.b)
     assert_scaled(design.gamma, chain.design.gamma, c)
+
+
+# ROADMAP item 1: the worst-case point misses a zero-rhs row by 1.2e-9,
+# above the point check's absolute 1e-9
+PAYOFF_DEFECT = pytest.mark.xfail(raises=NumericError, strict=True,
+                                  reason="ROADMAP item 1: b = 1.5e5 breaks "
+                                         "the worst-case LP's point check")
+
+
+@pytest.mark.parametrize("c", SCALES + (1e4, pytest.param(
+    1e5, marks=PAYOFF_DEFECT)))
+def test_payoff_scales_with_polytope_rhs(chain, c):
+    # payoff(A, c b) = c payoff(A, b) through the design and the best reply
+    # at c b; measured 0, 0, 10 and 16 ulp at c = 0.5, 2, 7 and 1e4
+    design = design_robust(chain.basis, chain.ffb, chain.space.a,
+                           c * chain.space.b)
+    _, payoff = worst_case_alpha(design.nbar, chain.ffb, 3, chain.space.a,
+                                 c * chain.space.b)
+    _, base = worst_case_alpha(chain.design.nbar, chain.ffb, 3,
+                               chain.space.a, chain.space.b)
+    want = c * base
+    assert abs(payoff - want) <= 32 * np.spacing(want), (payoff, want)
 
 
 def pivots(design) -> list[int]:
