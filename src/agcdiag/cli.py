@@ -238,28 +238,23 @@ def _write_json(path: str, payload) -> None:
         handle.write("\n")
 
 
-def _write_filter(design: FilterDesign, eta: float, path: str) -> None:
-    payload = {
-        "kind": design.kind,
-        "d_n": design.d_n,
-        "pole": design.pole,
-        "gamma": design.gamma,
-        "eta": eta,
-        "index": list(design.index) if design.index else None,
-        "multiplier": list(design.multiplier),
-        "nbar": list(design.nbar),
-        "diagnostic": design.diagnostic,
-    }
-    _write_json(path, payload)
-
-
-def cmd_design(pipe: Pipeline) -> int:
+def cmd_design(pipe: Pipeline, args) -> int:
     design = pipe.design
     out = pipe.out_dir()
     report = format_design_report(design, pipe.overrides)
     with open(os.path.join(out, "design_report.txt"), "w", newline="\n") as fh:
         fh.write(report)
-    _write_filter(design, pipe.params["eta"], os.path.join(out, "filter.json"))
+    _write_json(os.path.join(out, "filter.json"), {
+        "kind": design.kind,
+        "d_n": design.d_n,
+        "pole": design.pole,
+        "gamma": design.gamma,
+        "eta": pipe.params["eta"],
+        "index": list(design.index) if design.index else None,
+        "multiplier": list(design.multiplier),
+        "nbar": list(design.nbar),
+        "diagnostic": design.diagnostic,
+    })
     sys.stdout.write(report)
     if design.gamma <= 0.0:
         raise InfeasibleDesignError(
@@ -267,17 +262,16 @@ def cmd_design(pipe: Pipeline) -> int:
     return 0
 
 
-def cmd_attack(pipe: Pipeline) -> int:
+def cmd_attack(pipe: Pipeline, args) -> int:
     design = pipe.design
     if design.gamma <= 0.0:
         raise InfeasibleDesignError(
             design.diagnostic or "design certificate is zero")
     alpha, payoff = pipe.worst_case
     f_vec = synthesize_attack(pipe.space, alpha)
-    out = pipe.out_dir()
-    payload = {"alpha_star": list(alpha), "payoff": payoff, "f": list(f_vec),
-               "gamma": design.gamma}
-    _write_json(os.path.join(out, "attack.json"), payload)
+    _write_json(os.path.join(pipe.out_dir(), "attack.json"), {
+        "alpha_star": list(alpha), "payoff": payoff, "f": list(f_vec),
+        "gamma": design.gamma})
     print(f"worst-case alpha: {alpha}  payoff: {payoff:.12g}")
     return 0
 
@@ -286,18 +280,11 @@ def _scenario(pipe: Pipeline):
     return cfgmod.build_scenario(pipe.cfg, pipe.discrete, pipe.attack_vector())
 
 
-def _run_simulation(pipe: Pipeline):
-    scenario = _scenario(pipe)
-    design = pipe.design
-    filt = realize_filter(design, pipe.dae.l)
-    trace = simulate(pipe.discrete, scenario, filt)
+def cmd_simulate(pipe: Pipeline, args) -> int:
+    trace = simulate(pipe.discrete, _scenario(pipe),
+                     realize_filter(pipe.design, pipe.dae.l))
     trace.metadata["overrides"] = list(pipe.overrides)
-    trace.metadata["pole"] = design.pole
-    return trace
-
-
-def cmd_simulate(pipe: Pipeline) -> int:
-    trace = _run_simulation(pipe)
+    trace.metadata["pole"] = pipe.design.pole
     out = pipe.out_dir()
     opts = cfgmod.output_params(pipe.cfg)
     path = os.path.join(out, "trace.csv")
@@ -308,9 +295,9 @@ def cmd_simulate(pipe: Pipeline) -> int:
     return 0
 
 
-def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
+def cmd_report(pipe: Pipeline, args) -> int:
     out = pipe.out_dir()
-    path = trace_path or os.path.join(out, "trace.csv")
+    path = args.trace or os.path.join(out, "trace.csv")
     if not os.path.isfile(path):
         raise ConfigError("--trace", f"no trace file at {path}")
     cols = read_trace_csv(path)
@@ -318,12 +305,6 @@ def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
         if name not in cols:
             raise ValidationError(
                 f"malformed trace CSV {path}: no column {name!r}")
-
-    def write_panel(name, fields):
-        panel = os.path.join(out, name)
-        header = ["t"] + fields
-        write_csv_table(panel, header, [cols[f] for f in header])
-        return panel
 
     def index(name):
         if not name[2:].isdecimal():    # int() also takes "1_0" and " 1"
@@ -333,19 +314,21 @@ def cmd_report(pipe: Pipeline, trace_path: str | None) -> int:
 
     load_attack = [name for prefix in ("d_", "f_") for name in sorted(
         (k for k in cols if k.startswith(prefix)), key=index)]
-    wrote = [
-        write_panel("panel_load_attack.csv", load_attack),
-        write_panel("panel_static_residual.csv", ["rS_inf"]),
-        write_panel("panel_dynamic_residual.csv", ["r_D"]),
-    ]
-    for p in wrote:
-        print(f"wrote {p}")
+    panels = (("panel_load_attack.csv", ["t"] + load_attack),
+              ("panel_static_residual.csv", ["t", "rS_inf"]),
+              ("panel_dynamic_residual.csv", ["t", "r_D"]))
+    for name, header in panels:
+        write_csv_table(os.path.join(out, name), header,
+                        [cols[f] for f in header])
+    for name, _ in panels:
+        print(f"wrote {os.path.join(out, name)}")
     return 0
 
 
-def cmd_sweep_pole(pipe: Pipeline, poles: list[float]) -> int:
+def cmd_sweep_pole(pipe: Pipeline, args) -> int:
     """One closed-loop run, filtered with each pole in turn; see the module
     docstring."""
+    poles = _parse_poles(args.poles)
     out = pipe.out_dir()
     opts = cfgmod.output_params(pipe.cfg)
     scenario = _scenario(pipe)
@@ -410,14 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SEC.KEY=VAL",
                         help="override a config entry (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("design", help="solve the filter design")
-    sub.add_parser("attack", help="compute the worst-case attack coefficients")
-    sub.add_parser("simulate", help="run the configured scenario")
-    rep = sub.add_parser("report", help="emit per-panel plot CSVs from a trace")
-    rep.add_argument("--trace", help="trace CSV (default <out>/trace.csv)")
-    swp = sub.add_parser("sweep-pole", help="simulate over a list of poles")
-    swp.add_argument("--poles", default=",".join(str(p) for p in DEFAULT_POLE_SWEEP),
-                     help="comma-separated pole list")
+    # (name, handler(pipeline, args) for main, help, {flag: keywords})
+    for name, run, text, options in (
+            ("design", cmd_design, "solve the filter design", {}),
+            ("attack", cmd_attack,
+             "compute the worst-case attack coefficients", {}),
+            ("simulate", cmd_simulate, "run the configured scenario", {}),
+            ("report", cmd_report, "emit per-panel plot CSVs from a trace",
+             {"--trace": {"help": "trace CSV (default <out>/trace.csv)"}}),
+            ("sweep-pole", cmd_sweep_pole, "simulate over a list of poles",
+             {"--poles": {"default": ",".join(map(str, DEFAULT_POLE_SWEEP)),
+                          "help": "comma-separated pole list"}})):
+        cmd = sub.add_parser(name, help=text)
+        cmd.set_defaults(run=run)
+        for flag, keywords in options.items():
+            cmd.add_argument(flag, **keywords)
     return parser
 
 
@@ -427,18 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = (cfgmod.load_config(args.config) if args.config
                else cfgmod.default_config())
         overrides = cfgmod.apply_overrides(cfg, args.overrides)
-        pipe = Pipeline(cfg, overrides)
-        if args.command == "design":
-            return cmd_design(pipe)
-        if args.command == "attack":
-            return cmd_attack(pipe)
-        if args.command == "simulate":
-            return cmd_simulate(pipe)
-        if args.command == "report":
-            return cmd_report(pipe, args.trace)
-        if args.command == "sweep-pole":
-            return cmd_sweep_pole(pipe, _parse_poles(args.poles))
-        raise AgcDiagError(f"unknown command {args.command}")
+        return args.run(Pipeline(cfg, overrides), args)
     except ConfigError as exc:
         _error_line("config", str(exc), exc.field)
         return 2
