@@ -157,9 +157,16 @@ def _float_map(value, path: str) -> dict[str, float]:
     return {k: _typed(v, float, f"{path}.{k}") for k, v in value.items()}
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(_has_bool(v) for v in value))
+
+
 def _float_array(value, path: str) -> np.ndarray:
-    """``value`` as an array of finite floats; anything else is a config
-    error."""
+    """``value`` as an array of finite floats; anything else, a bool
+    entry included, is a config error."""
+    if _has_bool(value):
+        raise ConfigError(path, "expected numbers, got a bool")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -193,7 +200,10 @@ def design_params(cfg: dict) -> dict:
                           f"expected 'robust' or 'steady-state', got {kind!r}")
     a_pol = _float_array(d["polytope_a"], "design.polytope_a")
     b_pol = _float_array(d["polytope_b"], "design.polytope_b")
-    if a_pol.ndim != 2 or b_pol.ndim != 1 or a_pol.shape[0] != b_pol.size:
+    if b_pol.ndim != 1 or b_pol.size == 0:
+        raise ConfigError("design.polytope_b",
+                          "b must be a non-empty list of numbers")
+    if a_pol.ndim != 2 or a_pol.shape[0] != b_pol.size:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
     rank_tol = _number(cfg, "design.rank_tol", zero_ok=True)
@@ -322,6 +332,11 @@ def build_scenario(cfg: dict, model: LtiModel,
     if seed < 0:
         raise ConfigError("scenario.seed", "seed must be >= 0")
     horizon_s = _number(cfg, "scenario.horizon_s")
+    t_s = _number(cfg, "scenario.t_s")
+    if not math.isfinite(horizon_s / t_s):
+        raise ConfigError("scenario.horizon_s",
+                          f"horizon_s / t_s is not a finite sample count "
+                          f"at t_s = {t_s!r}, got {horizon_s!r}")
     onset_s = _number(cfg, "scenario.onset_s", zero_ok=True)
     if onset_s > horizon_s:
         raise ConfigError("scenario.onset_s",
@@ -337,5 +352,5 @@ def build_scenario(cfg: dict, model: LtiModel,
         values = label_values(maps[name], labels, f"scenario.{name}")
         if name == "measurement_noise":
             static_weights(values, f"scenario.{name}")
-    return Scenario(horizon_s=horizon_s, t_s=_number(cfg, "scenario.t_s"),
+    return Scenario(horizon_s=horizon_s, t_s=t_s,
                     onset_s=onset_s, attack_f=attack_f, seed=seed, **maps)

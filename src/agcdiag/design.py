@@ -109,8 +109,20 @@ class FilterDesign:
 
 def feasible_basis(hbar, eta: float, d_n: int,
                    tol: float = RANK_TOL) -> FeasibleSetBasis:
-    """Null-space parameterization of the decoupling constraint."""
+    """Null-space parameterization of the decoupling constraint.
+
+    A rank tolerance above Hbar's spectral gap puts live directions into
+    Z, and a filter over them is not decoupled, so ``Z @ Hbar`` must vanish
+    to 1e-9 of Hbar's largest entry or ``NumericError`` is raised.
+    """
     z = left_null_basis(hbar, tol)
+    hbar = np.asarray(hbar, dtype=float)
+    miss = np.abs(z @ hbar).max(initial=0.0)
+    scale = np.abs(hbar).max(initial=0.0)
+    if miss > 1e-9 * scale:
+        raise NumericError(
+            f"rank tolerance {tol!r} cuts inside Hbar's spectrum: "
+            f"max|Z Hbar| = {miss:.3g} against max|Hbar| = {scale:.3g}")
     return FeasibleSetBasis(z=z, eta=eta, d_n=d_n)
 
 

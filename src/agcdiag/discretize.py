@@ -63,7 +63,9 @@ def zoh_discretize(model: LtiModel, t_s: float) -> LtiModel:
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = model.a_cl
     aug[:n, n:] = b_all
-    phi = expm(aug * t_s)
+    with np.errstate(over="ignore"):    # expm refuses a non-finite input
+        aug *= t_s
+    phi = expm(aug)
     return replace(
         model, a_cl=phi[:n, :n], b_d=phi[:n, n:n + n_d],
         b_f=phi[:n, n + n_d:], t_s=float(t_s))

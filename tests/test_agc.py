@@ -87,6 +87,17 @@ class TestBuildArea:
         assert b_f[agc_row, 2] == 0.0
         assert np.abs(np.delete(b_f, agc_row, axis=0)).max() == 0.0
 
+    def test_attacked_frequency_enters_the_ace_through_the_bias(self):
+        # ACE = ties + bias * freq, so a corrupted frequency reading moves
+        # the AGC integrator by -agc_gain * bias
+        p = two_gen_area()
+        model = small_system(("area1.freq",))
+        xs, _ = area_slices(model, "area1")
+        b_f = model.b_f[xs]
+        agc_row = 5
+        assert b_f[agc_row, 0] == -p.agc_gain * p.bias
+        assert np.abs(np.delete(b_f, agc_row, axis=0)).max() == 0.0
+
     def test_unknown_attacked_label_rejected(self):
         with pytest.raises(ValidationError, match="nope"):
             small_system(("area1.nope",))
@@ -179,6 +190,15 @@ class TestAssemble:
                        generators=(GeneratorParams(0.3, 0.05, 1.0),))
         with pytest.raises(ValidationError, match="mismatch"):
             assemble_system([a, b])
+
+    def test_duplicate_area_names_rejected(self):
+        with pytest.raises(ValidationError, match="unique"):
+            assemble_system([two_gen_area(), two_gen_area()])
+
+    def test_unknown_neighbor_rejected(self):
+        # two_gen_area lists area2 and area3, which are not configured
+        with pytest.raises(ValidationError, match="unknown neighbor 'area2'"):
+            assemble_system([two_gen_area()])
 
     def test_self_neighbor_rejected(self):
         a = AreaParams(name="a", inertia=4.0, damping=1.0, bias=20.0,

@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import json
+import math
 import os
 import runpy
+import subprocess
 import sys
 
 import numpy as np
@@ -13,8 +16,8 @@ from agcdiag.errors import NumericError
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import read_trace_csv, simulate, write_trace_csv
 
-REPRODUCE = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scripts", "reproduce_experiments.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPRODUCE = os.path.join(ROOT, "scripts", "reproduce_experiments.py")
 
 
 def areas_override(edit):
@@ -71,6 +74,30 @@ class TestDesignCommand:
                        '{A a >= b} has no points"\n')
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("tol", ["0.01", "0.1", "0.5"])
+    def test_rank_cut_inside_the_spectrum_exits_1(self, tol, tmp_path,
+                                                  monkeypatch, capsys):
+        # used to certify gamma 3 for a filter with ||Nbar Hbar|| = 10.2
+        code, out, err = run_cli(["--set", f"design.rank_tol={tol}",
+                                  "design"], tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith('error: code=runtime field=- '
+                              f'msg="rank tolerance {tol} cuts inside ')
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-3"])
+    def test_rank_cut_in_the_gap_keeps_the_filter(self, tol, tmp_path,
+                                                  monkeypatch, capsys):
+        code, _, _ = run_cli(["design"], tmp_path / "default", monkeypatch,
+                             capsys)
+        assert code == 0
+        code, _, _ = run_cli(["--set", f"design.rank_tol={tol}", "design"],
+                             tmp_path / "cut", monkeypatch, capsys)
+        assert code == 0
+        assert (tmp_path / "cut" / "filter.json").read_bytes() == \
+            (tmp_path / "default" / "filter.json").read_bytes()
+
     def test_steady_state_kind_selected(self, tmp_path, monkeypatch, capsys):
         # structurally mu = 0 on the AGC default: exit 3 with the diagnostic
         code, out, err = run_cli(
@@ -116,6 +143,17 @@ class TestSimulateCommand:
         assert np.abs(cols["f_1"]).max() > 0
 
 
+    def test_no_attack_mode_injects_nothing(self, tmp_path, monkeypatch,
+                                            capsys):
+        code, _, _ = run_cli(["--set", "attack.mode=none", "simulate"],
+                             tmp_path, monkeypatch, capsys)
+        assert code == 0
+        cols = read_trace_csv(tmp_path / "trace.csv")
+        f_cols = [k for k in cols if k.startswith("f_")]
+        assert len(f_cols) == 5
+        assert all(np.all(cols[k] == 0.0) for k in f_cols)
+
+
 class TestAttackCommand:
     def test_writes_alpha_and_f(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(["attack"], tmp_path, monkeypatch, capsys)
@@ -126,6 +164,16 @@ class TestAttackCommand:
         assert payload["payoff"] >= payload["gamma"] - 1e-8
         assert sum(payload["alpha_star"]) >= 1.5 - 1e-8
 
+
+    def test_zero_certificate_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no reply is solved against a filter that certifies nothing
+        code, out, err = run_cli(
+            ["--set", "design.polytope_b=[-1.0]", "attack"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: code=infeasible field=- ")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_payoff_below_gamma_exits_1(self, tmp_path, monkeypatch, capsys):
         solve = cli.worst_case_alpha
@@ -535,6 +583,62 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("panel_*.csv"))
 
+    @pytest.mark.parametrize("text, field", [
+        ("{", "{path}"),
+        ("[1]", "{path}"),
+        ('{"design": 1}', "design"),
+    ], ids=["not-json", "top-level", "section"])
+    def test_malformed_config_file_exits_2(self, text, field, tmp_path,
+                                           monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(["--config", str(path), "design"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: code=config field="
+                              f"{field.format(path=path)} ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("item, field", [
+        ("design.eta", "design.eta"),
+        ("eta=1", "eta"),
+    ], ids=["no-equals", "no-section"])
+    def test_malformed_override_exits_2(self, item, field, tmp_path,
+                                        monkeypatch, capsys):
+        code, out, err = run_cli(["--set", item, "design"], tmp_path,
+                                 monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: code=config field={field} ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_overflowing_sample_time_exits_1(self, command, tmp_path,
+                                             monkeypatch, capsys):
+        # A t_s overflows to inf; the expm check refuses it, and numpy's
+        # overflow warning (an error under this suite) is not raised
+        code, out, err = run_cli(["--set", "scenario.t_s=1e308", command],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == ('error: code=runtime field=- msg="expm input '
+                       'contains non-finite entries"\n')
+
+    def test_overflowing_sample_time_in_a_fresh_process(self, tmp_path):
+        # numpy prints an overflow warning once per process, so only a
+        # fresh process shows that stderr holds the error line alone
+        env = dict(os.environ, AGCDIAG_OUTDIR=str(tmp_path),
+                   OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
+            if p)
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "agcdiag.cli",
+             "--set", "scenario.t_s=1e308", "design"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ('error: code=runtime field=- msg="expm input '
+                               'contains non-finite entries"\n')
+
     def test_large_polytope_offset_is_no_empty_attack_set(
             self, tmp_path, monkeypatch, capsys):
         # 1'a >= 1e6 has points; phase 1 of the worst-case LP ends with an
@@ -762,6 +866,16 @@ class TestErrors:
              [0.0, 0.0, 0.0, 0.1, 0.1]])], "attack.basis"),
         (['scenario.measurement_noise={"area1.*":1e-310,"area2.*":1e-310,'
           '"area3.*":1e-310}'], "scenario.measurement_noise"),
+        (["scenario.horizon_s=1e308"], "scenario.horizon_s"),
+        (["scenario.t_s=1e-320"], "scenario.horizon_s"),
+        (["design.polytope_b=-1"], "design.polytope_b"),
+        (["design.polytope_b=[]"], "design.polytope_b"),
+        (["design.d_n=-1"], "design.d_n"),
+        (["attack.mode=raw"], "attack.raw_f"),
+        (["model.attacked_measurements=[1]"], "model.attacked_measurements"),
+        (["model.areas=[1]"], "model.areas[0]"),
+        ([areas_override(lambda a: a[0].pop("inertia"))],
+         "model.areas[0].inertia"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):
@@ -791,6 +905,71 @@ class TestErrors:
         capsys.readouterr()
         assert code == 0
         assert (sub / "trace.csv").exists()
+
+
+def first_number_true(value):
+    """A copy of the list or object ``value`` with its first number, depth
+    first, replaced by ``true``; None when it holds no number."""
+    value = copy.deepcopy(value)
+
+    def replace(node) -> bool:
+        keys = (node if isinstance(node, dict)
+                else range(len(node)) if isinstance(node, list) else ())
+        for key in keys:
+            item = node[key]
+            if isinstance(item, (int, float)) and not isinstance(item, bool):
+                node[key] = True
+                return True
+            if replace(item):
+                return True
+        return False
+
+    return value if replace(value) else None
+
+
+def wrong_values(default) -> list:
+    """Values of the wrong kind for a config entry whose default is
+    ``default``: a string and a bool, nan and inf for a number, an object
+    for a list, a list for an object, and the default with its first
+    number replaced by ``true``. A null entry (``output.dir`` takes a
+    string) gets a bool and an object."""
+    if default is None:
+        return [True, {}]
+    wrong = ["bogus", 1 if isinstance(default, bool) else True]
+    if isinstance(default, (int, float)) and not isinstance(default, bool):
+        wrong += [math.nan, math.inf]
+    elif isinstance(default, list):
+        wrong.append({})
+    elif isinstance(default, dict):
+        wrong.append([])
+    if isinstance(default, (list, dict)) \
+            and first_number_true(default) is not None:
+        wrong.append(first_number_true(default))
+    return wrong
+
+
+LEAF_CASES = [
+    pytest.param(f"{section}.{key}", value, id=f"{section}.{key}-{i}")
+    for section, entries in cfgmod.default_config().items()
+    for key, default in entries.items()
+    for i, value in enumerate(wrong_values(default))]
+
+
+@pytest.mark.parametrize("leaf, value", LEAF_CASES)
+def test_wrong_value_names_its_entry(leaf, value, tmp_path, monkeypatch,
+                                     capsys):
+    # every entry of default.json, so a new entry is covered as it lands;
+    # raw_f is read only under mode "raw"
+    mode = ["attack.mode=raw"] if leaf == "attack.raw_f" else []
+    overrides = ["scenario.horizon_s=2", "scenario.onset_s=1", *mode,
+                 f"{leaf}={json.dumps(value)}"]
+    args = [a for o in overrides for a in ("--set", o)] + ["simulate"]
+    code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+    assert code == 2 and out == "", err
+    assert len(err.splitlines()) == 1
+    field = err.split()[2].removeprefix("field=")
+    assert field == leaf or field.startswith((leaf + ".", leaf + "[")), err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 class TestPrecedence:

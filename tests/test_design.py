@@ -71,6 +71,14 @@ class TestFeasibleBasis:
         prod = chain.basis.z @ chain.hbar
         assert np.abs(prod).max() <= 1e-8
 
+    @pytest.mark.parametrize("tol", [1e-2, 0.1, 0.5])
+    def test_rank_cut_inside_the_spectrum_raises(self, chain, tol):
+        # sigma_rank / sigma_max is about 3.4e-3 on the default stack, so
+        # these cuts put live directions into Z: max|Z Hbar| is 0.089 at
+        # 1e-2, against 9e-16 of max|Hbar| at the default tolerance
+        with pytest.raises(NumericError, match=f"rank tolerance {tol!r} "):
+            feasible_basis(chain.hbar, 10.0, 3, tol)
+
 
 class TestSolveLpI:
     def test_empty_basis_gives_zero_certificate(self):

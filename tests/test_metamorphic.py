@@ -6,11 +6,12 @@ with eta, and the attack polytope {A alpha >= b} scales with b for c > 0.
 The payoff is linear in Nbar and in alpha, so on the default model at
 d_n = 3 the certified gamma scales by c in both cases; the solver keeps
 that to within 2 ulp. The eta law fails outside eta in [1e-7, 1e6]
-(ROADMAP item 1), which two strict xfails pin. The attacker's best reply
-to the design scales with b too, to within 32 ulp for c up to 1e4; at
-c = 1e5 a strict xfail pins the worst-case LP's failed point check. The polytope itself does
-not change when both sides of a row are scaled by c > 0 or a row is
-repeated, and neither does gamma.
+(ROADMAP item 11), which two strict xfails pin. The attacker's best reply
+to the design scales with eta and with b too, to within 32 ulp for c up
+to 100 (eta) and 1e4 (b); strict xfails pin the worst-case LP's failures
+at eta = 1e5 and b = 1.5e5. The polytope itself does not change when both
+sides of a row are scaled by c > 0 or a row is repeated, and neither does
+gamma.
 
 Without noise the closed loop is linear, so the designed filter's r_D is
 linear in the attack f, and since Nbar Hbar = 0 it does not see the loads.
@@ -34,10 +35,10 @@ def assert_scaled(gamma: float, base: float, c: float) -> None:
     assert abs(gamma - want) <= 2 * np.spacing(want), (gamma, want)
 
 
-# ROADMAP item 1: eta = 1e-9 blows LP (1, +1)'s tableau up past the growth
+# ROADMAP item 11: eta = 1e-9 blows LP (1, +1)'s tableau up past the growth
 # limit, eta = 1e8 breaks LP (0, +1)'s equality rows by 5.6e-9
 ETA_DEFECT = pytest.mark.xfail(raises=NumericError, strict=True,
-                               reason="ROADMAP item 1: eta outside "
+                               reason="ROADMAP item 11: eta outside "
                                       "[1e-7, 1e6] breaks an LP")
 
 
@@ -56,10 +57,10 @@ def test_gamma_scales_with_polytope_rhs(chain, c):
     assert_scaled(design.gamma, chain.design.gamma, c)
 
 
-# ROADMAP item 1: the worst-case point misses a zero-rhs row by 1.2e-9,
+# ROADMAP item 11: the worst-case point misses a zero-rhs row by 1.2e-9,
 # above the point check's absolute 1e-9
 PAYOFF_DEFECT = pytest.mark.xfail(raises=NumericError, strict=True,
-                                  reason="ROADMAP item 1: b = 1.5e5 breaks "
+                                  reason="ROADMAP item 11: b = 1.5e5 breaks "
                                          "the worst-case LP's point check")
 
 
@@ -72,6 +73,28 @@ def test_payoff_scales_with_polytope_rhs(chain, c):
                            c * chain.space.b)
     _, payoff = worst_case_alpha(design.nbar, chain.ffb, 3, chain.space.a,
                                  c * chain.space.b)
+    _, base = worst_case_alpha(chain.design.nbar, chain.ffb, 3,
+                               chain.space.a, chain.space.b)
+    want = c * base
+    assert abs(payoff - want) <= 32 * np.spacing(want), (payoff, want)
+
+
+# ROADMAP item 11: at eta = 1e5 phase 1 of the worst-case LP ends with an
+# artificial sum of -1.3e4, read as unbounded
+PAYOFF_ETA_DEFECT = pytest.mark.xfail(raises=NumericError, strict=True,
+                                      reason="ROADMAP item 11: eta = 1e5 "
+                                             "breaks the worst-case LP")
+
+
+@pytest.mark.parametrize("c", SCALES + (100.0, pytest.param(
+    1e4, marks=PAYOFF_ETA_DEFECT)))
+def test_payoff_scales_with_eta(chain, c):
+    # payoff(c eta) = c payoff(eta) through the design and the best reply
+    # at c eta; measured 0, 0, 17 and 16 ulp at c = 0.5, 2, 7 and 100
+    basis = feasible_basis(chain.hbar, 10.0 * c, 3)
+    design = design_robust(basis, chain.ffb, chain.space.a, chain.space.b)
+    _, payoff = worst_case_alpha(design.nbar, chain.ffb, 3, chain.space.a,
+                                 chain.space.b)
     _, base = worst_case_alpha(chain.design.nbar, chain.ffb, 3,
                                chain.space.a, chain.space.b)
     want = c * base
