@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .linalg import weighted_range_projector
 
 STEALTH_TOL = 1e-8
@@ -30,7 +30,7 @@ class AttackSpace:
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape != (b.size, basis.shape[0]):
-            raise DimensionError(
+            raise ValidationError(
                 f"polytope A {a.shape} incompatible with {basis.shape[0]} "
                 f"basis vectors / {b.size} offsets")
         object.__setattr__(self, "basis", basis)
@@ -74,7 +74,7 @@ def validate_attack_space(space: AttackSpace, c, d_f) -> None:
         raise ValidationError("attack basis rows are linearly dependent")
     d_f = np.asarray(d_f, dtype=float)
     if space.dim and space.basis.shape[1] != d_f.shape[1]:
-        raise DimensionError(
+        raise ValidationError(
             f"attack vector has length {space.basis.shape[1]}, "
             f"expected {d_f.shape[1]}")
     proj = weighted_range_projector(c)
@@ -91,6 +91,6 @@ def synthesize_attack(space: AttackSpace, alpha) -> np.ndarray:
     """Attack vector F_b' alpha = sum_i alpha_i f_i."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != space.dim:
-        raise DimensionError(
+        raise ValidationError(
             f"alpha has length {alpha.size}, expected {space.dim}")
     return space.basis.T @ alpha

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import LtiModel
-from .errors import DimensionError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def stack_hbar(dae: DaeSystem, d_n: int) -> np.ndarray:
     matrix lists the polynomial-product coefficients.
     """
     if d_n < 0:
-        raise ValueError("filter degree must be nonnegative")
+        raise ValidationError("filter degree must be nonnegative")
     n_r, n_xx = dae.h0.shape
     out = np.zeros(((d_n + 1) * n_r, (d_n + 2) * n_xx))
     for i in range(d_n + 1):
@@ -71,7 +71,7 @@ def attack_gain(dae: DaeSystem, basis: np.ndarray) -> np.ndarray:
     """F F_b' for a basis whose rows are attack vectors: (n_r, d)."""
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.shape[1] != dae.f.shape[1]:
-        raise DimensionError(
+        raise ValidationError(
             f"basis rows have length {basis.shape[1]}, "
             f"expected {dae.f.shape[1]}")
     return dae.f @ basis.T

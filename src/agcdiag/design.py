@@ -20,8 +20,9 @@ Every LP of the design ends optimal or raises (``_solve``). A certificate
 LP (a relaxation or the steady-state LP) has a feasible zero point, and as
 theta is bounded it is unbounded exactly when {A a >= b} is empty (Farkas);
 the worst-case LP is infeasible exactly then. That verdict raises
-``EmptyAttackSetError``, and any other raises ``NumericError`` naming the
-LP. ``lp.solve_lp`` checks every solved point against its LP's rows. The
+``ValidationError``; any other, and any ``NumericError`` of the solver
+(its pivot cap included), raises ``NumericError`` naming the LP.
+``lp.solve_lp`` checks every solved point against its LP's rows. The
 independent checks of the LP route (the brute-force game value, the
 finite-reformulation test) are test oracles in ``tests/oracles.py``.
 """
@@ -34,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .errors import (DimensionError, EmptyAttackSetError, NumericError,
-                     ValidationError)
+from .errors import NumericError, ValidationError
 from .linalg import RANK_TOL, left_null_basis
 
 
@@ -52,7 +52,7 @@ class FeasibleSetBasis:
             raise ValidationError(f"eta must be > 0, got {self.eta}")
         z = np.atleast_2d(np.asarray(self.z, dtype=float))
         if z.shape[1] % (self.d_n + 1) != 0:
-            raise DimensionError(
+            raise ValidationError(
                 f"stacked width {z.shape[1]} not divisible by d_n+1 = {self.d_n + 1}")
         object.__setattr__(self, "z", z)
 
@@ -138,7 +138,7 @@ def _certificate_lp(gain, basis: FeasibleSetBasis, a_pol,
     """
     n_z, d = gain.shape
     if d != a_pol.shape[1]:
-        raise DimensionError("polytope A and attack gain disagree on dimension")
+        raise ValidationError("polytope A and attack gain disagree on dimension")
     n_b = b_pol.size
     z = basis.z
     ball = np.vstack([z.T, -z.T])
@@ -153,14 +153,14 @@ def _certificate_lp(gain, basis: FeasibleSetBasis, a_pol,
 def _solve(name: str, problem: lp.LpProblem, empty: str) -> lp.LpSolution:
     """The optimal solution of ``problem``, the LP ``name``. The verdict
     ``empty``, which means {A a >= b} has no points, raises
-    ``EmptyAttackSetError``; any other failure raises ``NumericError``
-    naming the LP."""
+    ``ValidationError``; any other failure raises ``NumericError`` naming
+    the LP."""
     try:
         sol = lp.solve_lp(problem)
     except NumericError as exc:
         raise NumericError(f"{name}: {exc}") from exc
     if sol.status == empty:
-        raise EmptyAttackSetError("empty attack set: {A a >= b} has no points")
+        raise ValidationError("empty attack set: {A a >= b} has no points")
     if not sol.is_optimal:
         raise NumericError(f"{name} ended {sol.status}")
     return sol
@@ -185,9 +185,9 @@ def solve_lp_i(block: int, sign: int, basis: FeasibleSetBasis, ffb,
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
     b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ValidationError("sign must be +1 or -1")
     if not 0 <= block <= basis.d_n:
-        raise ValueError(f"block {block} outside 0..{basis.d_n}")
+        raise ValidationError(f"block {block} outside 0..{basis.d_n}")
     return _certificate(f"relaxation LP ({block}, {sign:+d})",
                         sign * (basis.block(block) @ ffb), basis, a_pol, b_pol)
 
@@ -235,7 +235,7 @@ def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
 
     Epigraph LP over (alpha, t): min t subject to
     -t <= N_j F F_b' alpha <= t for every block and A alpha >= b.
-    Raises ``EmptyAttackSetError`` when the polytope is empty.
+    Raises ``ValidationError`` when the polytope is empty.
     """
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
     ffb = np.asarray(ffb, dtype=float)

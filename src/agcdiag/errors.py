@@ -1,7 +1,12 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes, so raising the right class matters more
-than the message wording.
+Every package error is an ``AgcDiagError``. There is one class per way a
+caller handles a failure, and no other: the CLI maps ``ConfigError`` to
+exit 2, ``InfeasibleDesignError`` to exit 3 and any other class to exit 1;
+the config layer reports a ``ValidationError`` at the config entry it came
+from (``UnknownLabelError`` at the label list); the design names its LP in
+a ``NumericError``. Bad input of any kind (a shape, a sign, a pole, an empty
+attack set) raises ``ValidationError``; the message tells the cases apart.
 """
 
 
@@ -9,16 +14,8 @@ class AgcDiagError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(AgcDiagError):
-    """Matrix/vector dimensions do not conform."""
-
-
-class SingularMatrixError(AgcDiagError):
-    """A matrix that must be full rank is rank deficient."""
-
-
 class ValidationError(AgcDiagError):
-    """Model or scenario data violates a structural invariant."""
+    """Model, scenario or call data violates a structural invariant."""
 
 
 class UnknownLabelError(ValidationError):
@@ -38,13 +35,9 @@ class ConfigError(ValidationError):
         self.field = field
 
 
-class StabilityError(AgcDiagError):
-    """A filter pole or system mode is outside its stability region."""
-
-
 class NumericError(AgcDiagError):
-    """A numerical operation produced non-finite values, or an LP point that
-    breaks the rows of its problem."""
+    """A numerical operation produced non-finite values, an LP point that
+    breaks the rows of its problem, or an LP that hit its pivot cap."""
 
 
 class DivergenceError(AgcDiagError):
@@ -58,11 +51,3 @@ class DivergenceError(AgcDiagError):
 
 class InfeasibleDesignError(AgcDiagError):
     """No detecting filter exists for the requested configuration."""
-
-
-class EmptyAttackSetError(AgcDiagError):
-    """The disruptive polytope contains no points."""
-
-
-class IterationLimitError(AgcDiagError):
-    """The LP solver hit its hard pivot cap."""

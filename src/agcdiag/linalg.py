@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, SingularMatrixError
+from .errors import NumericError, ValidationError
 
 #: Default relative threshold for numerical-rank decisions (times sigma_max).
 RANK_TOL = 1e-9
@@ -36,7 +36,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float array, raising on bad shape or NaN/Inf."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
     return arr
@@ -54,7 +54,7 @@ def expm(m) -> np.ndarray:
     a = as_matrix(m, "expm input")
     n, nc = a.shape
     if n != nc:
-        raise DimensionError(f"expm needs a square matrix, got {n}x{nc}")
+        raise ValidationError(f"expm needs a square matrix, got {n}x{nc}")
     if n == 0:
         return np.zeros((0, 0))
 
@@ -86,18 +86,22 @@ def expm(m) -> np.ndarray:
 def left_null_basis(m, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal rows spanning ``{v : v @ m = 0}`` at rank threshold ``tol``.
 
-    Rank is decided against ``tol * sigma_max``; an empty (0, rows) array is
-    returned when ``m`` has full row rank.
+    Rank is decided against ``max(tol, max(m.shape) * eps) * sigma_max``.
+    The floor is numpy's ``matrix_rank`` default: a singular value below it
+    is rounding, so ``tol = 0`` still keeps the directions that rounding
+    leaves slightly off zero. An empty (0, rows) array is returned when
+    ``m`` has full row rank.
     """
     a = as_matrix(m, "null-basis input")
     if tol < 0:
-        raise ValueError("tol must be nonnegative")
+        raise ValidationError("tol must be nonnegative")
     rows = a.shape[0]
     # SVD of the transpose: right singular vectors with negligible singular
     # value are the left annihilators of `a`.
     _, s, vt = np.linalg.svd(a.T, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    cut = max(tol, max(a.shape) * np.finfo(float).eps) * smax
+    rank = int(np.sum(s > cut)) if smax > 0 else 0
     return vt[rank:rows, :].copy()
 
 
@@ -105,7 +109,7 @@ def weighted_range_projector(c, w=None) -> np.ndarray:
     """Oblique projector ``C (C' W C)^-1 C' W`` onto the range of ``C``.
 
     ``w`` is the finite, positive diagonal of the weight as a 1-D vector;
-    identity when omitted. Raises ``SingularMatrixError`` if ``C`` is
+    identity when omitted. Raises ``ValidationError`` if ``C`` is
     column-rank deficient (the message names the deficiency).
 
     The inputs are checked on every call. The result is cached per
@@ -119,10 +123,10 @@ def weighted_range_projector(c, w=None) -> np.ndarray:
     if w is not None:
         wdiag = np.asarray(w, dtype=float)
         if wdiag.shape != (n,):
-            raise DimensionError(
+            raise ValidationError(
                 f"weight diagonal has length {wdiag.shape}, expected {n}")
         if not np.all(np.isfinite(wdiag) & (wdiag > 0)):
-            raise ValueError(
+            raise ValidationError(
                 "weight diagonal must be finite and strictly positive")
 
     key = (cm.shape, cm.tobytes(),
@@ -145,7 +149,7 @@ def _range_projector(cm: np.ndarray, wdiag: np.ndarray | None) -> np.ndarray:
         wdiag = np.ones(n)
     rank = int(np.linalg.matrix_rank(cm, tol=None))
     if rank < k:
-        raise SingularMatrixError(
+        raise ValidationError(
             f"projector input is column-rank deficient by {k - rank} column(s)")
     gram = cm.T @ (wdiag[:, None] * cm)
     return cm @ np.linalg.solve(gram, cm.T * wdiag[None, :])

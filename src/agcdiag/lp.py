@@ -37,8 +37,8 @@ an array operation; only the pivot sequence itself is a Python loop:
   q + 1 when it is above ``PIVOT_TOL``), and the leaving row is, among the
   rows within ``PIVOT_TOL`` of the minimum ratio, the one whose basic
   variable has the smallest index;
-* a hard pivot cap converts a hypothetical stall into an error instead of
-  an infinite loop;
+* a hard pivot cap turns a hypothetical stall into ``NumericError``
+  instead of an infinite loop;
 * ``_Tableau.price`` prices the objective row: a cost of 1 on each
   artificial in phase 1, the problem's cost in phase 2;
 * a phase-1 sum of artificials above ``FEAS_TOL * max(1, max |b|)`` means
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, IterationLimitError, NumericError
+from .errors import NumericError, ValidationError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -107,11 +107,12 @@ class LpProblem:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if not np.all(np.isfinite(c)):
-            raise ValueError("cost vector contains non-finite entries")
+            raise ValidationError("cost vector contains non-finite entries")
         object.__setattr__(self, "c", c)
         n = c.size
         if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
+            raise ValidationError(
+                f"sense must be 'max' or 'min', got {self.sense!r}")
 
         def norm_rows(a, b, what):
             if a is None and b is None:
@@ -119,11 +120,11 @@ class LpProblem:
             a = np.atleast_2d(np.asarray(a, dtype=float))
             b = np.atleast_1d(np.asarray(b, dtype=float))
             if a.shape != (b.size, n):
-                raise DimensionError(
+                raise ValidationError(
                     f"{what}: matrix {a.shape} incompatible with "
                     f"{n} variables / {b.size} rhs entries")
             if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-                raise ValueError(f"{what}: non-finite constraint data")
+                raise ValidationError(f"{what}: non-finite constraint data")
             return a, b
 
         a_eq, b_eq = norm_rows(self.a_eq, self.b_eq, "equality block")
@@ -136,11 +137,11 @@ class LpProblem:
         lower = (np.full(n, -np.inf) if self.lower is None
                  else np.atleast_1d(np.asarray(self.lower, dtype=float)))
         if lower.size != n:
-            raise DimensionError("lower must match the variable count")
+            raise ValidationError("lower must match the variable count")
         bad = ~((lower == 0.0) | (lower == -np.inf))
         if bad.any():
-            raise ValueError(f"variable {int(np.argmax(bad))} is neither free "
-                             "nor nonnegative (lower -inf or 0)")
+            raise ValidationError(f"variable {int(np.argmax(bad))} is neither "
+                                  "free nor nonnegative (lower -inf or 0)")
         object.__setattr__(self, "lower", lower)
 
     @property
@@ -265,8 +266,7 @@ class _Tableau:
         basis = self.basis
         while True:
             if self.iterations >= MAX_ITER:
-                raise IterationLimitError(
-                    f"simplex exceeded {MAX_ITER} pivots")
+                raise NumericError(f"simplex exceeded {MAX_ITER} pivots")
             # entering: the smallest index with a negative reduced cost; the
             # negative part of a free pair (index + 1) has the negated cost
             reduced = self.tab[0]

@@ -16,7 +16,7 @@ from operator import mul
 import numpy as np
 
 from .design import FilterDesign
-from .errors import DimensionError, NumericError, StabilityError
+from .errors import NumericError, ValidationError
 
 
 def check_finite(name: str, series: np.ndarray) -> None:
@@ -29,7 +29,7 @@ def check_finite(name: str, series: np.ndarray) -> None:
 def denominator_coefficients(pole: float, d_n: int) -> np.ndarray:
     """Coefficients a_0..a_dN of (q - p)^d_N / (1 - p)^d_N in powers of q."""
     if not 0.0 < pole < 1.0:
-        raise StabilityError(f"filter pole must lie in (0, 1), got {pole}")
+        raise ValidationError(f"filter pole must lie in (0, 1), got {pole}")
     raw = np.array([comb(d_n, j) * (-pole) ** (d_n - j)
                     for j in range(d_n + 1)])
     # raw.sum() equals (1 - pole)**d_n by the binomial theorem; dividing by
@@ -52,7 +52,7 @@ class RealizedFilter:
     def __init__(self, numerator_rows: np.ndarray, pole: float, d_n: int):
         rows = np.atleast_2d(np.asarray(numerator_rows, dtype=float))
         if rows.shape[0] != d_n + 1:
-            raise DimensionError(
+            raise ValidationError(
                 f"need {d_n + 1} numerator rows, got {rows.shape[0]}")
         self.numerator = rows
         self.pole = float(pole)
@@ -65,7 +65,7 @@ class RealizedFilter:
         y = np.asarray(y_series, dtype=float)
         n_y = self.numerator.shape[1]
         if y.ndim != 2 or y.shape[1] != n_y:
-            raise DimensionError(
+            raise ValidationError(
                 f"measurement series has shape {y.shape}, expected "
                 f"(n_samples, {n_y})")
         n, d_n = y.shape[0], self.d_n
@@ -93,7 +93,7 @@ def realize_filter(design: FilterDesign, l: np.ndarray) -> RealizedFilter:
     """Wire a designed coefficient row to the constant measurement map L."""
     blocks = design.blocks()
     if blocks.shape[1] != l.shape[0]:
-        raise DimensionError(
+        raise ValidationError(
             f"coefficient blocks of length {blocks.shape[1]} do not match "
             f"L with {l.shape[0]} rows")
     return RealizedFilter(blocks @ l, design.pole, design.d_n)

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import LtiModel
-from .errors import (ConfigError, DimensionError, DivergenceError,
-                     ValidationError)
+from .errors import ConfigError, DivergenceError, ValidationError
 from .linalg import weighted_range_projector
 from .residual import RealizedFilter, check_finite
 
@@ -216,7 +215,7 @@ def simulate(model: LtiModel, scenario: Scenario,
     n_x, n_y = model.n_states, model.n_measurements
     n_f = model.n_attacks
     if scenario.attack_f is not None and scenario.attack_f.size != n_f:
-        raise DimensionError(
+        raise ValidationError(
             f"attack vector has length {scenario.attack_f.size}, "
             f"model has {n_f} attack channels")
 

@@ -22,7 +22,7 @@ import numpy as np
 from agcdiag.attacks import AttackSpace
 from agcdiag.dae import DaeSystem, attack_gain
 from agcdiag.design import FeasibleSetBasis, FilterDesign
-from agcdiag.errors import DimensionError, ValidationError
+from agcdiag.errors import ValidationError
 from agcdiag.linalg import weighted_range_projector
 
 DECOUPLE_TOL = 1e-8
@@ -90,7 +90,7 @@ def stealth_residual(f, c, d_f) -> float:
     f = np.atleast_1d(np.asarray(f, dtype=float))
     d_f = np.asarray(d_f, dtype=float)
     if f.size != d_f.shape[1]:
-        raise DimensionError(
+        raise ValidationError(
             f"attack vector has length {f.size}, expected {d_f.shape[1]}")
     proj = weighted_range_projector(c)
     injected = d_f @ f
@@ -113,7 +113,7 @@ def static_residual(y, c, r_y=None) -> np.ndarray:
         weights = 1.0 / diag
     proj = weighted_range_projector(c, weights)
     if y.size != proj.shape[0]:
-        raise DimensionError(
+        raise ValidationError(
             f"measurement vector has length {y.size}, expected {proj.shape[0]}")
     return y - proj @ y
 
@@ -269,7 +269,7 @@ def build_v(dae: DaeSystem, basis: np.ndarray, alpha: np.ndarray,
     gain = attack_gain(dae, basis)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != gain.shape[1]:
-        raise DimensionError(
+        raise ValidationError(
             f"alpha has length {alpha.size}, expected {gain.shape[1]}")
     col = gain @ alpha
     n_r = gain.shape[0]
@@ -291,7 +291,7 @@ def close_loop_static(a_x, b_d, b_u, c, d_f, gain):
     a_x, b_u, c, d_f = (np.asarray(m, dtype=float) for m in (a_x, b_u, c, d_f))
     gain = np.asarray(gain, dtype=float)
     if b_u.shape[1] != gain.shape[0] or gain.shape[1] != c.shape[0]:
-        raise DimensionError(
+        raise ValidationError(
             f"gain {gain.shape} does not connect inputs {b_u.shape[1]} "
             f"to measurements {c.shape[0]}")
     return (a_x + b_u @ gain @ c,
@@ -313,9 +313,9 @@ def augment_dynamic_controller(plant, controller):
     a_c, b_c, c_c, d_c = (np.asarray(m, dtype=float) for m in controller)
     n, n_c = a_x.shape[0], a_c.shape[0]
     if b_u.shape[0] != n or c.shape[1] != n:
-        raise DimensionError("plant matrices do not share the state dimension")
+        raise ValidationError("plant matrices do not share the state dimension")
     if b_c.shape != (n_c, c.shape[0]) or c_c.shape != (b_u.shape[1], n_c):
-        raise DimensionError("controller matrices do not fit the plant I/O")
+        raise ValidationError("controller matrices do not fit the plant I/O")
 
     a_hat = np.block([[a_x + b_u @ d_c @ c, b_u @ c_c],
                       [b_c @ c, a_c]])

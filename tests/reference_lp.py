@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from agcdiag.errors import IterationLimitError
+from agcdiag.errors import NumericError
 from agcdiag.lp import (FEAS_TOL, INFEASIBLE, MAX_ITER, OPTIMAL, PIVOT_TOL,
                         UNBOUNDED, LpProblem, LpSolution)
 
@@ -111,7 +111,7 @@ def solve_lp_reference(problem: LpProblem) -> LpSolution:
         nonlocal iterations
         while True:
             if iterations >= MAX_ITER:
-                raise IterationLimitError(
+                raise NumericError(
                     f"simplex exceeded {MAX_ITER} pivots")
             entering = -1
             for j in range(total):

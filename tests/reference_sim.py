@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from agcdiag.errors import DimensionError, DivergenceError
+from agcdiag.errors import DivergenceError, ValidationError
 from agcdiag.linalg import weighted_range_projector
 from agcdiag.residual import denominator_coefficients
 from agcdiag.simulate import (DIVERGENCE_GUARD, SimulationTrace,
@@ -43,7 +43,7 @@ class StreamingFilter:
     def step(self, y) -> float:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.size != self.numerator.shape[1]:
-            raise DimensionError(
+            raise ValidationError(
                 f"measurement vector has length {y.size}, expected "
                 f"{self.numerator.shape[1]}")
         self._y_hist = self._y_hist[1:] + [y]
@@ -63,7 +63,7 @@ def simulate_reference(model, scenario,
     n_x, n_y = model.n_states, model.n_measurements
     n_d, n_f = model.n_disturbances, model.n_attacks
     if scenario.attack_f is not None and scenario.attack_f.size != n_f:
-        raise DimensionError("attack vector length does not match the model")
+        raise ValidationError("attack vector length does not match the model")
 
     steps = scenario.n_steps
     rng = np.random.default_rng(scenario.seed)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from agcdiag.attacks import (AttackSpace, compute_basis, synthesize_attack,
                              validate_attack_space)
-from agcdiag.errors import DimensionError, ValidationError
+from agcdiag.errors import ValidationError
 
 from oracles import in_polytope, stealth_residual
 
@@ -89,7 +89,8 @@ class TestSynthesize:
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError,
+                           match=r"^alpha has length 2, expected 3$"):
             synthesize_attack(self.space(), np.zeros(2))
 
 
@@ -127,6 +128,18 @@ class TestSpanStealth:
         space = AttackSpace(basis=bad, a=np.ones((1, 3)), b=[1.5])
         with pytest.raises(ValidationError, match="stealth"):
             validate_attack_space(space, chain.model.c, chain.model.d_f)
+
+    def test_validation_rejects_wrong_length(self, chain):
+        space = AttackSpace(basis=REFERENCE_BASIS[:, :-1], a=np.ones((1, 3)),
+                            b=[1.5])
+        with pytest.raises(ValidationError,
+                           match=r"^attack vector has length 4, expected 5$"):
+            validate_attack_space(space, chain.model.c, chain.model.d_f)
+
+    def test_polytope_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match=r"^polytope A \(2, 3\) "
+                           r"incompatible with 3 basis vectors / 1 offsets$"):
+            AttackSpace(basis=REFERENCE_BASIS, a=np.ones((2, 3)), b=[1.5])
 
     def test_validation_rejects_dependent_rows(self, chain):
         dep = np.vstack([REFERENCE_BASIS, 2 * REFERENCE_BASIS[0]])

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from agcdiag import cli
+from agcdiag import cli, lp
 from agcdiag import config as cfgmod
 from agcdiag.cli import main
 from agcdiag.errors import NumericError
@@ -86,9 +86,11 @@ class TestDesignCommand:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("tol", ["1e-16", "1e-3"])
+    @pytest.mark.parametrize("tol", ["0", "1e-20", "1e-16", "1e-3"])
     def test_rank_cut_in_the_gap_keeps_the_filter(self, tol, tmp_path,
                                                   monkeypatch, capsys):
+        # 0 and 1e-20 used to count Hbar's rounding-level singular values
+        # as rank and exit 1 on a tableau blow-up
         code, _, _ = run_cli(["design"], tmp_path / "default", monkeypatch,
                              capsys)
         assert code == 0
@@ -97,6 +99,15 @@ class TestDesignCommand:
         assert code == 0
         assert (tmp_path / "cut" / "filter.json").read_bytes() == \
             (tmp_path / "default" / "filter.json").read_bytes()
+
+    def test_pivot_cap_names_its_lp(self, tmp_path, monkeypatch, capsys):
+        # the cap used to raise past the design's LP name
+        monkeypatch.setattr(lp, "MAX_ITER", 5)
+        code, out, err = run_cli(["design"], tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err == ('error: code=runtime field=- msg="relaxation LP '
+                       '(0, +1): simplex exceeded 5 pivots"\n')
+        assert not list(tmp_path.iterdir())
 
     def test_steady_state_kind_selected(self, tmp_path, monkeypatch, capsys):
         # structurally mu = 0 on the AGC default: exit 3 with the diagnostic

@@ -3,7 +3,7 @@ import pytest
 
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.discretize import LtiModel
-from agcdiag.errors import DimensionError
+from agcdiag.errors import ValidationError
 
 from helpers import poly_mat_multiply
 from oracles import build_fbar, build_v
@@ -150,10 +150,17 @@ class TestAttackGainBlocks:
 
     def test_dimension_errors(self):
         dae = build_dae(toy_model())
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError,
+                           match=r"^alpha has length 2, expected 1$"):
             build_v(dae, np.eye(1), np.zeros(2), 1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError,
+                           match=r"^basis rows have length 3, expected 1$"):
             attack_gain(dae, np.ones((1, 3)))
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"^filter degree must be nonnegative$"):
+            stack_hbar(build_dae(toy_model()), -1)
 
 
 class TestRandomSystemIdentity:

@@ -10,7 +10,7 @@ from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import (FeasibleSetBasis, design_robust,
                             design_steady_state, feasible_basis, solve_lp_i,
                             worst_case_alpha)
-from agcdiag.errors import EmptyAttackSetError, NumericError, ValidationError
+from agcdiag.errors import NumericError, ValidationError
 
 from oracles import (beta_for_index, brute_force_gamma, build_fbar,
                      check_reformulation_feasible, evaluate_payoff,
@@ -79,6 +79,14 @@ class TestFeasibleBasis:
         with pytest.raises(NumericError, match=f"rank tolerance {tol!r} "):
             feasible_basis(chain.hbar, 10.0, 3, tol)
 
+    @pytest.mark.parametrize("eta, d_n, message", [
+        (0.0, 3, r"^eta must be > 0, got 0.0$"),
+        (10.0, 4, r"^stacked width 176 not divisible by d_n\+1 = 5$"),
+    ])
+    def test_bad_eta_or_width_rejected(self, chain, eta, d_n, message):
+        with pytest.raises(ValidationError, match=message):
+            FeasibleSetBasis(chain.basis.z, eta, d_n)
+
 
 class TestSolveLpI:
     def test_empty_basis_gives_zero_certificate(self):
@@ -92,6 +100,21 @@ class TestSolveLpI:
     def test_agc_default_positive_indices_exist(self, chain):
         values = [row.gamma for row in chain.design.table]
         assert max(values) > 0
+
+    @pytest.mark.parametrize("block, sign, message", [
+        (0, 0, r"^sign must be \+1 or -1$"),
+        (4, 1, r"^block 4 outside 0..3$"),
+        (-1, -1, r"^block -1 outside 0..3$"),
+    ])
+    def test_bad_index_rejected(self, chain, block, sign, message):
+        with pytest.raises(ValidationError, match=message):
+            solve_lp_i(block, sign, chain.basis, chain.ffb, chain.space.a,
+                       chain.space.b)
+
+    def test_polytope_dimension_mismatch_rejected(self, chain):
+        with pytest.raises(ValidationError, match=r"^polytope A and attack "
+                           r"gain disagree on dimension$"):
+            solve_lp_i(0, 1, chain.basis, chain.ffb, np.ones((1, 2)), [1.0])
 
     def test_eta_homogeneity(self):
         basis, ffb, a_pol, b_pol = tiny_instance(3)
@@ -320,7 +343,7 @@ class TestCertificateOutcome:
     @pytest.mark.parametrize("solve", [design_robust, design_steady_state])
     def test_empty_polytope_raises(self, chain, solve):
         # used to read as a zero certificate (exit 3 in the CLI)
-        with pytest.raises(EmptyAttackSetError, match=r"^empty attack set: "
+        with pytest.raises(ValidationError, match=r"^empty attack set: "
                            r"\{A a >= b\} has no points$"):
             solve(chain.basis, chain.ffb, *self.EMPTY)
 
@@ -368,7 +391,8 @@ class TestWorstCase:
         assert payoff == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_polytope_raises(self, chain):
-        with pytest.raises(EmptyAttackSetError):
+        with pytest.raises(ValidationError, match=r"^empty attack set: "
+                           r"\{A a >= b\} has no points$"):
             worst_case_alpha(chain.design.nbar, chain.ffb, 3,
                              np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
                              np.array([2.0, -1.0]))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agcdiag import linalg
-from agcdiag.errors import DimensionError, SingularMatrixError
+from agcdiag.errors import ValidationError
 from agcdiag.linalg import expm, left_null_basis, weighted_range_projector
 
 
@@ -41,8 +41,14 @@ class TestExpm:
             denom = max(1.0, np.abs(ref).max())
             assert np.abs(ours - ref).max() / denom <= 1e-10
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValidationError,
+                           match=r"^expm input must be 2-D, got shape \(3,\)$"):
+            expm(np.ones(3))
+
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError,
+                           match=r"^expm needs a square matrix, got 2x3$"):
             expm(np.zeros((2, 3)))
 
 
@@ -76,8 +82,16 @@ class TestLeftNullBasis:
             gram = out @ out.T
             assert np.abs(gram - np.eye(out.shape[0])).max() <= 1e-10
 
+    def test_zero_tol_keeps_rounding_level_directions(self):
+        # the fourth singular value is 2.7e-16, rounding of an exact zero;
+        # at tol 0 it used to count as rank and drop a null direction
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 4))
+        assert left_null_basis(m, 0.0).shape == (3, 6)
+        assert np.abs(left_null_basis(m, 0.0) @ m).max() <= 1e-12
+
     def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^tol must be nonnegative$"):
             left_null_basis(np.eye(2), -1.0)
 
 
@@ -108,16 +122,22 @@ class TestWeightedRangeProjector:
 
     def test_rank_deficient_names_deficiency(self):
         c = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        with pytest.raises(SingularMatrixError, match="1 column"):
+        with pytest.raises(ValidationError, match="1 column"):
             weighted_range_projector(c)
 
+    def test_rejects_wrong_weight_length(self):
+        with pytest.raises(ValidationError, match=r"^weight diagonal has "
+                           r"length \(2,\), expected 3$"):
+            weighted_range_projector(np.eye(3), np.ones(2))
+
     def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^weight diagonal must be "
+                           r"finite and strictly positive$"):
             weighted_range_projector(np.eye(2), np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             weighted_range_projector(np.eye(3)[:, :2],
                                      np.array([bad, 1.0, 1.0]))
         assert linalg._projectors == {}
@@ -149,7 +169,7 @@ class TestWeightedRangeProjector:
     def test_rank_deficient_raises_on_every_call(self, projectors_computed):
         c = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         for _ in range(3):
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(ValidationError, match="deficient by 1 column"):
                 weighted_range_projector(c)
         assert projectors_computed == [1, 1, 1]
         assert linalg._projectors == {}

@@ -3,7 +3,7 @@ import pytest
 
 from agcdiag import lp
 from agcdiag.design import solve_lp_i
-from agcdiag.errors import DimensionError, NumericError
+from agcdiag.errors import NumericError, ValidationError
 
 from reference_lp import solve_lp_reference
 
@@ -75,20 +75,30 @@ class TestBasics:
         assert sol.value == pytest.approx(4.0, abs=1e-9)
 
     def test_dimension_mismatch_raises_before_solving(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match=r"^inequality block: "
+                           r"matrix \(1, 3\) incompatible with 2 variables"):
             lp.LpProblem("max", np.ones(2), a_ge=np.ones((1, 3)),
                          b_ge=np.ones(1))
 
     def test_bad_bounds_rejected(self):
         # a variable is free or nonnegative; any other bound is a row
         for lower in ([0.0, 2.0], [0.0, np.nan]):
-            with pytest.raises(ValueError, match="^variable 1 is neither"):
+            with pytest.raises(ValidationError,
+                               match="^variable 1 is neither"):
                 lp.LpProblem("max", np.ones(2), lower=lower)
         # the upper bound is +inf, not an argument
         for bounds in ({"lower": [0.0, -np.inf], "upper": [np.inf, 1.0]},
                        {"upper": [np.inf, -np.inf]}):
             with pytest.raises(TypeError, match="'upper'"):
                 lp.LpProblem("max", np.ones(2), **bounds)
+
+    def test_bad_sense_or_lower_length_rejected(self):
+        with pytest.raises(ValidationError, match=r"^sense must be 'max' or "
+                           r"'min', got 'maximize'$"):
+            lp.LpProblem("maximize", [1.0])
+        with pytest.raises(ValidationError,
+                           match=r"^lower must match the variable count$"):
+            lp.LpProblem("max", [1.0, 1.0], lower=[0.0])
 
     def test_left_out_block_is_empty(self):
         problem = lp.LpProblem("max", np.ones(3), a_ge=np.ones((2, 3)),
@@ -403,9 +413,8 @@ class TestGuards:
                      lower=[0.0, 0.0]).status == status
 
     def test_iteration_cap_raises(self, monkeypatch):
-        from agcdiag.errors import IterationLimitError
         monkeypatch.setattr(lp, "MAX_ITER", 1)
-        with pytest.raises(IterationLimitError):
+        with pytest.raises(NumericError, match=r"^simplex exceeded 1 pivots$"):
             solve("max", [1.0, 1.0],
                   a_ge=[[-1.0, -2.0], [-3.0, -1.0]], b_ge=[-4.0, -6.0],
                   lower=[0.0, 0.0])
@@ -436,7 +445,7 @@ class TestGuards:
         assert len(pivots) == 1
 
     def test_non_finite_data_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite"):
             lp.LpProblem("min", [np.nan])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite"):
             lp.LpProblem("min", [1.0], a_ge=[[np.inf]], b_ge=[0.0])

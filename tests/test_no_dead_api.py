@@ -8,9 +8,16 @@ definition, and every field of its dataclasses must be read there as
 so a name the benchmark tracer patches by string (``"step"``) counts as
 used. A name that only tests call belongs under ``tests/`` (see
 ``tests/oracles.py``).
+
+Every error class of ``errors.py`` but the base is one way a caller
+handles a failure: ``src/agcdiag`` names it in an ``except`` clause or an
+``isinstance`` call, or it carries data (it defines ``__init__``). The
+package raises no builtin exception class, so every error it raises is an
+``AgcDiagError``.
 """
 
 import ast
+import builtins
 import glob
 import os
 import re
@@ -116,3 +123,78 @@ def test_every_public_name_is_used():
 def test_every_dataclass_field_is_read():
     dead = dead_fields()
     assert not dead, f"fields never read: {dead}"
+
+
+def package_trees():
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        yield os.path.basename(path), ast.parse(read(path))
+
+
+def names_in(node) -> set[str]:
+    """The class names an ``except`` type or ``isinstance`` argument
+    lists: a name, an attribute's last part, or a tuple of those."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*(names_in(elt) for elt in node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def handled_names(trees) -> set[str]:
+    handled = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                handled |= names_in(node.type)
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                handled |= names_in(node.args[1])
+    return handled
+
+
+def unhandled_error_classes() -> list[str]:
+    handled = handled_names(package_trees())
+    tree = ast.parse(read(os.path.join(PACKAGE, "errors.py")))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [cls.name for cls in classes
+            if cls.name != "AgcDiagError" and cls.name not in handled
+            and not any(isinstance(sub, ast.FunctionDef)
+                        and sub.name == "__init__" for sub in cls.body)]
+
+
+def builtin_raises(trees) -> list[str]:
+    found = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            kind = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(kind, type) and issubclass(kind, BaseException):
+                found.append(f"{module}:{node.lineno}: {exc.id}")
+    return found
+
+
+def test_the_error_scans_see_the_package():
+    assert {"ConfigError", "InfeasibleDesignError", "AgcDiagError",
+            "NumericError", "ValidationError",
+            "UnknownLabelError"} <= handled_names(package_trees())
+    assert names_in(ast.parse("(a.B, C)", mode="eval").body) == {"B", "C"}
+    sample = ast.parse("raise ValueError('x')\nraise KeyError\n"
+                       "raise ValidationError('y')\nraise")
+    assert builtin_raises([("m.py", sample)]) == ["m.py:1: ValueError",
+                                                  "m.py:2: KeyError"]
+
+
+def test_every_error_class_is_handled_or_carries_data():
+    unhandled = unhandled_error_classes()
+    assert not unhandled, f"no caller tells these apart: {unhandled}"
+
+
+def test_no_builtin_exception_is_raised():
+    found = builtin_raises(package_trees())
+    assert not found, f"raise a package error instead: {found}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agcdiag.design import FilterDesign
-from agcdiag.errors import DimensionError, NumericError, StabilityError
+from agcdiag.errors import NumericError, ValidationError
 from agcdiag.residual import (RealizedFilter, denominator_coefficients,
                               realize_filter)
 
@@ -62,9 +62,11 @@ class TestDenominator:
         assert np.allclose(a, [-4.0, 5.0])    # (q - 0.8)/0.2
 
     def test_pole_outside_unit_interval_rejected(self):
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValidationError, match=r"^filter pole must lie in "
+                           r"\(0, 1\), got 1.2$"):
             denominator_coefficients(1.2, 2)
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValidationError, match=r"^filter pole must lie in "
+                           r"\(0, 1\), got 0.0$"):
             denominator_coefficients(0.0, 2)
 
 
@@ -179,12 +181,23 @@ class TestRealizedFilter:
 
     def test_wrong_width_rejected(self):
         filt = RealizedFilter(np.ones((2, 3)), pole=0.5, d_n=1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match=r"^measurement series has "
+                           r"shape \(4, 2\), expected \(n_samples, 3\)$"):
             filt.apply(np.ones((4, 2)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match=r"^measurement series has "
+                           r"shape \(3,\), expected \(n_samples, 3\)$"):
             filt.apply(np.ones(3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match=r"^measurement series has "
+                           r"shape \(1, 4\), expected \(n_samples, 3\)$"):
             filt.step(np.ones(4))
+
+    def test_shape_mismatch_at_construction_rejected(self, chain):
+        with pytest.raises(ValidationError,
+                           match=r"^need 3 numerator rows, got 2$"):
+            RealizedFilter(np.ones((2, 3)), pole=0.5, d_n=2)
+        with pytest.raises(ValidationError, match=r"^coefficient blocks of "
+                           r"length 44 do not match L with 43 rows$"):
+            realize_filter(chain.design, chain.dae.l[:-1])
 
     def test_realize_filter_wires_measurement_rows(self, chain):
         design = chain.design
@@ -198,7 +211,8 @@ class TestRealizedFilter:
     def test_realize_rejects_bad_pole(self, chain):
         bad = FilterDesign(chain.design.nbar, 3, 1.5, 1.0, "robust",
                            (0, 1), None)
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValidationError, match=r"^filter pole must lie in "
+                           r"\(0, 1\), got 1.5$"):
             realize_filter(bad, chain.dae.l)
 
 

@@ -127,6 +127,12 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="t_s"):
             simulate(chain.model, quiet_scenario())
 
+    def test_attack_length_mismatch_rejected(self, chain):
+        sc = quiet_scenario(attack_f=np.ones(4))
+        with pytest.raises(ValidationError, match=r"^attack vector has "
+                           r"length 4, model has 5 attack channels$"):
+            simulate(chain.discrete, sc)
+
     def test_nan_state_is_divergence(self):
         model = LtiModel(
             a_cl=np.array([[np.nan]]), b_d=np.ones((1, 1)),
