@@ -17,8 +17,6 @@ state labels are the first four forms. Attack channels are ordered by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .discretize import LtiModel
@@ -27,41 +25,45 @@ from .errors import UnknownLabelError, ValidationError
 PARTICIPATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class GeneratorParams:
     """One turbine-governor unit participating in AGC."""
 
-    t_ch: float          # governor-turbine time constant (s)
-    droop: float         # proportional frequency droop (p.u.)
-    participation: float  # share of the area AGC signal
+    __slots__ = ("t_ch", "droop", "participation")
 
-    def __post_init__(self):
-        if self.t_ch <= 0:
-            raise ValidationError(f"turbine time constant must be > 0, got {self.t_ch}")
-        if self.droop <= 0:
-            raise ValidationError(f"droop must be > 0, got {self.droop}")
+    def __init__(self, t_ch: float, droop: float, participation: float):
+        if t_ch <= 0:
+            raise ValidationError(f"turbine time constant must be > 0, got {t_ch}")
+        if droop <= 0:
+            raise ValidationError(f"droop must be > 0, got {droop}")
+        self.t_ch = t_ch          # governor-turbine time constant (s)
+        self.droop = droop        # proportional frequency droop (p.u.)
+        self.participation = participation  # share of the area AGC signal
 
 
-@dataclass(frozen=True)
 class AreaParams:
     """Physical and control parameters of one control area."""
 
-    name: str
-    inertia: float        # equivalent inertia H (s)
-    damping: float        # load damping D (p.u./Hz)
-    bias: float           # frequency bias B (p.u./Hz)
-    agc_gain: float       # integral gain K_I (1/s)
-    neighbors: dict[str, float] = field(default_factory=dict)  # name -> T_ij
-    generators: tuple[GeneratorParams, ...] = ()
+    __slots__ = ("name", "inertia", "damping", "bias", "agc_gain",
+                 "neighbors", "generators")
 
-    def __post_init__(self):
-        if self.inertia <= 0:
-            raise ValidationError(f"{self.name}: inertia must be > 0")
-        if self.generators:
-            total = sum(g.participation for g in self.generators)
+    def __init__(self, name: str, inertia: float, damping: float,
+                 bias: float, agc_gain: float,
+                 neighbors: dict[str, float] | None = None,
+                 generators: tuple[GeneratorParams, ...] = ()):
+        if inertia <= 0:
+            raise ValidationError(f"{name}: inertia must be > 0")
+        if generators:
+            total = sum(g.participation for g in generators)
             if abs(total - 1.0) > PARTICIPATION_TOL:
                 raise ValidationError(
-                    f"{self.name}: participation factors sum to {total!r}, not 1")
+                    f"{name}: participation factors sum to {total!r}, not 1")
+        self.name = name
+        self.inertia = inertia    # equivalent inertia H (s)
+        self.damping = damping    # load damping D (p.u./Hz)
+        self.bias = bias          # frequency bias B (p.u./Hz)
+        self.agc_gain = agc_gain  # integral gain K_I (1/s)
+        self.neighbors = {} if neighbors is None else neighbors  # -> T_ij
+        self.generators = generators
 
     @property
     def n_states(self) -> int:

@@ -7,8 +7,6 @@ The admissible "disruptive" coefficients live in the polytope {A a >= b}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -17,25 +15,22 @@ from .linalg import weighted_range_projector
 STEALTH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class AttackSpace:
     """Stealthy basis (rows of `basis`) plus the disruptive polytope."""
 
-    basis: np.ndarray      # (d, n_f), rows are basis attack vectors
-    a: np.ndarray          # (n_b, d)
-    b: np.ndarray          # (n_b,)
+    __slots__ = ("basis", "a", "b")
 
-    def __post_init__(self):
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+    def __init__(self, basis, a, b):
+        basis = np.atleast_2d(np.asarray(basis, dtype=float))
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape != (b.size, basis.shape[0]):
             raise ValidationError(
                 f"polytope A {a.shape} incompatible with {basis.shape[0]} "
                 f"basis vectors / {b.size} offsets")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.basis = basis     # (d, n_f), rows are basis attack vectors
+        self.a = a             # (n_b, d)
+        self.b = b             # (n_b,)
 
     @property
     def dim(self) -> int:

@@ -23,10 +23,11 @@ function that solved it.
 
 The sweep runs the closed loop once: the diagnosis filter reads the
 measurements and never feeds back into the loop, so the pole changes r_D
-alone. Each pole's filter is applied to that one run's measurements, as
-``simulate`` applies a filter after its state loop, and every
-``trace_p*.csv`` has the bytes of a full simulation with that pole. The
-columns other than ``r_D`` are formatted once for the whole sweep
+alone. The design is realized once, and each pole's filter is built from
+that one numerator ``blocks @ L`` and applied to that one run's
+measurements, as ``simulate`` applies a filter after its state loop, so
+every ``trace_p*.csv`` has the bytes of a full simulation with that pole.
+The columns other than ``r_D`` are formatted once for the whole sweep
 (``trace_csv_template``) and each pole fills in its own ``r_D``. The
 output flags ``include_states`` and ``include_measurements`` add their
 columns to every sweep trace, as they do to ``simulate``'s.
@@ -41,7 +42,6 @@ print one machine-readable line:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -56,7 +56,7 @@ from .design import (FilterDesign, design_robust, design_steady_state,
                      feasible_basis, worst_case_alpha)
 from .errors import (AgcDiagError, ConfigError, InfeasibleDesignError,
                      NumericError, ValidationError)
-from .residual import realize_filter
+from .residual import RealizedFilter, realize_filter
 from .simulate import (fill_trace_csv, read_trace_csv, simulate,
                        trace_csv_template, write_csv_table, write_trace_csv)
 
@@ -335,8 +335,9 @@ def cmd_sweep_pole(pipe: Pipeline, args) -> int:
     design = pipe.design
     plant = simulate(pipe.discrete, scenario)
     # every r_D before any file, so a non-finite one leaves no file behind
-    r_ds = [realize_filter(dataclasses.replace(design, pole=pole),
-                           pipe.dae.l).apply(plant.y) for pole in poles]
+    numerator = realize_filter(design, pipe.dae.l).numerator
+    r_ds = [RealizedFilter(numerator, pole, design.d_n).apply(plant.y)
+            for pole in poles]
     template = trace_csv_template(
         plant, include_states=opts["include_states"],
         include_measurements=opts["include_measurements"])

@@ -16,22 +16,23 @@ products with the banded matrix `stack_hbar` and the attack gain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discretize import LtiModel
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
 class DaeSystem:
     """H(q) = h0 + q h1, (n_r, n_x + n_d); l, (n_r, n_y); f, (n_r, n_f)."""
 
-    h0: np.ndarray
-    h1: np.ndarray
-    l: np.ndarray
-    f: np.ndarray
+    __slots__ = ("h0", "h1", "l", "f")
+
+    def __init__(self, h0: np.ndarray, h1: np.ndarray, l: np.ndarray,
+                 f: np.ndarray):
+        self.h0 = h0
+        self.h1 = h1
+        self.l = l
+        self.f = f
 
 
 def build_dae(model: LtiModel) -> DaeSystem:

@@ -29,8 +29,8 @@ finite-reformulation test) are test oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,22 +39,25 @@ from .errors import NumericError, ValidationError
 from .linalg import RANK_TOL, left_null_basis
 
 
-@dataclass(frozen=True)
 class FeasibleSetBasis:
     """Orthonormal rows of `z` span {Nbar : Nbar @ Hbar = 0}."""
 
-    z: np.ndarray
-    eta: float
-    d_n: int
+    __slots__ = ("z", "eta", "d_n")
 
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValidationError(f"eta must be > 0, got {self.eta}")
-        z = np.atleast_2d(np.asarray(self.z, dtype=float))
-        if z.shape[1] % (self.d_n + 1) != 0:
+    def __init__(self, z: np.ndarray, eta: float, d_n: int):
+        if not math.isfinite(eta):
+            raise ValidationError(f"eta must be finite, got {eta}")
+        if eta <= 0:
+            raise ValidationError(f"eta must be > 0, got {eta}")
+        if d_n < 0:
+            raise ValidationError(f"d_n must be >= 0, got {d_n}")
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        if z.shape[1] % (d_n + 1) != 0:
             raise ValidationError(
-                f"stacked width {z.shape[1]} not divisible by d_n+1 = {self.d_n + 1}")
-        object.__setattr__(self, "z", z)
+                f"stacked width {z.shape[1]} not divisible by d_n+1 = {d_n + 1}")
+        self.z = z
+        self.eta = eta
+        self.d_n = d_n
 
     @property
     def n_free(self) -> int:
@@ -71,7 +74,6 @@ class FeasibleSetBasis:
         return self.z[:, j * n_r:(j + 1) * n_r]
 
 
-@dataclass(frozen=True)
 class LpIndexReport:
     """One row of the design's LP table.
 
@@ -79,28 +81,40 @@ class LpIndexReport:
     the solved row with the opposite sign and carries no pivots or time.
     """
 
-    block: int
-    sign: int
-    status: str
-    gamma: float
-    wall_time: float
-    pivots: int
-    mirrored: bool = False
+    __slots__ = ("block", "sign", "status", "gamma", "wall_time", "pivots",
+                 "mirrored")
+
+    def __init__(self, block: int, sign: int, status: str, gamma: float,
+                 wall_time: float, pivots: int, mirrored: bool = False):
+        self.block = block
+        self.sign = sign
+        self.status = status
+        self.gamma = gamma
+        self.wall_time = wall_time
+        self.pivots = pivots
+        self.mirrored = mirrored
 
 
-@dataclass(frozen=True)
 class FilterDesign:
     """A designed residual generator with its detectability certificate."""
 
-    nbar: np.ndarray
-    d_n: int
-    pole: float
-    gamma: float
-    kind: str                      # "robust" | "steady-state"
-    index: tuple[int, int] | None  # (block, sign) for the robust design
-    multiplier: np.ndarray         # lam (robust) or z (steady-state)
-    table: tuple[LpIndexReport, ...] = field(default_factory=tuple)
-    diagnostic: str = ""
+    __slots__ = ("nbar", "d_n", "pole", "gamma", "kind", "index",
+                 "multiplier", "table", "diagnostic")
+
+    def __init__(self, nbar: np.ndarray, d_n: int, pole: float, gamma: float,
+                 kind: str, index: tuple[int, int] | None,
+                 multiplier: np.ndarray,
+                 table: tuple[LpIndexReport, ...] = (),
+                 diagnostic: str = ""):
+        self.nbar = nbar
+        self.d_n = d_n
+        self.pole = pole
+        self.gamma = gamma
+        self.kind = kind                # "robust" | "steady-state"
+        self.index = index              # (block, sign) for the robust design
+        self.multiplier = multiplier    # lam (robust) or z (steady-state)
+        self.table = table
+        self.diagnostic = diagnostic
 
     def blocks(self) -> np.ndarray:
         n_r = self.nbar.size // (self.d_n + 1)

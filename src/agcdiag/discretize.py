@@ -3,30 +3,37 @@ zero-order-hold sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import expm
 
 
-@dataclass(frozen=True)
 class LtiModel:
     """Closed loop dX = A X + B_d d + B_f f (X[k+1] = ... once sampled),
     Y = C X + D_f f; ``t_s`` is the sampling period, 0 for continuous
     time."""
 
-    a_cl: np.ndarray
-    b_d: np.ndarray
-    b_f: np.ndarray
-    c: np.ndarray
-    d_f: np.ndarray
-    state_labels: tuple[str, ...]
-    measurement_labels: tuple[str, ...]
-    attack_labels: tuple[str, ...]
-    disturbance_labels: tuple[str, ...]
-    t_s: float = 0.0
+    __slots__ = ("a_cl", "b_d", "b_f", "c", "d_f", "state_labels",
+                 "measurement_labels", "attack_labels", "disturbance_labels",
+                 "t_s")
+
+    def __init__(self, a_cl: np.ndarray, b_d: np.ndarray, b_f: np.ndarray,
+                 c: np.ndarray, d_f: np.ndarray,
+                 state_labels: tuple[str, ...],
+                 measurement_labels: tuple[str, ...],
+                 attack_labels: tuple[str, ...],
+                 disturbance_labels: tuple[str, ...], t_s: float = 0.0):
+        self.a_cl = a_cl
+        self.b_d = b_d
+        self.b_f = b_f
+        self.c = c
+        self.d_f = d_f
+        self.state_labels = state_labels
+        self.measurement_labels = measurement_labels
+        self.attack_labels = attack_labels
+        self.disturbance_labels = disturbance_labels
+        self.t_s = t_s
 
     @property
     def n_states(self) -> int:
@@ -66,6 +73,7 @@ def zoh_discretize(model: LtiModel, t_s: float) -> LtiModel:
     with np.errstate(over="ignore"):    # expm refuses a non-finite input
         aug *= t_s
     phi = expm(aug)
-    return replace(
-        model, a_cl=phi[:n, :n], b_d=phi[:n, n:n + n_d],
-        b_f=phi[:n, n + n_d:], t_s=float(t_s))
+    return LtiModel(
+        phi[:n, :n], phi[:n, n:n + n_d], phi[:n, n + n_d:], model.c,
+        model.d_f, model.state_labels, model.measurement_labels,
+        model.attack_labels, model.disturbance_labels, float(t_s))

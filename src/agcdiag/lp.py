@@ -69,8 +69,6 @@ reads the solution off the tableau turns such a zero into +0.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ValidationError
@@ -90,29 +88,26 @@ _EQ, _GE, _LE = 0, 1, 2
 _SWAP = np.array([_EQ, _LE, _GE])
 
 
-@dataclass(frozen=True)
 class LpProblem:
     """max/min c'x subject to A_eq x = b_eq, A_ge x >= b_ge, each variable
     free (``lower`` -inf, the default) or nonnegative (``lower`` 0). A block
     left out is an empty ``(0, n)`` block; ``upper`` is a +inf property."""
 
-    sense: str
-    c: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ge: np.ndarray | None = None
-    b_ge: np.ndarray | None = None
-    lower: np.ndarray | None = None
+    __slots__ = ("sense", "c", "a_eq", "b_eq", "a_ge", "b_ge", "lower")
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
+    def __init__(self, sense: str, c: np.ndarray,
+                 a_eq: np.ndarray | None = None,
+                 b_eq: np.ndarray | None = None,
+                 a_ge: np.ndarray | None = None,
+                 b_ge: np.ndarray | None = None,
+                 lower: np.ndarray | None = None):
+        c = np.atleast_1d(np.asarray(c, dtype=float))
         if not np.all(np.isfinite(c)):
             raise ValidationError("cost vector contains non-finite entries")
-        object.__setattr__(self, "c", c)
         n = c.size
-        if self.sense not in ("max", "min"):
+        if sense not in ("max", "min"):
             raise ValidationError(
-                f"sense must be 'max' or 'min', got {self.sense!r}")
+                f"sense must be 'max' or 'min', got {sense!r}")
 
         def norm_rows(a, b, what):
             if a is None and b is None:
@@ -127,22 +122,23 @@ class LpProblem:
                 raise ValidationError(f"{what}: non-finite constraint data")
             return a, b
 
-        a_eq, b_eq = norm_rows(self.a_eq, self.b_eq, "equality block")
-        a_ge, b_ge = norm_rows(self.a_ge, self.b_ge, "inequality block")
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "a_ge", a_ge)
-        object.__setattr__(self, "b_ge", b_ge)
-
-        lower = (np.full(n, -np.inf) if self.lower is None
-                 else np.atleast_1d(np.asarray(self.lower, dtype=float)))
+        a_eq, b_eq = norm_rows(a_eq, b_eq, "equality block")
+        a_ge, b_ge = norm_rows(a_ge, b_ge, "inequality block")
+        lower = (np.full(n, -np.inf) if lower is None
+                 else np.atleast_1d(np.asarray(lower, dtype=float)))
         if lower.size != n:
             raise ValidationError("lower must match the variable count")
         bad = ~((lower == 0.0) | (lower == -np.inf))
         if bad.any():
             raise ValidationError(f"variable {int(np.argmax(bad))} is neither "
                                   "free nor nonnegative (lower -inf or 0)")
-        object.__setattr__(self, "lower", lower)
+        self.sense = sense
+        self.c = c
+        self.a_eq = a_eq
+        self.b_eq = b_eq
+        self.a_ge = a_ge
+        self.b_ge = b_ge
+        self.lower = lower
 
     @property
     def n_vars(self) -> int:
@@ -153,12 +149,15 @@ class LpProblem:
         return np.full(self.n_vars, np.inf)
 
 
-@dataclass(frozen=True)
 class LpSolution:
-    status: str
-    value: float | None
-    x: np.ndarray | None
-    iterations: int
+    __slots__ = ("status", "value", "x", "iterations")
+
+    def __init__(self, status: str, value: float | None,
+                 x: np.ndarray | None, iterations: int):
+        self.status = status
+        self.value = value
+        self.x = x
+        self.iterations = iterations
 
     @property
     def is_optimal(self) -> bool:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +51,6 @@ def _sample_index(seconds: float, t_s: float) -> int:
     return int(np.floor(seconds / t_s + 1e-9))
 
 
-@dataclass(frozen=True)
 class Scenario:
     """One simulation experiment.
 
@@ -65,25 +63,34 @@ class Scenario:
     k > ``onset_index``.
     """
 
-    horizon_s: float
-    t_s: float
-    onset_s: float = 0.0
-    attack_f: np.ndarray | None = None
-    load_std: dict[str, float] = field(default_factory=dict)
-    process_noise: dict[str, float] = field(default_factory=dict)
-    measurement_noise: dict[str, float] = field(default_factory=dict)
-    seed: int = 0
+    __slots__ = ("horizon_s", "t_s", "onset_s", "attack_f", "load_std",
+                 "process_noise", "measurement_noise", "seed")
 
-    def __post_init__(self):
-        if not (self.horizon_s > 0 and self.t_s > 0):
+    def __init__(self, horizon_s: float, t_s: float, onset_s: float = 0.0,
+                 attack_f: np.ndarray | None = None,
+                 load_std: dict[str, float] | None = None,
+                 process_noise: dict[str, float] | None = None,
+                 measurement_noise: dict[str, float] | None = None,
+                 seed: int = 0):
+        if not (horizon_s > 0 and t_s > 0):
             raise ValidationError("horizon and sampling period must be > 0")
-        if not 0 <= self.onset_s <= self.horizon_s:
+        if not math.isfinite(float(horizon_s) / float(t_s)):
             raise ValidationError(
-                f"attack onset {self.onset_s} outside [0, {self.horizon_s}]")
-        if self.attack_f is not None:
-            object.__setattr__(
-                self, "attack_f",
-                np.atleast_1d(np.asarray(self.attack_f, dtype=float)))
+                f"horizon_s / t_s is not a finite sample count "
+                f"at t_s = {t_s!r}, got {horizon_s!r}")
+        if not 0 <= onset_s <= horizon_s:
+            raise ValidationError(
+                f"attack onset {onset_s} outside [0, {horizon_s}]")
+        self.horizon_s = horizon_s
+        self.t_s = t_s
+        self.onset_s = onset_s
+        self.attack_f = (None if attack_f is None
+                         else np.atleast_1d(np.asarray(attack_f, dtype=float)))
+        self.load_std = {} if load_std is None else load_std
+        self.process_noise = {} if process_noise is None else process_noise
+        self.measurement_noise = ({} if measurement_noise is None
+                                  else measurement_noise)
+        self.seed = seed
 
     @property
     def n_steps(self) -> int:
@@ -111,18 +118,22 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass
 class SimulationTrace:
     """Time-indexed record of one run; row k holds the signals at sample k."""
 
-    t: np.ndarray
-    d: np.ndarray
-    f: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    rs_inf: np.ndarray
-    r_d: np.ndarray
-    metadata: dict
+    __slots__ = ("t", "d", "f", "x", "y", "rs_inf", "r_d", "metadata")
+
+    def __init__(self, t: np.ndarray, d: np.ndarray, f: np.ndarray,
+                 x: np.ndarray, y: np.ndarray, rs_inf: np.ndarray,
+                 r_d: np.ndarray, metadata: dict):
+        self.t = t
+        self.d = d
+        self.f = f
+        self.x = x
+        self.y = y
+        self.rs_inf = rs_inf
+        self.r_d = r_d
+        self.metadata = metadata
 
     @property
     def n_records(self) -> int:

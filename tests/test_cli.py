@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -301,7 +300,8 @@ class TestSweepPole:
                                          pipe.attack_vector())
         opts = cfgmod.output_params(cfg)
         for pole in cli.DEFAULT_POLE_SWEEP:
-            design = dataclasses.replace(pipe.design, pole=pole)
+            design = copy.copy(pipe.design)
+            design.pole = pole
             trace = simulate(pipe.discrete, scenario,
                              realize_filter(design, pipe.dae.l))
             assert np.abs(trace.r_d).max() > 0.0

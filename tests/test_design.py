@@ -82,6 +82,10 @@ class TestFeasibleBasis:
     @pytest.mark.parametrize("eta, d_n, message", [
         (0.0, 3, r"^eta must be > 0, got 0.0$"),
         (10.0, 4, r"^stacked width 176 not divisible by d_n\+1 = 5$"),
+        (10.0, -1, r"^d_n must be >= 0, got -1$"),
+        (10.0, -2, r"^d_n must be >= 0, got -2$"),
+        (np.nan, 3, r"^eta must be finite, got nan$"),
+        (np.inf, 3, r"^eta must be finite, got inf$"),
     ])
     def test_bad_eta_or_width_rejected(self, chain, eta, d_n, message):
         with pytest.raises(ValidationError, match=message):

@@ -3,17 +3,20 @@
 Every public top-level function, class and constant of
 ``src/agcdiag/*.py``, and every public method of its classes, must be
 mentioned in ``src/``, ``scripts/`` or ``perfbench/`` outside its own
-definition, and every field of its dataclasses must be read there as
-``.<field>`` (``self.<field>`` does not count). The match is on the text,
-so a name the benchmark tracer patches by string (``"step"``) counts as
-used. A name that only tests call belongs under ``tests/`` (see
-``tests/oracles.py``).
+definition, and every field of its records (the names in a class's
+``__slots__``) must be read there as ``.<field>`` (``self.<field>`` does
+not count). The match is on the text, so a name the benchmark tracer
+patches by string (``"step"``) counts as used. A name that only tests
+call belongs under ``tests/`` (see ``tests/oracles.py``).
 
 Every error class of ``errors.py`` but the base is one way a caller
 handles a failure: ``src/agcdiag`` names it in an ``except`` clause or an
 ``isinstance`` call, or it carries data (it defines ``__init__``). The
 package raises no builtin exception class, so every error it raises is an
 ``AgcDiagError``.
+
+Importing the package generates no code: no module imports
+``dataclasses``, and no import compiles a ``<string>`` source.
 """
 
 import ast
@@ -21,6 +24,8 @@ import builtins
 import glob
 import os
 import re
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "agcdiag")
@@ -55,17 +60,18 @@ def public_definitions(path: str):
                     yield sub.name, sub.lineno, sub.end_lineno
 
 
-def dataclass_fields(path: str):
-    """``(class, field)`` for each annotated field of a module's
-    dataclasses."""
+def record_fields(path: str):
+    """``(class, field)`` for each name in the ``__slots__`` of a module's
+    record classes."""
     for node in ast.parse(read(path)).body:
-        if isinstance(node, ast.ClassDef) and any(
-                ast.unparse(dec).startswith("dataclass")
-                for dec in node.decorator_list):
-            for sub in node.body:
-                if isinstance(sub, ast.AnnAssign) \
-                        and isinstance(sub.target, ast.Name):
-                    yield node.name, sub.target.id
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in sub.targets):
+                for name in ast.literal_eval(sub.value):
+                    yield node.name, name
 
 
 def searched_texts() -> dict[str, list[str]]:
@@ -98,7 +104,7 @@ def dead_fields() -> list[str]:
                      for lines in searched_texts().values())
     dead = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
-        for cls, name in dataclass_fields(path):
+        for cls, name in record_fields(path):
             if not re.search(rf"(?<!\bself)\.{re.escape(name)}\b", text):
                 dead.append(f"{os.path.basename(path)}: {cls}.{name}")
     return dead
@@ -110,7 +116,7 @@ def test_the_scan_sees_the_package():
     assert {"main", "default_config", "RealizedFilter", "step",
             "STEALTH_TOL"} <= names
     fields = {field for path in glob.glob(os.path.join(PACKAGE, "*.py"))
-              for field in dataclass_fields(path)}
+              for field in record_fields(path)}
     assert {("Scenario", "t_s"), ("FilterDesign", "gamma"),
             ("AttackSpace", "basis")} <= fields
 
@@ -198,3 +204,60 @@ def test_every_error_class_is_handled_or_carries_data():
 def test_no_builtin_exception_is_raised():
     found = builtin_raises(package_trees())
     assert not found, f"raise a package error instead: {found}"
+
+
+def imported_modules(trees) -> set[str]:
+    """The absolute names the package's ``import`` statements load: each
+    module, and each ``<module>.<name>`` of a ``from`` import, which may
+    be a submodule (``importlib.resources``) or not (``functools.cache``).
+    """
+    found = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module)
+                found |= {f"{node.module}.{alias.name}"
+                          for alias in node.names}
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    modules = imported_modules(package_trees())
+    assert {"numpy", "json", "argparse", "importlib.resources"} <= modules
+    assert not {name for name in modules
+                if name.split(".")[0] == "dataclasses"}
+
+
+# Loads the package's outside imports, then counts the compile events of
+# importing every package module whose filename is "<string>": code that
+# the import builds as text and execs, as ``dataclasses`` does.
+GENERATED_CODE_PROBE = """
+import importlib, sys
+for name in sys.argv[2:]:
+    try:
+        importlib.import_module(name)
+    except ImportError:    # a name imported from a module, not a module
+        pass
+generated = []
+sys.addaudithook(lambda event, args: generated.append(args[1])
+                 if event == "compile" and args[1] == "<string>" else None)
+for name in sys.argv[1].split(","):
+    importlib.import_module("agcdiag." + name)
+print(len(generated))
+"""
+
+
+def test_importing_the_package_generates_no_code():
+    trees = list(package_trees())
+    outside = sorted(name for name in imported_modules(trees)
+                     if not name.startswith("__future__"))
+    modules = [name[:-3] for name, _ in trees if name != "__init__.py"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", GENERATED_CODE_PROBE, ",".join(modules),
+         *outside], env=env, capture_output=True, text=True, timeout=120,
+        check=True)
+    assert done.stdout.split() == ["0"], done.stderr

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,16 @@ class TestScenario:
         (10.0, np.nan), (np.nan, 0.5), (10.0, 0.0), (-1.0, 0.5)])
     def test_bad_horizon_or_period_rejected(self, horizon_s, t_s):
         with pytest.raises(ValidationError, match="sampling period"):
+            Scenario(horizon_s=horizon_s, t_s=t_s)
+
+    @pytest.mark.parametrize("horizon_s, t_s", [
+        (np.inf, 0.5), (1e308, 1e-300),
+        (np.float64(1e308), np.float64(1e-300)),
+    ], ids=["inf", "overflow", "numpy-overflow"])
+    def test_non_finite_sample_count_rejected(self, horizon_s, t_s):
+        with pytest.raises(ValidationError,
+                           match=r"^horizon_s / t_s is not a finite sample "
+                                 rf"count at t_s = {re.escape(repr(t_s))}, "):
             Scenario(horizon_s=horizon_s, t_s=t_s)
 
     def test_negative_covariance_rejected(self, chain):
