@@ -32,6 +32,9 @@ The columns other than ``r_D`` are formatted once for the whole sweep
 output flags ``include_states`` and ``include_measurements`` add their
 columns to every sweep trace, as they do to ``simulate``'s.
 
+``main`` builds the argument parser on its first call and every later
+call in the process parses with that one parser (``build_parser``).
+
 Exit codes: 0 success, 2 bad config or command line (field named on
 stderr, ``argv`` for the command line), 3 infeasible design (a zero
 certificate), 1 anything else, an empty attack polytope included. Errors
@@ -47,7 +50,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import config as cfgmod
 from . import dae as daemod
@@ -234,8 +237,7 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=1) + "\n")
 
 
 def cmd_design(pipe: Pipeline, args) -> int:
@@ -383,7 +385,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("argv", message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later call in the process. Parsing leaves it as it was: each parse
+    fills a new namespace, and ``--set`` appends to a copy of its default
+    list, so no call sees another's arguments."""
     parser = _Parser(
         prog="agcdiag",
         description="Design and evaluate dynamic diagnosis filters for "

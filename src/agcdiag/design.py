@@ -30,6 +30,7 @@ finite-reformulation test) are test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -49,6 +50,8 @@ class FeasibleSetBasis:
             raise ValidationError(f"eta must be finite, got {eta}")
         if eta <= 0:
             raise ValidationError(f"eta must be > 0, got {eta}")
+        if isinstance(d_n, bool) or not isinstance(d_n, numbers.Integral):
+            raise ValidationError(f"d_n must be an integer, got {d_n!r}")
         if d_n < 0:
             raise ValidationError(f"d_n must be >= 0, got {d_n}")
         z = np.atleast_2d(np.asarray(z, dtype=float))

@@ -27,14 +27,31 @@ def check_finite(name: str, series: np.ndarray) -> None:
 
 
 def denominator_coefficients(pole: float, d_n: int) -> np.ndarray:
-    """Coefficients a_0..a_dN of (q - p)^d_N / (1 - p)^d_N in powers of q."""
+    """Coefficients a_0..a_dN of (q - p)^d_N / (1 - p)^d_N in powers of q.
+
+    The expansion is rounded, so at a high degree and a pole near 1 its
+    roots scatter about p: (0.98, 10) puts one at about 1.02. A
+    denominator with a root of magnitude >= 1, or whose a(1) rounds to
+    zero or below, would realize an unstable filter and raises
+    ``NumericError``.
+    """
     if not 0.0 < pole < 1.0:
         raise ValidationError(f"filter pole must lie in (0, 1), got {pole}")
     raw = np.array([comb(d_n, j) * (-pole) ** (d_n - j)
                     for j in range(d_n + 1)])
+    if d_n > 0:
+        radius = float(np.abs(np.roots(raw[::-1])).max())
+        if radius >= 1.0:
+            raise NumericError(
+                f"filter pole {pole} at degree d_N = {d_n} realizes a "
+                f"denominator root of magnitude {radius:.6g} >= 1")
     # raw.sum() equals (1 - pole)**d_n by the binomial theorem; dividing by
     # the computed sum keeps a(1) = 1 at machine precision for any degree
-    return raw / raw.sum()
+    total = float(raw.sum())
+    if not total > 0.0:
+        raise NumericError(f"filter pole {pole} at degree d_N = {d_n}: "
+                           f"(1 - p)^d_N rounds to {total!r}")
+    return raw / total
 
 
 class RealizedFilter:

@@ -312,6 +312,22 @@ class TestSweepPole:
             got = tmp_path / f"trace_p{pole:g}.csv"
             assert got.read_bytes() == expected.read_bytes(), pole
 
+    def test_unstable_pole_exits_1_without_traces(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # every filter is built before any file: a pole whose rounded
+        # denominator has a root past 1 leaves no trace behind
+        code, out, err = run_cli(
+            ["--set", "scenario.horizon_s=10.0",
+             "--set", "scenario.onset_s=5.0",
+             "sweep-pole", "--poles", "0.6,0.999999"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith('error: code=runtime field=- msg="filter pole '
+                              '0.999999 at degree d_N = 3 realizes a '
+                              'denominator root of magnitude ')
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, prefix, other", [
         ("include_states", "X_", "Y_"),
         ("include_measurements", "Y_", "X_"),
@@ -367,6 +383,67 @@ def test_reproduce_pass_solves_the_reply_once(tmp_path, monkeypatch,
     runpy.run_path(REPRODUCE, run_name="__main__")
     capsys.readouterr()
     assert len(replies) == 1
+
+
+def test_reproduce_pass_builds_the_parser_once(tmp_path, monkeypatch,
+                                               capsys):
+    """One pass of the reproduce script in this process builds the
+    argument parser once and parses all seven commands with it."""
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(tmp_path)])
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+
+
+def test_shared_parser_carries_nothing_into_the_next_call(tmp_path,
+                                                         monkeypatch, capsys):
+    """After calls with ``--set``, ``report --trace`` and ``sweep-pole
+    --poles``, calls without them see the defaults."""
+    short = ["--set", "scenario.horizon_s=10.0",
+             "--set", "scenario.onset_s=5.0"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(first))
+    assert main([*short, "simulate"]) == 0
+    assert main(["report", "--trace", str(first / "trace.csv")]) == 0
+    assert main([*short, "sweep-pole", "--poles", "0.5"]) == 0
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(second))
+    assert main(["simulate"]) == 0
+    assert main(["report"]) == 0
+    assert main(["sweep-pole"]) == 0
+    capsys.readouterr()
+    meta = json.loads((second / "trace_meta.json").read_text())
+    assert meta["overrides"] == []
+    rows = len(read_trace_csv(str(second / "trace.csv"))["t"])
+    assert rows > len(read_trace_csv(str(first / "trace.csv"))["t"])
+    panel = read_trace_csv(str(second / "panel_dynamic_residual.csv"))
+    assert len(panel["t"]) == rows
+    assert sorted(p.name for p in second.glob("trace_p*.csv")) == [
+        f"trace_p{pole:g}.csv" for pole in cli.DEFAULT_POLE_SWEEP]
+    assert cli.build_parser().get_default("overrides") == []
+
+
+@pytest.mark.parametrize("bad", [
+    ["nope"], ["design", "--bogus"],
+    ["--set", "design.d_n=2", "sweep-pole", "--poles", "0.5", "--bogus"],
+])
+def test_argv_error_between_calls_changes_nothing(bad, tmp_path, monkeypatch,
+                                                  capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(before))
+    assert main(["design"]) == 0
+    out = capsys.readouterr().out
+    assert main(bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=config field=argv ")
+    assert len(err.splitlines()) == 1
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(after))
+    assert main(["design"]) == 0
+    assert capsys.readouterr().out == out
+    for name in ("design_report.txt", "filter.json"):
+        assert (after / name).read_bytes() == (before / name).read_bytes()
 
 
 def test_reproduce_pass_projector_counts(tmp_path, monkeypatch, capsys,

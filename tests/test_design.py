@@ -86,6 +86,10 @@ class TestFeasibleBasis:
         (10.0, -2, r"^d_n must be >= 0, got -2$"),
         (np.nan, 3, r"^eta must be finite, got nan$"),
         (np.inf, 3, r"^eta must be finite, got inf$"),
+        (10.0, 2.5, r"^d_n must be an integer, got 2\.5$"),
+        (10.0, 3.0, r"^d_n must be an integer, got 3\.0$"),
+        (10.0, True, r"^d_n must be an integer, got True$"),
+        (10.0, "3", r"^d_n must be an integer, got '3'$"),
     ])
     def test_bad_eta_or_width_rejected(self, chain, eta, d_n, message):
         with pytest.raises(ValidationError, match=message):

@@ -69,6 +69,31 @@ class TestDenominator:
                            r"\(0, 1\), got 0.0$"):
             denominator_coefficients(0.0, 2)
 
+    @pytest.mark.parametrize("pole, d_n", [(0.98, 10), (0.99, 10),
+                                           (0.999999, 3)])
+    def test_rounded_root_outside_the_unit_circle_refused(self, pole, d_n):
+        # the expansion's rounding scatters the d_N-fold root p; a filter
+        # realized with a root past 1 diverged (r_D 14 672 at (0.98, 10))
+        with pytest.raises(NumericError, match=(
+                rf"^filter pole {pole} at degree d_N = {d_n} realizes a "
+                r"denominator root of magnitude 1\.\d+ >= 1$")):
+            denominator_coefficients(pole, d_n)
+        with pytest.raises(NumericError, match=r"realizes a denominator root"):
+            RealizedFilter(np.ones((d_n + 1, 1)), pole, d_n)
+
+    def test_a_one_rounding_to_zero_refused(self):
+        # both roots stay inside the circle, but (1 - p)^2 rounds to 0
+        with pytest.raises(NumericError, match=(
+                r"^filter pole 0.999999999999 at degree d_N = 2: "
+                r"\(1 - p\)\^d_N rounds to 0.0$")):
+            denominator_coefficients(0.999999999999, 2)
+
+    @pytest.mark.parametrize("pole, d_n", [(0.98, 3), (0.98, 6), (0.8, 10),
+                                           (0.6, 10)])
+    def test_roots_inside_the_unit_circle_accepted(self, pole, d_n):
+        a = denominator_coefficients(pole, d_n)
+        assert np.abs(np.roots(a[::-1])).max() < 1.0
+
 
 class TestRealizedFilter:
     def test_degree_zero_is_memoryless(self):
