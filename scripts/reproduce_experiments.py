@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the reference detection experiments end to end.
 
-Runs the full pipeline on the shipped default configuration:
+Runs the full pipeline on the shipped default configuration. Every step
+repeats the config entries the model chain reads, so in this process the
+model, its ZOH, the DAE and the attack space are built once, by the first
+call, and shared by every later one:
 
   1. robust filter design (8 relaxation LPs, 4 solved and 4 mirrored;
      report + coefficients), solved once: the later steps repeat its

@@ -9,17 +9,11 @@ simulate    run the configured scenario, write trace.csv
 report      split a trace into per-panel plot-data CSVs
 sweep-pole  simulate once and filter the run with each of a list of poles
 
-Commands run in one process share their design: the last design solved
-is kept, keyed by a sha256 of everything it reads (the DAE arrays, the
-attack space and the design parameters, not the config text) and by the
-solver function that produced it, and a later command whose design inputs
-and solver repeat exactly reuses it without solving again. Replacing
-``design_robust`` or ``design_steady_state`` in this module (a test's
-patch, a profiler's wrapper) therefore solves afresh. The attacker's best
-reply is kept beside it the same way: it reads only the design and inputs
-inside the design's key, so it is returned again, unsolved, while the
-design is the kept object and ``worst_case_alpha`` in this module is the
-function that solved it.
+Commands run in one process share the model chain, the design and the
+attacker's best reply: one process-level record keeps the stages built
+last, keyed by the config entries they read, and a later command whose
+entries repeat adopts them; a replaced solver (a test's patch, a
+profiler's wrapper) solves afresh. See ``Pipeline``.
 
 The sweep runs the closed loop once: the diagnosis filter reads the
 measurements and never feeds back into the loop, so the pole changes r_D
@@ -45,12 +39,12 @@ print one machine-readable line:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable
 from functools import cache, cached_property
+
+import numpy as np
 
 from . import config as cfgmod
 from . import dae as daemod
@@ -65,44 +59,85 @@ from .simulate import (fill_trace_csv, read_trace_csv, simulate,
 
 DEFAULT_POLE_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.98)
 
-# (key, solver, design) of the last design this process solved; see
-# Pipeline.design
-_last_design: tuple[str, Callable, FilterDesign] | None = None
-# (design, solver, (alpha, payoff)) of the last best reply solved; see
-# Pipeline.worst_case
-_last_reply: tuple[FilterDesign, Callable, tuple] | None = None
+_record: dict = {}   # the last Pipeline's key and stages; see Pipeline
 
 
 def _error_line(code: str, msg: str, field: str = "-") -> None:
     print(f'error: code={code} field={field} msg="{msg}"', file=sys.stderr)
 
 
+def _freeze(value) -> None:
+    """Make read-only every array in ``value``: an array, or a tuple, list,
+    dict or ``__slots__`` record holding them, at any depth."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list, dict)):
+        for item in (value.values() if isinstance(value, dict) else value):
+            _freeze(item)
+    else:
+        for name in getattr(value, "__slots__", ()):
+            _freeze(getattr(value, name))
+
+
 class Pipeline:
-    """Lazy single-config pipeline shared by all commands."""
+    """Lazy single-config pipeline shared by all commands.
+
+    The stages ``model``, ``discrete``, ``dae``, ``space``, ``params``,
+    ``ffb``, ``design`` and ``worst_case`` read only the config entries
+    ``model``, ``scenario.t_s``, ``attack.basis`` and ``design``, whose
+    canonical JSON (``sort_keys``; ``true``, ``1`` and ``1.0`` differ) is
+    ``key``. Each stage built is recorded under ``key`` in ``_record``, its
+    arrays made read-only; a stage that raised is not, and one built under
+    another key first empties the record. A new pipeline with the same key
+    adopts the record on construction: the model chain as it is, the
+    design and the reply (``_design``, ``_reply``) while their solver, the
+    module attribute looked up at call time, is the object that produced
+    them. The record holds no pipeline, config, scenario or null ``basis``,
+    which is built only to solve a design.
+    """
+
+    _design = _reply = None     # (solver, [design,] value) when adopted
 
     def __init__(self, cfg: dict, overrides: list[str]):
         self.cfg = cfg
         self.overrides = overrides
+        self.key = json.dumps([cfg["model"], cfg["scenario"]["t_s"],
+                               cfg["attack"]["basis"], cfg["design"]],
+                              sort_keys=True)
+        if _record.get("key") == self.key:
+            self.__dict__.update(_record)
+
+    def _keep(self, name: str, value):
+        """Record ``value`` as stage ``name`` under this pipeline's key, its
+        arrays made read-only, and return it."""
+        if _record.get("key") != self.key:
+            _record.clear()
+            _record["key"] = self.key
+        _freeze(value)
+        _record[name] = value
+        return value
 
     @cached_property
     def model(self):
-        return cfgmod.build_model(self.cfg)
+        return self._keep("model", cfgmod.build_model(self.cfg))
 
     @cached_property
     def discrete(self):
-        return cfgmod.build_discrete(self.cfg, self.model)
+        return self._keep("discrete",
+                          cfgmod.build_discrete(self.cfg, self.model))
 
     @cached_property
     def dae(self):
-        return daemod.build_dae(self.discrete)
+        return self._keep("dae", daemod.build_dae(self.discrete))
 
     @cached_property
     def space(self):
-        return cfgmod.build_attack_space(self.cfg, self.model)
+        return self._keep("space",
+                          cfgmod.build_attack_space(self.cfg, self.model))
 
     @cached_property
     def params(self) -> dict:
-        return cfgmod.design_params(self.cfg)
+        return self._keep("params", cfgmod.design_params(self.cfg))
 
     @cached_property
     def basis(self):
@@ -112,39 +147,20 @@ class Pipeline:
 
     @cached_property
     def ffb(self):
-        return daemod.attack_gain(self.dae, self.space.basis)
-
-    def _design_key(self) -> str:
-        """sha256 over every input the design reads: the design parameters,
-        the attack space and the DAE arrays, never the config text."""
-        p, space, dae = self.params, self.space, self.dae
-        digest = hashlib.sha256(repr((p["kind"], p["d_n"], p["eta"],
-                                      p["pole"], p["rank_tol"])).encode())
-        for arr in (dae.h0, dae.h1, dae.f, space.basis, space.a, space.b):
-            digest.update(repr((arr.shape, arr.dtype.str)).encode())
-            digest.update(arr.tobytes())    # C order whatever the layout
-        return digest.hexdigest()
+        return self._keep("ffb",
+                          daemod.attack_gain(self.dae, self.space.basis))
 
     @cached_property
     def design(self) -> FilterDesign:
-        """The solved design. The last one solved in this process is kept
-        and returned again, unsolved, while its inputs and its solver (the
-        module attribute looked up at call time) repeat exactly."""
-        global _last_design
+        """The solved design; see the class docstring for its adoption."""
         p = self.params
         solve = (design_steady_state if p["kind"] == "steady-state"
                  else design_robust)
-        key = self._design_key()
-        if (_last_design is not None and _last_design[0] == key
-                and _last_design[1] is solve):
-            return _last_design[2]
+        if self._design is not None and self._design[0] is solve:
+            return self._design[1]
         design = solve(self.basis, self.ffb, self.space.a, self.space.b,
                        p["pole"])
-        # a reused design must not carry an earlier caller's writes
-        for arr in (design.nbar, design.multiplier):
-            arr.flags.writeable = False
-        _last_design = (key, solve, design)
-        return design
+        return self._keep("_design", (solve, design))[1]
 
     @cached_property
     def worst_case(self):
@@ -155,19 +171,14 @@ class Pipeline:
         failure, checked on every solve. A steady-state design's mu bounds
         the summed gain, not this payoff, and is not compared.
 
-        The reply reads ``nbar``, ``d_n``, ``dae.f``, ``space.basis``,
-        ``space.a`` and ``space.b``, all inside the design's key, so the
-        last reply solved (and checked) in this process is returned again,
-        unsolved, while the design is the object it answered and the
-        solver (the module attribute looked up at call time) is the same.
-        Its ``alpha`` is read-only.
+        It reads ``nbar``, ``d_n``, ``dae.f`` and the attack space, all
+        inside ``key``, and is adopted only for the design object it answered.
         """
-        global _last_reply
         design = self.design
         solve = worst_case_alpha
-        if (_last_reply is not None and _last_reply[0] is design
-                and _last_reply[1] is solve):
-            return _last_reply[2]
+        kept = self._reply
+        if kept is not None and kept[0] is solve and kept[1] is design:
+            return kept[2]
         alpha, payoff = solve(design.nbar, self.ffb, design.d_n,
                               self.space.a, self.space.b)
         floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
@@ -175,9 +186,7 @@ class Pipeline:
             raise NumericError(
                 f"worst-case payoff {payoff!r} is below the certified "
                 f"gamma = {design.gamma!r}")
-        alpha.flags.writeable = False
-        _last_reply = (design, solve, (alpha, payoff))
-        return alpha, payoff
+        return self._keep("_reply", (solve, design, (alpha, payoff)))[2]
 
     def attack_vector(self):
         """Resolve the injected f per the attack section; may need a design."""
@@ -203,7 +212,8 @@ class Pipeline:
     def out_dir(self) -> str:
         configured = cfgmod.output_params(self.cfg)["dir"]
         path = configured or os.environ.get("AGCDIAG_OUTDIR") or "out"
-        os.makedirs(path, exist_ok=True)
+        if not os.path.isdir(path):     # a file there still raises
+            os.makedirs(path, exist_ok=True)
         return path
 
 

@@ -40,11 +40,10 @@ def chain() -> DefaultChain:
 
 @pytest.fixture(autouse=True)
 def no_kept_design(monkeypatch):
-    """Every test starts with no design and no best reply kept by
-    ``agcdiag.cli``, so a test that patches a layer below the CLI sees that
-    layer run."""
-    monkeypatch.setattr(cli, "_last_design", None)
-    monkeypatch.setattr(cli, "_last_reply", None)
+    """Every test starts with an empty stage record in ``agcdiag.cli``: no
+    model chain, design or best reply kept, so a test that patches a layer
+    below the CLI sees that layer run."""
+    monkeypatch.setattr(cli, "_record", {})
 
 
 @pytest.fixture(autouse=True)

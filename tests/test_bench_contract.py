@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,3 +67,19 @@ def test_tracer_attrs_read_a_real_call(owner, attr, reader, call_args):
     attrs = reader(args, {}, patched(owner, attr)(*args))
     assert attrs and all(isinstance(v, int) for v in attrs.values()), attrs
     json.dumps(attrs)
+
+
+def test_traced_reproduce_counts_repeat():
+    """A traced reproduce run fails an operation when a per-layer count
+    (design solves, LP pivots, null-space dimension, ...) differs between
+    its traced iterations, as it would if the CLI shared a stage that a
+    traced solve must rebuild."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", "reproduce", "--seed", "1", "--seconds", "0",
+         "--trace", "1", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-1])["failed"] == 0, [
+        line for line in lines if line.startswith("FAILED")]

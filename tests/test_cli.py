@@ -385,6 +385,20 @@ def test_reproduce_pass_solves_the_reply_once(tmp_path, monkeypatch,
     assert len(replies) == 1
 
 
+def test_reproduce_pass_builds_the_model_chain_once(tmp_path, monkeypatch,
+                                                   capsys, chain_builds):
+    """One pass of the reproduce script in this process assembles and
+    samples the model once: its commands repeat the config entries the
+    model chain reads. A second pass in the same process builds neither."""
+    monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(tmp_path)])
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    assert chain_builds == {"assemble_system": 1, "zoh_discretize": 1}
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    assert chain_builds == {"assemble_system": 1, "zoh_discretize": 1}
+
+
 def test_reproduce_pass_builds_the_parser_once(tmp_path, monkeypatch,
                                                capsys):
     """One pass of the reproduce script in this process builds the
@@ -474,6 +488,43 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Counts the models ``agcdiag.config`` assembles and samples."""
+    calls = {"assemble_system": 0, "zoh_discretize": 0}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cfgmod, name, counted(name, getattr(cfgmod, name)))
+    return calls
+
+
+def leaves(value, path):
+    """``(path, value)`` for every array and scalar inside a pipeline
+    stage, at any depth; the LP wall times, which differ per solve, are
+    left out."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (tuple, list)):
+        items = enumerate(value)
+    elif hasattr(value, "__slots__"):   # a record; arrays have no __slots__
+        items = ((name, getattr(value, name)) for name in value.__slots__
+                 if name != "wall_time")
+    else:
+        return [(path, value)]
+    return [leaf for key, item in items
+            for leaf in leaves(item, f"{path}.{key}")]
+
+
+STAGES = ("model", "discrete", "dae", "space", "params", "ffb", "design",
+          "worst_case")
+
+
 class TestDesignMemo:
     SHORT = ["--set", "scenario.horizon_s=10.0",
              "--set", "scenario.onset_s=5.0"]
@@ -493,15 +544,77 @@ class TestDesignMemo:
         "attack.basis=" + json.dumps(
             [[0.2, 0.0, 0.2, 0.0, 0.0], [0.1, 0.15, 0.25, 0.0, 0.0],
              [0.0, 0.0, 0.0, 0.1, 0.1]]),
+        "model.attacked_measurements=" + json.dumps(
+            ["area1.tie_area2", "area1.tie_area3", "area1.tie_total",
+             "area3.tie_area2", "area3.tie_total"]),
     ], ids=["d_n", "eta", "pole", "polytope_b", "kind", "rank_tol", "t_s",
-            "areas", "basis"])
+            "areas", "basis", "attacked_measurements"])
     def test_each_design_input_solves_again(self, override, solves, tmp_path,
-                                            monkeypatch, capsys):
+                                            monkeypatch, capsys, chain_builds):
         assert run_cli(["design"], tmp_path, monkeypatch, capsys)[0] == 0
         code, _, _ = run_cli(["--set", override, "design"], tmp_path,
                              monkeypatch, capsys)
         assert code in (0, 3)   # the steady-state design certifies mu = 0
         assert len(solves) == 2
+        # one record holds the stages of one key: the model chain too
+        assert chain_builds == {"assemble_system": 2, "zoh_discretize": 2}
+
+    def test_report_leaves_the_record(self, solves, chain_builds, tmp_path,
+                                      monkeypatch, capsys):
+        # report builds no stage, so its other key empties nothing
+        for args in ([*self.SHORT, "simulate"],
+                     ["--set", "design.d_n=2", "report"], ["design"]):
+            assert run_cli(args, tmp_path, monkeypatch, capsys)[0] == 0
+        assert solves == ["design_robust"]
+        assert chain_builds == {"assemble_system": 1, "zoh_discretize": 1}
+
+    def test_bool_entry_is_not_its_integer(self, solves, tmp_path,
+                                           monkeypatch, capsys):
+        # true == 1 in Python: a key built on == would reuse the d_n = 1
+        # design and exit 0
+        assert run_cli(["--set", "design.d_n=1", "design"], tmp_path,
+                       monkeypatch, capsys)[0] == 0
+        code, out, err = run_cli(["--set", "design.d_n=true", "design"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: code=config field=design.d_n ")
+        assert solves == ["design_robust"]
+
+    def test_shared_stages_are_read_only(self, chain_builds):
+        pipe = cli.Pipeline(cfgmod.default_config(), [])
+        pipe.ffb    # builds and records the model chain
+        again = cli.Pipeline(cfgmod.default_config(), [])
+        assert again.discrete is pipe.discrete
+        for arr in (again.discrete.a_cl, again.model.c, again.dae.h0,
+                    again.space.basis, again.params["a_pol"], again.ffb):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+        assert chain_builds == {"assemble_system": 1, "zoh_discretize": 1}
+
+    def test_the_key_holds_every_entry_the_stages_read(self, monkeypatch):
+        """Stages built from a config of only the keyed entries equal the
+        stages of the full default: a stage that reads another entry fails
+        here instead of being adopted under a key that misses it."""
+        full = cfgmod.default_config()
+        keyed = {"model": full["model"],
+                 "scenario": {"t_s": full["scenario"]["t_s"]},
+                 "attack": {"basis": full["attack"]["basis"]},
+                 "design": full["design"]}
+        pipe = cli.Pipeline(copy.deepcopy(keyed), [])
+        built = {name: getattr(pipe, name) for name in STAGES}
+        monkeypatch.setattr(cli, "_record", {})
+        ref = cli.Pipeline(full, [])
+        assert ref.key == pipe.key
+        for name in STAGES:
+            got, want = leaves(built[name], name), leaves(getattr(ref, name),
+                                                          name)
+            assert [p for p, _ in got] == [p for p, _ in want]
+            for (path, a), (_, b) in zip(got, want):
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, path
+                    assert np.array_equal(a, b), path
+                else:
+                    assert a == b, path
 
     @pytest.mark.parametrize("override", ["scenario.seed=5",
                                           "scenario.horizon_s=20.0"])
@@ -880,6 +993,22 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: code=runtime field=- msg=\"FileExistsError")
         assert len(err.splitlines()) == 1
+
+    def test_existing_output_dir_is_not_made_again(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # makedirs(exist_ok=True) still calls mkdir, which fails with EEXIST
+        made = []
+        makedirs = os.makedirs
+
+        def counted(path, *args, **kwargs):
+            made.append(str(path))
+            return makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counted)
+        out = tmp_path / "out"
+        for _ in range(2):
+            assert run_cli(["design"], out, monkeypatch, capsys)[0] == 0
+        assert made == [str(out)]
 
     @pytest.mark.parametrize("args", [["nope"], ["design", "--bogus"]])
     def test_bad_command_line_exits_2(self, args, tmp_path, monkeypatch,
