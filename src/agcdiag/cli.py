@@ -11,9 +11,8 @@ sweep-pole  simulate once and filter the run with each of a list of poles
 
 Commands run in one process share the model chain, the design and the
 attacker's best reply: one process-level record keeps the stages built
-last, keyed by the config entries they read, and a later command whose
-entries repeat adopts them; a replaced solver (a test's patch, a
-profiler's wrapper) solves afresh. See ``Pipeline``.
+last, keyed by the config entries they read and the solvers they call,
+and a later command with the same key adopts them. See ``Pipeline``.
 
 The sweep runs the closed loop once: the diagnosis filter reads the
 measurements and never feeds back into the loop, so the pole changes r_D
@@ -84,26 +83,26 @@ class Pipeline:
 
     The stages ``model``, ``discrete``, ``dae``, ``space``, ``params``,
     ``ffb``, ``design`` and ``worst_case`` read only the config entries
-    ``model``, ``scenario.t_s``, ``attack.basis`` and ``design``, whose
-    canonical JSON (``sort_keys``; ``true``, ``1`` and ``1.0`` differ) is
-    ``key``. Each stage built is recorded under ``key`` in ``_record``, its
-    arrays made read-only; a stage that raised is not, and one built under
-    another key first empties the record. A new pipeline with the same key
-    adopts the record on construction: the model chain as it is, the
-    design and the reply (``_design``, ``_reply``) while their solver, the
-    module attribute looked up at call time, is the object that produced
-    them. The record holds no pipeline, config, scenario or null ``basis``,
-    which is built only to solve a design.
+    ``model``, ``scenario.t_s``, ``attack.basis`` and ``design``, and call
+    only the solvers ``design_robust``, ``design_steady_state`` and
+    ``worst_case_alpha`` of this module. ``key`` holds all seven: the
+    canonical JSON of the four entries (``sort_keys``; ``true``, ``1`` and
+    ``1.0`` differ) and the three solvers as bound when the pipeline is
+    made. Each stage built is recorded under its name and ``key`` in
+    ``_record``, its arrays made read-only; a stage that raised is not,
+    and one built under another key first empties the record. A new
+    pipeline with the same key adopts the record on construction, so a
+    replaced solver (a test's patch, a profiler's wrapper) rebuilds every
+    stage. The record holds no pipeline, config or scenario.
     """
-
-    _design = _reply = None     # (solver, [design,] value) when adopted
 
     def __init__(self, cfg: dict, overrides: list[str]):
         self.cfg = cfg
         self.overrides = overrides
-        self.key = json.dumps([cfg["model"], cfg["scenario"]["t_s"],
-                               cfg["attack"]["basis"], cfg["design"]],
-                              sort_keys=True)
+        self.key = (json.dumps([cfg["model"], cfg["scenario"]["t_s"],
+                                cfg["attack"]["basis"], cfg["design"]],
+                               sort_keys=True),
+                    design_robust, design_steady_state, worst_case_alpha)
         if _record.get("key") == self.key:
             self.__dict__.update(_record)
 
@@ -140,27 +139,19 @@ class Pipeline:
         return self._keep("params", cfgmod.design_params(self.cfg))
 
     @cached_property
-    def basis(self):
-        p = self.params
-        hbar = daemod.stack_hbar(self.dae, p["d_n"])
-        return feasible_basis(hbar, p["eta"], p["d_n"], p["rank_tol"])
-
-    @cached_property
     def ffb(self):
         return self._keep("ffb",
                           daemod.attack_gain(self.dae, self.space.basis))
 
     @cached_property
     def design(self) -> FilterDesign:
-        """The solved design; see the class docstring for its adoption."""
         p = self.params
         solve = (design_steady_state if p["kind"] == "steady-state"
                  else design_robust)
-        if self._design is not None and self._design[0] is solve:
-            return self._design[1]
-        design = solve(self.basis, self.ffb, self.space.a, self.space.b,
-                       p["pole"])
-        return self._keep("_design", (solve, design))[1]
+        basis = feasible_basis(daemod.stack_hbar(self.dae, p["d_n"]),
+                               p["eta"], p["d_n"], p["rank_tol"])
+        return self._keep("design", solve(basis, self.ffb, self.space.a,
+                                          self.space.b, p["pole"]))
 
     @cached_property
     def worst_case(self):
@@ -170,23 +161,16 @@ class Pipeline:
         attack, so a payoff below gamma (beyond rounding) is a numeric
         failure, checked on every solve. A steady-state design's mu bounds
         the summed gain, not this payoff, and is not compared.
-
-        It reads ``nbar``, ``d_n``, ``dae.f`` and the attack space, all
-        inside ``key``, and is adopted only for the design object it answered.
         """
         design = self.design
-        solve = worst_case_alpha
-        kept = self._reply
-        if kept is not None and kept[0] is solve and kept[1] is design:
-            return kept[2]
-        alpha, payoff = solve(design.nbar, self.ffb, design.d_n,
-                              self.space.a, self.space.b)
+        alpha, payoff = worst_case_alpha(design.nbar, self.ffb, design.d_n,
+                                         self.space.a, self.space.b)
         floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
         if design.kind == "robust" and payoff < floor:
             raise NumericError(
                 f"worst-case payoff {payoff!r} is below the certified "
                 f"gamma = {design.gamma!r}")
-        return self._keep("_reply", (solve, design, (alpha, payoff)))[2]
+        return self._keep("worst_case", (alpha, payoff))
 
     def attack_vector(self):
         """Resolve the injected f per the attack section; may need a design."""

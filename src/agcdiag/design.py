@@ -252,13 +252,18 @@ def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
 
     Epigraph LP over (alpha, t): min t subject to
     -t <= N_j F F_b' alpha <= t for every block and A alpha >= b.
-    Raises ``ValidationError`` when the polytope is empty.
+    Raises ``ValidationError`` when the polytope is empty, or when ``nbar``
+    is not d_n + 1 blocks of ``ffb``'s rows.
     """
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
     ffb = np.asarray(ffb, dtype=float)
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
     b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
-    n_r = nbar.size // (d_n + 1)
+    n_r = ffb.shape[0]
+    if (isinstance(d_n, bool) or not isinstance(d_n, numbers.Integral)
+            or d_n < 0 or nbar.size != (d_n + 1) * n_r):
+        raise ValidationError(f"nbar has {nbar.size} entries, not (d_n + 1) "
+                              f"* {n_r} for d_n = {d_n!r}")
     d = a_pol.shape[1]
     gains = nbar.reshape(d_n + 1, n_r) @ ffb   # (d_n+1, d)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -81,16 +82,23 @@ class Scenario:
         if not 0 <= onset_s <= horizon_s:
             raise ValidationError(
                 f"attack onset {onset_s} outside [0, {horizon_s}]")
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or seed < 0):
+            raise ValidationError(
+                f"seed must be an integer >= 0, got {seed!r}")
+        if attack_f is not None:
+            attack_f = np.atleast_1d(np.asarray(attack_f, dtype=float))
+            if attack_f.ndim != 1 or not np.isfinite(attack_f).all():
+                raise ValidationError("attack vector must be 1-D and finite")
         self.horizon_s = horizon_s
         self.t_s = t_s
         self.onset_s = onset_s
-        self.attack_f = (None if attack_f is None
-                         else np.atleast_1d(np.asarray(attack_f, dtype=float)))
+        self.attack_f = attack_f
         self.load_std = {} if load_std is None else load_std
         self.process_noise = {} if process_noise is None else process_noise
         self.measurement_noise = ({} if measurement_noise is None
                                   else measurement_noise)
-        self.seed = seed
+        self.seed = int(seed)
 
     @property
     def n_steps(self) -> int:

@@ -69,11 +69,19 @@ def test_tracer_attrs_read_a_real_call(owner, attr, reader, call_args):
     json.dumps(attrs)
 
 
+# per-layer counts of one traced ``--tiny`` reproduce pass: one design of
+# four relaxation LPs and one worst-case LP, and three short simulations
+TRACED_REPRODUCE_COUNTS = {
+    "cli.design_solves": 1, "lp.solves": 5, "lp.pivots": 387,
+    "design.relaxation_lps": 4, "linalg.null_dim": 72, "simulate.steps": 63}
+
+
 def test_traced_reproduce_counts_repeat():
     """A traced reproduce run fails an operation when a per-layer count
     (design solves, LP pivots, null-space dimension, ...) differs between
     its traced iterations, as it would if the CLI shared a stage that a
-    traced solve must rebuild."""
+    traced solve must rebuild. The counts themselves are those of one
+    pass."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
          "--workload", "reproduce", "--seed", "1", "--seconds", "0",
@@ -81,5 +89,8 @@ def test_traced_reproduce_counts_repeat():
         cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert json.loads(lines[-1])["failed"] == 0, [
+    result = json.loads(lines[-1])
+    assert result["failed"] == 0, [
         line for line in lines if line.startswith("FAILED")]
+    assert {name: result["metrics"][name]["value"]
+            for name in TRACED_REPRODUCE_COUNTS} == TRACED_REPRODUCE_COUNTS

@@ -15,6 +15,8 @@ from agcdiag.errors import NumericError
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import read_trace_csv, simulate, write_trace_csv
 
+from test_golden import GOLDEN, output_hashes
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPRODUCE = os.path.join(ROOT, "scripts", "reproduce_experiments.py")
 
@@ -399,6 +401,19 @@ def test_reproduce_pass_builds_the_model_chain_once(tmp_path, monkeypatch,
     assert chain_builds == {"assemble_system": 1, "zoh_discretize": 1}
 
 
+def test_second_reproduce_pass_writes_the_golden_outputs(tmp_path,
+                                                         monkeypatch, capsys):
+    """A second pass of the reproduce script in this process adopts the
+    model chain, the design and the reply of the first, and writes the
+    same bytes as a pass in a fresh process."""
+    for out in (tmp_path / "first", tmp_path / "second"):
+        monkeypatch.setenv("AGCDIAG_OUTDIR", str(out))
+        monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(out)])
+        runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    assert output_hashes(tmp_path / "second") == GOLDEN
+
+
 def test_reproduce_pass_builds_the_parser_once(tmp_path, monkeypatch,
                                                capsys):
     """One pass of the reproduce script in this process builds the
@@ -523,6 +538,25 @@ def leaves(value, path):
 
 STAGES = ("model", "discrete", "dae", "space", "params", "ffb", "design",
           "worst_case")
+
+
+def test_every_stage_is_recorded_under_its_name():
+    pipe = cli.Pipeline(cfgmod.default_config(), [])
+    built = {name: getattr(pipe, name) for name in STAGES}
+    assert set(cli._record) == {"key", *STAGES}
+    assert cli._record["key"] == pipe.key
+    for name in STAGES:
+        assert cli._record[name] is built[name], name
+
+
+def test_the_key_holds_every_solver_the_stages_call(monkeypatch):
+    default = cli.Pipeline(cfgmod.default_config(), []).key
+    for name in ("design_robust", "design_steady_state", "worst_case_alpha"):
+        with monkeypatch.context() as patch:
+            solve = getattr(cli, name)
+            patch.setattr(cli, name, lambda *args, solve=solve: solve(*args))
+            assert cli.Pipeline(cfgmod.default_config(), []).key != default
+        assert cli.Pipeline(cfgmod.default_config(), []).key == default
 
 
 class TestDesignMemo:

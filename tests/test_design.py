@@ -405,6 +405,15 @@ class TestWorstCase:
                              np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
                              np.array([2.0, -1.0]))
 
+    @pytest.mark.parametrize("d_n", [2, 4, -1, 2.5, True])
+    def test_nbar_that_does_not_fit_d_n_raises(self, chain, d_n):
+        nbar = chain.design.nbar
+        with pytest.raises(ValidationError, match=(
+                rf"^nbar has {nbar.size} entries, not \(d_n \+ 1\) "
+                rf"\* {chain.ffb.shape[0]} for d_n = {d_n!r}$")):
+            worst_case_alpha(nbar, chain.ffb, d_n, chain.space.a,
+                             chain.space.b)
+
 
 class TestEvaluatePayoff:
     def test_zero_cases(self):

@@ -46,6 +46,28 @@ class TestScenario:
                                  rf"count at t_s = {re.escape(repr(t_s))}, "):
             Scenario(horizon_s=horizon_s, t_s=t_s)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match=r"^seed must be an "
+                                                  r"integer >= 0, got "):
+            Scenario(horizon_s=10.0, t_s=0.5, seed=seed)
+
+    def test_numpy_seed_is_kept_as_int(self, chain):
+        sc = quiet_scenario(seed=np.int64(3))
+        assert type(sc.seed) is int
+        assert sc.fingerprint() == quiet_scenario(seed=3).fingerprint()
+        trace = simulate(chain.discrete, sc)
+        assert np.array_equal(trace.x, simulate(chain.discrete,
+                                                quiet_scenario(seed=3)).x)
+
+    @pytest.mark.parametrize("attack_f", [
+        np.zeros((1, 5)), [0.1, np.nan, 0.0, 0.0, 0.0], [np.inf] * 5],
+        ids=["2-D", "nan", "inf"])
+    def test_bad_attack_vector_rejected(self, attack_f):
+        with pytest.raises(ValidationError,
+                           match=r"^attack vector must be 1-D and finite$"):
+            Scenario(horizon_s=10.0, t_s=0.5, attack_f=attack_f)
+
     def test_negative_covariance_rejected(self, chain):
         # the label maps are checked by simulate, against the model's labels
         sc = Scenario(horizon_s=10.0, t_s=0.5,
