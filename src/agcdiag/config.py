@@ -295,7 +295,10 @@ def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
                           f"A needs one column per basis vector "
                           f"({basis.shape[0]})")
     space = AttackSpace(basis=basis, a=p["a_pol"], b=p["b_pol"])
-    validate_attack_space(space, model.c, model.d_f)
+    try:
+        validate_attack_space(space, model.c, model.d_f)
+    except ValidationError as exc:
+        raise ConfigError("attack.basis", str(exc)) from None
     return space
 
 

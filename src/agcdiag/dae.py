@@ -16,6 +16,8 @@ products with the banded matrix `stack_hbar` and the attack gain
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .discretize import LtiModel
@@ -33,6 +35,13 @@ class DaeSystem:
         self.h1 = h1
         self.l = l
         self.f = f
+
+
+def check_degree(d_n) -> None:
+    """Raise ``ValidationError`` unless the filter degree ``d_n`` is an
+    integer; a bool is not one. The sign is each caller's check."""
+    if isinstance(d_n, bool) or not isinstance(d_n, numbers.Integral):
+        raise ValidationError(f"d_n must be an integer, got {d_n!r}")
 
 
 def build_dae(model: LtiModel) -> DaeSystem:
@@ -58,6 +67,7 @@ def stack_hbar(dae: DaeSystem, d_n: int) -> np.ndarray:
     i and H_1 at block column i+1, so a stacked coefficient row times this
     matrix lists the polynomial-product coefficients.
     """
+    check_degree(d_n)
     if d_n < 0:
         raise ValidationError("filter degree must be nonnegative")
     n_r, n_xx = dae.h0.shape

@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from . import lp
+from .dae import check_degree
 from .errors import NumericError, ValidationError
 from .linalg import RANK_TOL, left_null_basis
 
@@ -50,8 +51,7 @@ class FeasibleSetBasis:
             raise ValidationError(f"eta must be finite, got {eta}")
         if eta <= 0:
             raise ValidationError(f"eta must be > 0, got {eta}")
-        if isinstance(d_n, bool) or not isinstance(d_n, numbers.Integral):
-            raise ValidationError(f"d_n must be an integer, got {d_n!r}")
+        check_degree(d_n)
         if d_n < 0:
             raise ValidationError(f"d_n must be >= 0, got {d_n}")
         z = np.atleast_2d(np.asarray(z, dtype=float))

@@ -1,20 +1,19 @@
 """The realized dynamic diagnosis filter.
 
-The dynamic filter r_D = a(q)^-1 N(q) L y is realized as a causal IIR
-recursion with denominator a(q) = (q - p)^d_N / (1 - p)^d_N, whose only
-root is the pole p and whose value at q = 1 is exactly 1, so a constant
-input y passes with the DC gain N(1) L y. The filter runs over a whole
+The dynamic filter r_D = a(q)^-1 N(q) L y has the denominator
+a(q) = ((q - p) / (1 - p))^d_N, one d_N-fold pole p with a(1) = 1, so a
+constant input y passes with the DC gain N(1) L y. It runs over a whole
 measurement series: the numerator N(q) L y is d_N + 1 shifted products,
-and only the scalar denominator recursion steps through the samples.
+and a(q)^-1 is d_N first-order sections s[k] = p s[k-1] + (1 - p) u[k],
+each stable for any p in (0, 1) with DC gain 1. The sections keep the
+pole where a rounded expansion of (q - p)^d_N would scatter it.
 """
 
 from __future__ import annotations
 
-from math import comb
-from operator import mul
-
 import numpy as np
 
+from .dae import check_degree
 from .design import FilterDesign
 from .errors import NumericError, ValidationError
 
@@ -26,55 +25,32 @@ def check_finite(name: str, series: np.ndarray) -> None:
         raise NumericError(f"{name} is {series[bad[0]]} at sample {bad[0]}")
 
 
-def denominator_coefficients(pole: float, d_n: int) -> np.ndarray:
-    """Coefficients a_0..a_dN of (q - p)^d_N / (1 - p)^d_N in powers of q.
-
-    The expansion is rounded, so at a high degree and a pole near 1 its
-    roots scatter about p: (0.98, 10) puts one at about 1.02. A
-    denominator with a root of magnitude >= 1, or whose a(1) rounds to
-    zero or below, would realize an unstable filter and raises
-    ``NumericError``.
-    """
-    if not 0.0 < pole < 1.0:
-        raise ValidationError(f"filter pole must lie in (0, 1), got {pole}")
-    raw = np.array([comb(d_n, j) * (-pole) ** (d_n - j)
-                    for j in range(d_n + 1)])
-    if d_n > 0:
-        radius = float(np.abs(np.roots(raw[::-1])).max())
-        if radius >= 1.0:
-            raise NumericError(
-                f"filter pole {pole} at degree d_N = {d_n} realizes a "
-                f"denominator root of magnitude {radius:.6g} >= 1")
-    # raw.sum() equals (1 - pole)**d_n by the binomial theorem; dividing by
-    # the computed sum keeps a(1) = 1 at machine precision for any degree
-    total = float(raw.sum())
-    if not total > 0.0:
-        raise NumericError(f"filter pole {pole} at degree d_N = {d_n}: "
-                           f"(1 - p)^d_N rounds to {total!r}")
-    return raw / total
-
-
 class RealizedFilter:
     """Realization of r_D[k] = a(q)^-1 N(q) L y[k] over measurement series.
 
     ``apply`` filters a whole (n_samples, n_y) series: the numerator is
-    d_N + 1 shifted products, and only the scalar denominator recursion
-    runs sample by sample. Every call starts from zero delay lines (no
-    earlier measurement or output), so the first d_N outputs of a series
-    are its warm-up and the filter keeps no state between calls. A
+    d_N + 1 shifted products, and the d_N first-order sections of the
+    denominator run sample by sample, the numerator feeding the first and
+    each section the next. Every call starts from zero delay lines (no
+    earlier measurement or section output), so the first d_N outputs of a
+    series are its warm-up and the filter keeps no state between calls. A
     non-finite output raises ``NumericError`` naming its first sample in
     the series.
     """
 
     def __init__(self, numerator_rows: np.ndarray, pole: float, d_n: int):
+        check_degree(d_n)
+        if d_n < 0:
+            raise ValidationError(f"d_n must be >= 0, got {d_n}")
         rows = np.atleast_2d(np.asarray(numerator_rows, dtype=float))
         if rows.shape[0] != d_n + 1:
             raise ValidationError(
                 f"need {d_n + 1} numerator rows, got {rows.shape[0]}")
+        if not 0.0 < pole < 1.0:
+            raise ValidationError(f"filter pole must lie in (0, 1), got {pole}")
         self.numerator = rows
         self.pole = float(pole)
         self.d_n = int(d_n)
-        self.denominator = denominator_coefficients(pole, d_n)
 
     @np.errstate(over="ignore", invalid="ignore")   # see check_finite
     def apply(self, y_series) -> np.ndarray:
@@ -92,12 +68,13 @@ class RealizedFilter:
         num = np.zeros(n)
         for i, row in enumerate(self.numerator):
             num = num + np.matmul(ext[i:i + n, None, :], row[:, None])[:, 0, 0]
-        a = self.denominator.tolist()
-        a_head, a_last = a[:d_n], a[d_n]
-        r = [0.0] * (d_n + n)
-        for k, v in enumerate(num.tolist()):
-            r[k + d_n] = (v - sum(map(mul, a_head, r[k:k + d_n]))) / a_last
-        out = np.array(r[d_n:])
+        r = num.tolist()
+        p, gain = self.pole, 1.0 - self.pole
+        for _ in range(d_n):
+            s = 0.0
+            for k, u in enumerate(r):   # s[k] = p s[k-1] + (1 - p) u[k]
+                s = r[k] = p * s + gain * u
+        out = np.array(r)
         check_finite("r_D", out)
         return out
 

@@ -8,7 +8,7 @@ process noise, then measurement noise, each for the whole horizon), so a
 consume random draws.
 
 Only the state recursion x[k+1] = A_cl x[k] + u[k] and the dynamic
-filter's scalar denominator run sample by sample; the recursion writes
+filter's d_N first-order denominator sections run sample by sample; the recursion writes
 each step in place into its row of the state log, with no temporaries.
 The input terms, the measurements, the static residual and the filter
 numerator are stacked matrix-vector products over the whole series; each

@@ -62,34 +62,6 @@ def poly_mat_multiply(n_coeffs, m_coeffs):
     return out
 
 
-def impulse_response_by_division(numerator, denominator, n_samples):
-    """Long-division series of num(q)/den(q) acting causally.
-
-    Both polynomials are given as coefficient lists in increasing powers of
-    q with deg(num) <= deg(den) = d. The causal recursion
-    a_d r[k] = sum_i num_i u[k - d + i] - sum_{j<d} a_j r[k - d + j] is
-    unrolled directly for a unit impulse input.
-    """
-    num = np.asarray(numerator, dtype=float)
-    den = np.asarray(denominator, dtype=float)
-    d = den.size - 1
-    u = np.zeros(n_samples + d)
-    u[0] = 1.0
-    r = np.zeros(n_samples + d)
-    for k in range(n_samples):
-        acc = 0.0
-        for i in range(num.size):
-            idx = k - d + i
-            if idx >= 0:
-                acc += num[i] * u[idx]
-        for j in range(d):
-            idx = k - d + j
-            if idx >= 0:
-                acc -= den[j] * r[idx]
-        r[k] = acc / den[d]
-    return r[:n_samples]
-
-
 def random_stable_continuous(rng, order):
     """Random Hurwitz-stable A (shifted spectrum) plus input matrix."""
     a = rng.standard_normal((order, order))

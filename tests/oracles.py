@@ -10,11 +10,14 @@ reformulation the relaxation LPs come from. ``build_v`` is the
 block-diagonal attack gain V(alpha) of that reformulation, and
 ``build_fbar`` the stacked steady-state gain Fbar. The payoff,
 polytope, stealth, static-residual and settled-gain evaluations state the paper's
-quantities directly, for the tests to hold the pipeline's results against.
+quantities directly, for the tests to hold the pipeline's results against,
+and ``denominator_exact`` runs the filter's denominator in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -125,6 +128,27 @@ def steady_state_gain(design: FilterDesign, ffb, alpha) -> float:
     n_at_one = design.blocks().sum(axis=0)
     return float(-(n_at_one @ (ffb @ alpha)))
 
+
+
+def denominator_exact(u, pole: float, d_n: int) -> np.ndarray:
+    """a(q)^-1 u with a(q) = ((q - p) / (1 - p))^d_N, in exact arithmetic.
+
+    Runs the d_N first-order sections s[k] = p s[k-1] + (1 - p) u[k] from
+    zero states on the float series ``u`` with stdlib ``Fraction``s, the
+    pole taken as the exact value of the float ``pole`` and 1 - p computed
+    exactly, and rounds only the result to floats.
+    """
+    p = Fraction(pole)
+    gain = 1 - p
+    seq = [Fraction(v) for v in np.asarray(u, dtype=float).tolist()]
+    for _ in range(d_n):
+        s = Fraction(0)
+        out = []
+        for v in seq:
+            s = p * s + gain * v
+            out.append(s)
+        seq = out
+    return np.array([float(v) for v in seq])
 
 # --------------------------------------------------------------------------
 # brute-force oracle

@@ -4,10 +4,10 @@ The straightforward closed-loop simulator, written one sample at a time:
 each step computes the measurement, the static residual, one streaming
 filter update and the next state, and checks the state against the
 divergence guard. ``simulate`` keeps only the state recursion (and the
-filter's scalar denominator) sequential and does the rest over the whole
-series; on the same BLAS it must return the same bits. The trace writer
-below formats one value at a time, and ``write_trace_csv`` must write the
-same bytes.
+filter's first-order denominator sections) sequential and does the rest
+over the whole series; on the same BLAS it must return the same bits. The
+trace writer below formats one value at a time, and ``write_trace_csv``
+must write the same bytes.
 
 The loop attacks the samples with ``t[k] > onset_s``, a float comparison.
 ``simulate`` uses the integer onset index instead; the two agree whenever
@@ -20,25 +20,26 @@ import numpy as np
 
 from agcdiag.errors import DivergenceError, ValidationError
 from agcdiag.linalg import weighted_range_projector
-from agcdiag.residual import denominator_coefficients
 from agcdiag.simulate import (DIVERGENCE_GUARD, SimulationTrace,
                               gen_disturbance, label_values)
 
 
 class StreamingFilter:
     """Streaming realization of r_D[k] = a(q)^-1 N(q) L y[k], one sample
-    per ``step``, with zero-filled delay lines at the start."""
+    per ``step``, with zero-filled delay lines at the start: the numerator
+    feeds the first of d_N first-order sections s = p s + (1 - p) u, each
+    section the next, one state per section updated in order."""
 
     def __init__(self, numerator_rows, pole: float, d_n: int):
         self.numerator = np.atleast_2d(np.asarray(numerator_rows, dtype=float))
+        self.pole = float(pole)
         self.d_n = int(d_n)
-        self.denominator = denominator_coefficients(pole, d_n)
         self.reset()
 
     def reset(self) -> None:
         n_y = self.numerator.shape[1]
         self._y_hist = [np.zeros(n_y) for _ in range(self.d_n + 1)]
-        self._r_hist = [0.0] * self.d_n
+        self._sections = [0.0] * self.d_n
 
     def step(self, y) -> float:
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -47,13 +48,12 @@ class StreamingFilter:
                 f"measurement vector has length {y.size}, expected "
                 f"{self.numerator.shape[1]}")
         self._y_hist = self._y_hist[1:] + [y]
-        a = self.denominator
-        num = sum(self.numerator[i] @ self._y_hist[i]
-                  for i in range(self.d_n + 1))
-        fb = sum(a[j] * self._r_hist[j] for j in range(self.d_n))
-        r = (num - fb) / a[self.d_n]
-        self._r_hist = self._r_hist[1:] + [r]
-        return float(r)
+        p, gain = self.pole, 1.0 - self.pole
+        u = sum(self.numerator[i] @ self._y_hist[i]
+                for i in range(self.d_n + 1))
+        for j in range(self.d_n):
+            u = self._sections[j] = p * self._sections[j] + gain * u
+        return float(u)
 
 
 def simulate_reference(model, scenario,

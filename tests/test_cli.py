@@ -314,21 +314,21 @@ class TestSweepPole:
             got = tmp_path / f"trace_p{pole:g}.csv"
             assert got.read_bytes() == expected.read_bytes(), pole
 
-    def test_unstable_pole_exits_1_without_traces(self, tmp_path,
-                                                  monkeypatch, capsys):
-        # every filter is built before any file: a pole whose rounded
-        # denominator has a root past 1 leaves no trace behind
-        code, out, err = run_cli(
-            ["--set", "scenario.horizon_s=10.0",
-             "--set", "scenario.onset_s=5.0",
-             "sweep-pole", "--poles", "0.6,0.999999"],
-            tmp_path, monkeypatch, capsys)
-        assert code == 1 and out == ""
-        assert err.startswith('error: code=runtime field=- msg="filter pole '
-                              '0.999999 at degree d_N = 3 realizes a '
-                              'denominator root of magnitude ')
-        assert len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("args, n_traces", [
+        (["--set", "design.d_n=10", "--set", "attack.mode=worst-case",
+          "--set", "scenario.horizon_s=300", "sweep-pole"], 5),
+        (["sweep-pole", "--poles", "0.6,0.999999"], 2),
+    ], ids=["degree-10", "pole-0.999999"])
+    def test_high_degree_or_pole_near_one_writes_finite_traces(
+            self, args, n_traces, tmp_path, monkeypatch, capsys):
+        # the first-order sections realize any pole in (0, 1) at any degree
+        code, _, _ = run_cli(args, tmp_path, monkeypatch, capsys)
+        assert code == 0
+        names = sorted(tmp_path.glob("trace_p*.csv"))
+        assert len(names) == n_traces
+        for name in names:
+            r_d = read_trace_csv(name)["r_D"]
+            assert np.isfinite(r_d).all() and np.abs(r_d).max() > 0.0
 
     @pytest.mark.parametrize("flag, prefix, other", [
         ("include_states", "X_", "Y_"),
@@ -1127,6 +1127,10 @@ class TestErrors:
         (["model.areas=[1]"], "model.areas[0]"),
         ([areas_override(lambda a: a[0].pop("inertia"))],
          "model.areas[0].inertia"),
+        (["attack.basis=[[1,0,0,0,0]]", "design.polytope_a=[[1]]"],
+         "attack.basis"),
+        (["attack.basis=[[0.1,0,0.1,0,0],[0.2,0,0.2,0,0]]",
+          "design.polytope_a=[[1,1]]"], "attack.basis"),
     ])
     def test_bad_attack_data_exits_2(self, overrides, field, tmp_path,
                                      monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,12 @@ class TestAttackGainBlocks:
         with pytest.raises(ValidationError,
                            match=r"^filter degree must be nonnegative$"):
             stack_hbar(build_dae(toy_model()), -1)
+
+    @pytest.mark.parametrize("d_n", [2.5, 3.0, True, "3"])
+    def test_non_integer_degree_rejected(self, d_n):
+        with pytest.raises(ValidationError, match=(
+                rf"^d_n must be an integer, got {re.escape(repr(d_n))}$")):
+            stack_hbar(build_dae(toy_model()), d_n)
 
 
 class TestRandomSystemIdentity:

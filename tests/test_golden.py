@@ -32,29 +32,29 @@ GOLDEN = {
     "pole_sweep/trace_p0.2.csv":
         "3efe592847e5b195cfb27289a5306dbb013464d134ccf59729aa1ac7eae8cecf",
     "pole_sweep/trace_p0.4.csv":
-        "bcac24922fa22ab8c7f2a16893a1e74269faae96b6ffb2182d1042a3cc01f23e",
+        "a0fbb260a0fae48917f486fa8102f7a2cd4432e8b1c7d58f795851075422ddbb",
     "pole_sweep/trace_p0.6.csv":
-        "893d5c19aad00c4181af8147544f67ced0acbb71ad027e21e2f43ae130f68e68",
+        "2bca34c07acd95e534e5335a13df739b0e0e4fa43e8d238f615d3c5c52634718",
     "pole_sweep/trace_p0.98.csv":
-        "7558fad5c9af72f1bf84b5732dbb3da67155525fde7e1bd76108dbb862e891c6",
+        "6055d1d362b41e2bc3ffa2bb5664a083481212c0b087ec9d0b95c07bcb27b8f3",
     "scenario1_basic/panel_dynamic_residual.csv":
-        "14bd39ee945c9c79e150173d9e27b87264a4cd15d8caa5653dcff498da6d44b1",
+        "01d4688ac02a1e3bc01c591911b72c6ed1000a20babb5ae280316d6d96b8750f",
     "scenario1_basic/panel_load_attack.csv":
         "d6c623128d50cf710c05e6ba8800b4ccc5afc65a784ab821a89ecedd5a1a2b70",
     "scenario1_basic/panel_static_residual.csv":
         "b47ddec9ad7b2fa64c7ddbaf773590cb515595efc9e127f809f521b4e8cbe6dd",
     "scenario1_basic/trace.csv":
-        "f30f34683a3a58d9f4e01c46e3016f20bb133b37b786dfd3089aaffdec759395",
+        "72b0b4365dfc7b7eae8c232be43118503801f6dca8b10338250b166e7ed7257a",
     "scenario1_basic/trace_meta.json":
         "a87a5dbb7c22aeb8a41b097f447aba6f478c7b16ee5cdcbfe5e39f3151c9692a",
     "scenario2_stealthy/panel_dynamic_residual.csv":
-        "71efe4912757756c684addeefd76400930434febff807c56ff1a092d8198ee93",
+        "a63e09301cc476f4337643caadaf8309ecc3c5e3fb6e4b772a99aa216c30efc0",
     "scenario2_stealthy/panel_load_attack.csv":
         "9d351f37fcf090213e7b7d1f554e92d952e0b2b30ba889b4f29739baa3962b9b",
     "scenario2_stealthy/panel_static_residual.csv":
         "6d946cd9587379720e05d809e6e802f253b7b22625c37269d623e0c012408ff8",
     "scenario2_stealthy/trace.csv":
-        "6abda18780ec651f9c1fedc9f89b6c31beb941a2c96f0bae038a146bbbf53fe0",
+        "a6c6514d51ac7dd7791571c7d1089d4c667f7fa3af4e45439592addf8b6833d3",
     "scenario2_stealthy/trace_meta.json":
         "7111f7f99b92c4841bdf867e715f944c8d87b76901dd0b74463b4a7d5abfd2a2",
 }

@@ -1,15 +1,30 @@
 import numpy as np
 import pytest
 
-from agcdiag.design import FilterDesign
+from agcdiag.attacks import synthesize_attack
+from agcdiag.config import build_scenario
+from agcdiag.design import FilterDesign, worst_case_alpha
 from agcdiag.errors import NumericError, ValidationError
-from agcdiag.residual import (RealizedFilter, denominator_coefficients,
-                              realize_filter)
+from agcdiag.residual import RealizedFilter, realize_filter
+from agcdiag.simulate import simulate
 
-from helpers import impulse_response_by_division
-from oracles import static_residual, steady_state_gain
+from oracles import denominator_exact, static_residual, steady_state_gain
 from reference_sim import StreamingFilter
 from test_attacks import REFERENCE_BASIS
+
+
+@pytest.fixture(scope="module")
+def worst_case_numerator(chain):
+    """N(q) L y of the default design over the default worst-case run."""
+    alpha, _ = worst_case_alpha(chain.design.nbar, chain.ffb, chain.design.d_n,
+                                chain.space.a, chain.space.b)
+    scenario = build_scenario(chain.cfg, chain.discrete,
+                              synthesize_attack(chain.space, alpha))
+    y = simulate(chain.discrete, scenario).y
+    rows = realize_filter(chain.design, chain.dae.l).numerator
+    d_n, n = chain.design.d_n, y.shape[0]
+    ext = np.concatenate([np.zeros((d_n, y.shape[1])), y])
+    return sum(ext[i:i + n] @ row for i, row in enumerate(rows))
 
 
 class TestStaticResidual:
@@ -49,50 +64,38 @@ class TestStaticResidual:
 
 
 class TestDenominator:
-    def test_normalized_at_one(self):
-        for d_n in (0, 1, 3, 5):
-            a = denominator_coefficients(0.8, d_n)
-            # cancellation among alternating coefficients bounds what "1"
-            # can mean in floats: a few ulps of the largest coefficient
-            tol = 1e-13 * max(1.0, np.abs(a).max())
-            assert a.sum() == pytest.approx(1.0, abs=tol)
-
-    def test_first_order_coefficients(self):
-        a = denominator_coefficients(0.8, 1)
-        assert np.allclose(a, [-4.0, 5.0])    # (q - 0.8)/0.2
+    """a(q) = ((q - p) / (1 - p))^d_N as d_N first-order sections, held
+    against an exact rational run of the same sections."""
 
     def test_pole_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError, match=r"^filter pole must lie in "
                            r"\(0, 1\), got 1.2$"):
-            denominator_coefficients(1.2, 2)
+            RealizedFilter(np.ones((3, 1)), 1.2, 2)
         with pytest.raises(ValidationError, match=r"^filter pole must lie in "
                            r"\(0, 1\), got 0.0$"):
-            denominator_coefficients(0.0, 2)
+            RealizedFilter(np.ones((3, 1)), 0.0, 2)
 
-    @pytest.mark.parametrize("pole, d_n", [(0.98, 10), (0.99, 10),
-                                           (0.999999, 3)])
-    def test_rounded_root_outside_the_unit_circle_refused(self, pole, d_n):
-        # the expansion's rounding scatters the d_N-fold root p; a filter
-        # realized with a root past 1 diverged (r_D 14 672 at (0.98, 10))
-        with pytest.raises(NumericError, match=(
-                rf"^filter pole {pole} at degree d_N = {d_n} realizes a "
-                r"denominator root of magnitude 1\.\d+ >= 1$")):
-            denominator_coefficients(pole, d_n)
-        with pytest.raises(NumericError, match=r"realizes a denominator root"):
-            RealizedFilter(np.ones((d_n + 1, 1)), pole, d_n)
+    def test_normalized_at_one(self):
+        # a(1) = 1: a constant input through the sections settles on itself
+        for d_n in (0, 1, 3, 5):
+            rows = np.zeros((d_n + 1, 1))
+            rows[-1] = 1.0
+            out = RealizedFilter(rows, 0.8, d_n).apply(np.ones((400, 1)))
+            assert out[-1] == pytest.approx(1.0, abs=1e-14)
 
-    def test_a_one_rounding_to_zero_refused(self):
-        # both roots stay inside the circle, but (1 - p)^2 rounds to 0
-        with pytest.raises(NumericError, match=(
-                r"^filter pole 0.999999999999 at degree d_N = 2: "
-                r"\(1 - p\)\^d_N rounds to 0.0$")):
-            denominator_coefficients(0.999999999999, 2)
-
-    @pytest.mark.parametrize("pole, d_n", [(0.98, 3), (0.98, 6), (0.8, 10),
-                                           (0.6, 10)])
-    def test_roots_inside_the_unit_circle_accepted(self, pole, d_n):
-        a = denominator_coefficients(pole, d_n)
-        assert np.abs(np.roots(a[::-1])).max() < 1.0
+    @pytest.mark.parametrize("d_n", [0, 1, 3, 6, 10])
+    @pytest.mark.parametrize("pole", [0.1, 0.8, 0.98, 0.999999])
+    def test_matches_exact_arithmetic(self, pole, d_n, worst_case_numerator):
+        # a unit last numerator row passes u through exactly, so the filter
+        # output is the sections' run on u
+        seeded = np.random.default_rng(14).standard_normal(121)
+        rows = np.zeros((d_n + 1, 1))
+        rows[-1] = 1.0
+        filt = RealizedFilter(rows, pole, d_n)
+        for u in (seeded, worst_case_numerator):
+            exact = denominator_exact(u, pole, d_n)
+            got = filt.apply(u[:, None])
+            assert np.abs(got - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 class TestRealizedFilter:
@@ -126,18 +129,6 @@ class TestRealizedFilter:
     def test_zero_input_forever(self):
         filt = RealizedFilter(np.ones((3, 2)), pole=0.7, d_n=2)
         assert all(filt.apply(np.zeros((20, 2))) == 0.0)
-
-    def test_impulse_response_matches_long_division(self):
-        rng = np.random.default_rng(8)
-        d_n = 3
-        rows = rng.standard_normal((d_n + 1, 1))
-        filt = RealizedFilter(rows, pole=0.8, d_n=d_n)
-        impulse = np.zeros((20, 1))
-        impulse[0] = 1.0
-        got = filt.apply(impulse)
-        expected = impulse_response_by_division(
-            rows[:, 0], denominator_coefficients(0.8, d_n), 20)
-        assert np.allclose(got, expected, atol=1e-12)
 
     def test_linearity_of_response(self):
         rng = np.random.default_rng(9)
@@ -223,6 +214,16 @@ class TestRealizedFilter:
         with pytest.raises(ValidationError, match=r"^coefficient blocks of "
                            r"length 44 do not match L with 43 rows$"):
             realize_filter(chain.design, chain.dae.l[:-1])
+
+    @pytest.mark.parametrize("d_n, message", [
+        (-1, r"^d_n must be >= 0, got -1$"),
+        (2.5, r"^d_n must be an integer, got 2\.5$"),
+        (3.0, r"^d_n must be an integer, got 3\.0$"),
+        (True, r"^d_n must be an integer, got True$"),
+    ])
+    def test_bad_degree_rejected(self, d_n, message):
+        with pytest.raises(ValidationError, match=message):
+            RealizedFilter(np.ones((2, 3)), pole=0.5, d_n=d_n)
 
     def test_realize_filter_wires_measurement_rows(self, chain):
         design = chain.design
