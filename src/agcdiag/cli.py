@@ -53,7 +53,7 @@ from .design import (FilterDesign, design_robust, design_steady_state,
 from .errors import (AgcDiagError, ConfigError, InfeasibleDesignError,
                      NumericError, ValidationError)
 from .residual import RealizedFilter, realize_filter
-from .simulate import (fill_trace_csv, read_trace_csv, simulate,
+from .simulate import (fill_trace_csv, read_trace_csv, simulate, write_text,
                        trace_csv_template, write_csv_table, write_trace_csv)
 
 DEFAULT_POLE_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.98)
@@ -160,9 +160,13 @@ class Pipeline:
         A robust design's gamma lower-bounds the payoff of every admissible
         attack, so a payoff below gamma (beyond rounding) is a numeric
         failure, checked on every solve. A steady-state design's mu bounds
-        the summed gain, not this payoff, and is not compared.
+        the summed gain, not this payoff, and is not compared. A zero
+        certificate raises ``InfeasibleDesignError`` before the LP.
         """
         design = self.design
+        if design.gamma <= 0.0:
+            raise InfeasibleDesignError(
+                design.diagnostic or "design certificate is zero")
         alpha, payoff = worst_case_alpha(design.nbar, self.ffb, design.d_n,
                                          self.space.a, self.space.b)
         floor = design.gamma - 1e-9 * max(1.0, abs(design.gamma))
@@ -230,16 +234,14 @@ def format_design_report(design: FilterDesign, overrides: list[str]) -> str:
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(json.dumps(payload, indent=1) + "\n")
+    write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def cmd_design(pipe: Pipeline, args) -> int:
     design = pipe.design
     out = pipe.out_dir()
     report = format_design_report(design, pipe.overrides)
-    with open(os.path.join(out, "design_report.txt"), "w", newline="\n") as fh:
-        fh.write(report)
+    write_text(os.path.join(out, "design_report.txt"), report)
     _write_json(os.path.join(out, "filter.json"), {
         "kind": design.kind,
         "d_n": design.d_n,
@@ -260,9 +262,6 @@ def cmd_design(pipe: Pipeline, args) -> int:
 
 def cmd_attack(pipe: Pipeline, args) -> int:
     design = pipe.design
-    if design.gamma <= 0.0:
-        raise InfeasibleDesignError(
-            design.diagnostic or "design certificate is zero")
     alpha, payoff = pipe.worst_case
     f_vec = synthesize_attack(pipe.space, alpha)
     _write_json(os.path.join(pipe.out_dir(), "attack.json"), {
@@ -332,7 +331,7 @@ def cmd_sweep_pole(pipe: Pipeline, args) -> int:
     plant = simulate(pipe.discrete, scenario)
     # every r_D before any file, so a non-finite one leaves no file behind
     numerator = realize_filter(design, pipe.dae.l).numerator
-    r_ds = [RealizedFilter(numerator, pole, design.d_n).apply(plant.y)
+    r_ds = [RealizedFilter(numerator, pole).apply(plant.y)
             for pole in poles]
     template = trace_csv_template(
         plant, include_states=opts["include_states"],

@@ -30,6 +30,7 @@ import numpy as np
 
 from .agc import AreaParams, GeneratorParams, assemble_system
 from .attacks import AttackSpace, compute_basis, validate_attack_space
+from .dae import check_degree
 from .discretize import LtiModel, zoh_discretize
 from .errors import ConfigError, UnknownLabelError, ValidationError
 from .simulate import Scenario, label_values, static_weights
@@ -187,9 +188,7 @@ def float_vector(value, size: int, path: str) -> np.ndarray:
 def design_params(cfg: dict) -> dict:
     """Validated design section: degree, bound, pole, kind, polytope."""
     d = cfg["design"]
-    d_n = _entry(cfg, "design.d_n", int)
-    if d_n < 0:
-        raise ConfigError("design.d_n", "filter degree must be >= 0")
+    _built(check_degree, "design.d_n", d_n=d["d_n"])
     eta = _number(cfg, "design.eta")
     pole = _entry(cfg, "design.pole", float)
     if not 0.0 < pole < 1.0:
@@ -207,7 +206,7 @@ def design_params(cfg: dict) -> dict:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
     rank_tol = _number(cfg, "design.rank_tol", zero_ok=True)
-    return {"d_n": d_n, "eta": eta, "pole": pole, "kind": kind,
+    return {"d_n": d["d_n"], "eta": eta, "pole": pole, "kind": kind,
             "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
 
 
@@ -223,10 +222,10 @@ def output_params(cfg: dict) -> dict:
     return out
 
 
-def _built(cls, path: str, **fields):
-    """``cls(**fields)``, with its ``ValidationError`` reported at ``path``."""
+def _built(make, path: str, **fields):
+    """``make(**fields)``, its ``ValidationError`` reported at ``path``."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -290,11 +289,8 @@ def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
             raise ConfigError("attack.basis",
                               f"rows must have length {model.n_attacks}")
     p = design_params(cfg)
-    if p["a_pol"].shape[1] != basis.shape[0]:
-        raise ConfigError("design.polytope_a",
-                          f"A needs one column per basis vector "
-                          f"({basis.shape[0]})")
-    space = AttackSpace(basis=basis, a=p["a_pol"], b=p["b_pol"])
+    space = _built(AttackSpace, "design.polytope_a", basis=basis,
+                   a=p["a_pol"], b=p["b_pol"])
     try:
         validate_attack_space(space, model.c, model.d_f)
     except ValidationError as exc:

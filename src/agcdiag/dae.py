@@ -39,9 +39,12 @@ class DaeSystem:
 
 def check_degree(d_n) -> None:
     """Raise ``ValidationError`` unless the filter degree ``d_n`` is an
-    integer; a bool is not one. The sign is each caller's check."""
+    integer >= 0; a bool is not an integer. The one check of the degree:
+    every entry point that takes one calls it."""
     if isinstance(d_n, bool) or not isinstance(d_n, numbers.Integral):
         raise ValidationError(f"d_n must be an integer, got {d_n!r}")
+    if d_n < 0:
+        raise ValidationError(f"d_n must be >= 0, got {d_n}")
 
 
 def build_dae(model: LtiModel) -> DaeSystem:
@@ -68,8 +71,6 @@ def stack_hbar(dae: DaeSystem, d_n: int) -> np.ndarray:
     matrix lists the polynomial-product coefficients.
     """
     check_degree(d_n)
-    if d_n < 0:
-        raise ValidationError("filter degree must be nonnegative")
     n_r, n_xx = dae.h0.shape
     out = np.zeros(((d_n + 1) * n_r, (d_n + 2) * n_xx))
     for i in range(d_n + 1):

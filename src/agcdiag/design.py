@@ -30,7 +30,6 @@ finite-reformulation test) are test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 
 import numpy as np
@@ -52,8 +51,6 @@ class FeasibleSetBasis:
         if eta <= 0:
             raise ValidationError(f"eta must be > 0, got {eta}")
         check_degree(d_n)
-        if d_n < 0:
-            raise ValidationError(f"d_n must be >= 0, got {d_n}")
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if z.shape[1] % (d_n + 1) != 0:
             raise ValidationError(
@@ -252,16 +249,17 @@ def worst_case_alpha(nbar, ffb, d_n: int, a_pol, b_pol):
 
     Epigraph LP over (alpha, t): min t subject to
     -t <= N_j F F_b' alpha <= t for every block and A alpha >= b.
-    Raises ``ValidationError`` when the polytope is empty, or when ``nbar``
-    is not d_n + 1 blocks of ``ffb``'s rows.
+    Raises ``ValidationError`` when ``d_n`` is not a degree
+    (``check_degree``), when ``nbar`` is not d_n + 1 blocks of ``ffb``'s
+    rows, or when the polytope is empty.
     """
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
     ffb = np.asarray(ffb, dtype=float)
     a_pol = np.atleast_2d(np.asarray(a_pol, dtype=float))
     b_pol = np.atleast_1d(np.asarray(b_pol, dtype=float))
     n_r = ffb.shape[0]
-    if (isinstance(d_n, bool) or not isinstance(d_n, numbers.Integral)
-            or d_n < 0 or nbar.size != (d_n + 1) * n_r):
+    check_degree(d_n)
+    if nbar.size != (d_n + 1) * n_r:
         raise ValidationError(f"nbar has {nbar.size} entries, not (d_n + 1) "
                               f"* {n_r} for d_n = {d_n!r}")
     d = a_pol.shape[1]

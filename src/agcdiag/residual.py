@@ -4,16 +4,16 @@ The dynamic filter r_D = a(q)^-1 N(q) L y has the denominator
 a(q) = ((q - p) / (1 - p))^d_N, one d_N-fold pole p with a(1) = 1, so a
 constant input y passes with the DC gain N(1) L y. It runs over a whole
 measurement series: the numerator N(q) L y is d_N + 1 shifted products,
-and a(q)^-1 is d_N first-order sections s[k] = p s[k-1] + (1 - p) u[k],
-each stable for any p in (0, 1) with DC gain 1. The sections keep the
-pole where a rounded expansion of (q - p)^d_N would scatter it.
+so its d_N + 1 rows fix the degree, and a(q)^-1 is d_N first-order
+sections s[k] = p s[k-1] + (1 - p) u[k], each stable for any p in (0, 1)
+with DC gain 1. The sections keep the pole where a rounded expansion of
+(q - p)^d_N would scatter it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dae import check_degree
 from .design import FilterDesign
 from .errors import NumericError, ValidationError
 
@@ -35,22 +35,18 @@ class RealizedFilter:
     earlier measurement or section output), so the first d_N outputs of a
     series are its warm-up and the filter keeps no state between calls. A
     non-finite output raises ``NumericError`` naming its first sample in
-    the series.
+    the series. ``numerator_rows`` holds N_0 L .. N_dN L: d_N + 1 rows.
     """
 
-    def __init__(self, numerator_rows: np.ndarray, pole: float, d_n: int):
-        check_degree(d_n)
-        if d_n < 0:
-            raise ValidationError(f"d_n must be >= 0, got {d_n}")
+    def __init__(self, numerator_rows: np.ndarray, pole: float):
         rows = np.atleast_2d(np.asarray(numerator_rows, dtype=float))
-        if rows.shape[0] != d_n + 1:
-            raise ValidationError(
-                f"need {d_n + 1} numerator rows, got {rows.shape[0]}")
+        if rows.shape[0] == 0:
+            raise ValidationError("filter numerator has no rows")
         if not 0.0 < pole < 1.0:
             raise ValidationError(f"filter pole must lie in (0, 1), got {pole}")
         self.numerator = rows
         self.pole = float(pole)
-        self.d_n = int(d_n)
+        self.d_n = rows.shape[0] - 1
 
     @np.errstate(over="ignore", invalid="ignore")   # see check_finite
     def apply(self, y_series) -> np.ndarray:
@@ -90,4 +86,4 @@ def realize_filter(design: FilterDesign, l: np.ndarray) -> RealizedFilter:
         raise ValidationError(
             f"coefficient blocks of length {blocks.shape[1]} do not match "
             f"L with {l.shape[0]} rows")
-    return RealizedFilter(blocks @ l, design.pole, design.d_n)
+    return RealizedFilter(blocks @ l, design.pole)

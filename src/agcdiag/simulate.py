@@ -321,7 +321,9 @@ def _csv_body(data: np.ndarray, cells: list[str]) -> str:
                                  for i in range(0, len(flat), step)))
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` with LF line endings on every platform;
+    every output file of the package is written here."""
     with open(path, "w", newline="\n") as handle:
         handle.write(text)
 
@@ -333,7 +335,7 @@ def write_csv_table(path, header: list[str],
     ``format(v, ".12g")``), LF endings."""
     data = np.column_stack(columns)
     cells = ["%.12g"] * data.shape[1]
-    _write_text(path, ",".join(header) + "\n" + _csv_body(data, cells))
+    write_text(path, ",".join(header) + "\n" + _csv_body(data, cells))
 
 
 def trace_csv_template(trace: SimulationTrace, include_states: bool = False,
@@ -366,7 +368,7 @@ def trace_csv_template(trace: SimulationTrace, include_states: bool = False,
 def fill_trace_csv(template: str, r_d: np.ndarray, path) -> None:
     """Write a ``trace_csv_template`` with ``r_d`` in its ``r_D`` cells,
     formatted ``%.12g`` by one ``%``."""
-    _write_text(path, template % tuple(r_d.tolist()))
+    write_text(path, template % tuple(r_d.tolist()))
 
 
 def write_trace_csv(trace: SimulationTrace, path,

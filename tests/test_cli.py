@@ -177,11 +177,22 @@ class TestAttackCommand:
         assert sum(payload["alpha_star"]) >= 1.5 - 1e-8
 
 
-    def test_zero_certificate_exits_3(self, tmp_path, monkeypatch, capsys):
-        # no reply is solved against a filter that certifies nothing
-        code, out, err = run_cli(
-            ["--set", "design.polytope_b=[-1.0]", "attack"],
-            tmp_path, monkeypatch, capsys)
+    @pytest.mark.parametrize("args", [
+        ["--set", "design.polytope_b=[-1.0]", "attack"],
+        ["--set", "design.d_n=0", "attack"],
+        ["--set", "design.d_n=0", "--set", "attack.mode=worst-case",
+         "simulate"],
+        ["--set", "design.d_n=0", "--set", "attack.mode=worst-case",
+         "sweep-pole"],
+        ["--set", "design.kind=steady-state", "--set",
+         "attack.mode=worst-case", "simulate"],
+    ], ids=["attack-polytope", "attack-d0", "simulate-d0", "sweep-pole-d0",
+            "simulate-steady-state"])
+    def test_zero_certificate_exits_3(self, args, tmp_path, monkeypatch,
+                                      capsys):
+        # no reply is solved against a filter that certifies nothing, and
+        # no run injects one
+        code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: code=infeasible field=- ")
         assert len(err.splitlines()) == 1

@@ -1,9 +1,12 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
+from agcdiag.cli import main
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
+from agcdiag.design import FeasibleSetBasis, worst_case_alpha
 from agcdiag.discretize import LtiModel
 from agcdiag.errors import ValidationError
 
@@ -159,16 +162,42 @@ class TestAttackGainBlocks:
                            match=r"^basis rows have length 3, expected 1$"):
             attack_gain(dae, np.ones((1, 3)))
 
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValidationError,
-                           match=r"^filter degree must be nonnegative$"):
-            stack_hbar(build_dae(toy_model()), -1)
 
-    @pytest.mark.parametrize("d_n", [2.5, 3.0, True, "3"])
-    def test_non_integer_degree_rejected(self, d_n):
-        with pytest.raises(ValidationError, match=(
-                rf"^d_n must be an integer, got {re.escape(repr(d_n))}$")):
-            stack_hbar(build_dae(toy_model()), d_n)
+# every library entry point that takes a filter degree; nbar, ffb and the
+# polytope of worst_case_alpha fit d_n = 3
+DEGREE_ENTRY_POINTS = {
+    "stack_hbar": lambda d_n: stack_hbar(build_dae(toy_model()), d_n),
+    "FeasibleSetBasis": lambda d_n: FeasibleSetBasis(np.zeros((1, 4)), 1.0,
+                                                     d_n),
+    "worst_case_alpha": lambda d_n: worst_case_alpha(
+        np.zeros(4), np.ones((1, 1)), d_n, np.eye(1), np.zeros(1)),
+}
+
+
+class TestCheckDegree:
+    """``check_degree`` is the one rule for d_n: each entry point refuses
+    a bad degree with its message, and the CLI reports it at design.d_n."""
+
+    @pytest.mark.parametrize("d_n, message", [
+        pytest.param(-1, "d_n must be >= 0, got -1", id="-1"),
+        pytest.param(2.5, "d_n must be an integer, got 2.5", id="2.5"),
+        pytest.param(3.0, "d_n must be an integer, got 3.0", id="3.0"),
+        pytest.param(True, "d_n must be an integer, got True", id="True"),
+        pytest.param("3", "d_n must be an integer, got '3'", id="'3'"),
+    ])
+    @pytest.mark.parametrize("entry", [*DEGREE_ENTRY_POINTS, "cli"])
+    def test_bad_degree_refused(self, entry, d_n, message, tmp_path,
+                                monkeypatch, capsys):
+        if entry != "cli":
+            with pytest.raises(ValidationError,
+                               match=f"^{re.escape(message)}$"):
+                DEGREE_ENTRY_POINTS[entry](d_n)
+            return
+        monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
+        assert main(["--set", f"design.d_n={json.dumps(d_n)}", "design"]) == 2
+        assert capsys.readouterr().err == (
+            f'error: code=config field=design.d_n msg="design.d_n: '
+            f'{message}"\n')
 
 
 class TestRandomSystemIdentity:

@@ -82,14 +82,8 @@ class TestFeasibleBasis:
     @pytest.mark.parametrize("eta, d_n, message", [
         (0.0, 3, r"^eta must be > 0, got 0.0$"),
         (10.0, 4, r"^stacked width 176 not divisible by d_n\+1 = 5$"),
-        (10.0, -1, r"^d_n must be >= 0, got -1$"),
-        (10.0, -2, r"^d_n must be >= 0, got -2$"),
         (np.nan, 3, r"^eta must be finite, got nan$"),
         (np.inf, 3, r"^eta must be finite, got inf$"),
-        (10.0, 2.5, r"^d_n must be an integer, got 2\.5$"),
-        (10.0, 3.0, r"^d_n must be an integer, got 3\.0$"),
-        (10.0, True, r"^d_n must be an integer, got True$"),
-        (10.0, "3", r"^d_n must be an integer, got '3'$"),
     ])
     def test_bad_eta_or_width_rejected(self, chain, eta, d_n, message):
         with pytest.raises(ValidationError, match=message):
@@ -405,7 +399,7 @@ class TestWorstCase:
                              np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
                              np.array([2.0, -1.0]))
 
-    @pytest.mark.parametrize("d_n", [2, 4, -1, 2.5, True])
+    @pytest.mark.parametrize("d_n", [2, 4])
     def test_nbar_that_does_not_fit_d_n_raises(self, chain, d_n):
         nbar = chain.design.nbar
         with pytest.raises(ValidationError, match=(

@@ -84,7 +84,7 @@ class TestSignalParity:
     def test_filter_degrees_and_poles(self, chain, d_n, pole):
         rng = np.random.default_rng(100 * d_n + int(100 * pole))
         rows = rng.standard_normal((d_n + 1, chain.discrete.n_measurements))
-        filt = RealizedFilter(rows, pole, d_n)
+        filt = RealizedFilter(rows, pole)
         f = synthesize_attack(chain.space, [2.8, 1.0, -2.3])
         sc = scenario(attack_f=f, measurement_noise=NOISE, seed=d_n)
         assert_parity(*run_both(chain.discrete, sc, filt))
