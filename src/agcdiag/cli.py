@@ -276,16 +276,20 @@ def _scenario(pipe: Pipeline):
 
 
 def cmd_simulate(pipe: Pipeline, args) -> int:
-    trace = simulate(pipe.discrete, _scenario(pipe),
+    scenario = _scenario(pipe)
+    trace = simulate(pipe.discrete, scenario,
                      realize_filter(pipe.design, pipe.dae.l))
-    trace.metadata["overrides"] = list(pipe.overrides)
-    trace.metadata["pole"] = pipe.design.pole
+    # the trace's metadata, its seed first, with the scenario's fingerprint
+    # second: trace_meta.json is the one file that records the fingerprint
+    meta = {"seed": scenario.seed, "scenario": scenario.fingerprint(),
+            **trace.metadata, "overrides": list(pipe.overrides),
+            "pole": pipe.design.pole}
     out = pipe.out_dir()
     opts = cfgmod.output_params(pipe.cfg)
     path = os.path.join(out, "trace.csv")
     write_trace_csv(trace, path, include_states=opts["include_states"],
                     include_measurements=opts["include_measurements"])
-    _write_json(os.path.join(out, "trace_meta.json"), trace.metadata)
+    _write_json(os.path.join(out, "trace_meta.json"), meta)
     print(f"wrote {path} ({trace.n_records} records)")
     return 0
 
@@ -324,18 +328,19 @@ def cmd_sweep_pole(pipe: Pipeline, args) -> int:
     """One closed-loop run, filtered with each pole in turn; see the module
     docstring."""
     poles = _parse_poles(args.poles)
-    out = pipe.out_dir()
     opts = cfgmod.output_params(pipe.cfg)
     scenario = _scenario(pipe)
     design = pipe.design
     plant = simulate(pipe.discrete, scenario)
-    # every r_D before any file, so a non-finite one leaves no file behind
+    # every r_D before the directory and any file, so a refused scenario or
+    # a non-finite r_D leaves nothing behind
     numerator = realize_filter(design, pipe.dae.l).numerator
     r_ds = [RealizedFilter(numerator, pole).apply(plant.y)
             for pole in poles]
     template = trace_csv_template(
         plant, include_states=opts["include_states"],
         include_measurements=opts["include_measurements"])
+    out = pipe.out_dir()
     for pole, r_d in zip(poles, r_ds):
         path = os.path.join(out, _pole_trace_name(pole))
         fill_trace_csv(template, r_d, path)

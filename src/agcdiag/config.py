@@ -33,7 +33,7 @@ from .attacks import AttackSpace, compute_basis, validate_attack_space
 from .dae import check_degree
 from .discretize import LtiModel, zoh_discretize
 from .errors import ConfigError, UnknownLabelError, ValidationError
-from .simulate import Scenario, label_values, static_weights
+from .simulate import Scenario, resolve_label_maps
 
 #: Frequency entries of the "freq-scaled" noise tables are scaled by this.
 FREQ_NOISE_FACTOR = 0.03
@@ -197,6 +197,15 @@ def design_params(cfg: dict) -> dict:
     if kind not in ("robust", "steady-state"):
         raise ConfigError("design.kind",
                           f"expected 'robust' or 'steady-state', got {kind!r}")
+    a_pol, b_pol = _polytope(cfg)
+    rank_tol = _number(cfg, "design.rank_tol", zero_ok=True)
+    return {"d_n": d["d_n"], "eta": eta, "pole": pole, "kind": kind,
+            "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
+
+
+def _polytope(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The design section's attack polytope ``(A, b)``, checked."""
+    d = cfg["design"]
     a_pol = _float_array(d["polytope_a"], "design.polytope_a")
     b_pol = _float_array(d["polytope_b"], "design.polytope_b")
     if b_pol.ndim != 1 or b_pol.size == 0:
@@ -205,9 +214,7 @@ def design_params(cfg: dict) -> dict:
     if a_pol.ndim != 2 or a_pol.shape[0] != b_pol.size:
         raise ConfigError("design.polytope_a",
                           "A must be 2-D with one row per entry of b")
-    rank_tol = _number(cfg, "design.rank_tol", zero_ok=True)
-    return {"d_n": d["d_n"], "eta": eta, "pole": pole, "kind": kind,
-            "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
+    return a_pol, b_pol
 
 
 def output_params(cfg: dict) -> dict:
@@ -279,7 +286,8 @@ def build_discrete(cfg: dict, model: LtiModel) -> LtiModel:
 
 def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
     """The stealthy basis of the attack section with the polytope of the
-    design section (read by ``design_params``)."""
+    design section (checked as ``design_params`` checks it, without the
+    rest of that section)."""
     basis_raw = cfg["attack"]["basis"]
     if basis_raw == "auto":
         basis = compute_basis(model.c, model.d_f)
@@ -288,9 +296,9 @@ def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
         if basis.ndim != 2 or basis.shape[1] != model.n_attacks:
             raise ConfigError("attack.basis",
                               f"rows must have length {model.n_attacks}")
-    p = design_params(cfg)
+    a_pol, b_pol = _polytope(cfg)
     space = _built(AttackSpace, "design.polytope_a", basis=basis,
-                   a=p["a_pol"], b=p["b_pol"])
+                   a=a_pol, b=b_pol)
     try:
         validate_attack_space(space, model.c, model.d_f)
     except ValidationError as exc:
@@ -340,16 +348,13 @@ def build_scenario(cfg: dict, model: LtiModel,
     if onset_s > horizon_s:
         raise ConfigError("scenario.onset_s",
                           f"must be <= horizon_s = {horizon_s!r}, got {onset_s!r}")
-    # the label maps, checked by the rules simulate applies
     maps = {"load_std": _float_map(sc["load_std"], "scenario.load_std")}
-    for name, labels in (("load_std", model.disturbance_labels),
-                         ("process_noise", model.state_labels),
+    for name, labels in (("process_noise", model.state_labels),
                          ("measurement_noise", model.measurement_labels)):
-        if name not in maps:
-            maps[name] = _noise_table(sc[name], base, labels,
-                                      f"scenario.{name}")
-        values = label_values(maps[name], labels, f"scenario.{name}")
-        if name == "measurement_noise":
-            static_weights(values, f"scenario.{name}")
-    return Scenario(horizon_s=horizon_s, t_s=t_s,
-                    onset_s=onset_s, attack_f=attack_f, seed=seed, **maps)
+        maps[name] = _noise_table(sc[name], base, labels, f"scenario.{name}")
+    scenario = Scenario(horizon_s=horizon_s, t_s=t_s, onset_s=onset_s,
+                        attack_f=attack_f, seed=seed, **maps)
+    # the label maps, checked by the rules simulate applies; simulate finds
+    # them resolved and does not check them again
+    resolve_label_maps(model, scenario, "scenario.")
+    return scenario

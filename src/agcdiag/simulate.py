@@ -16,13 +16,18 @@ row uses the kernel of a one-sample product ``M @ v``, so a trace has the
 same bits as a loop over samples (kept as the test reference in
 ``tests/reference_sim.py``). The static-residual projector comes from
 ``weighted_range_projector``'s cache, so a batch of runs on one model and
-one noise table builds it once.
+one noise table builds it once. The scenario's three label maps are turned
+into per-label vectors once per distinct map set (``resolve_label_maps``,
+shared with ``config.build_scenario``), so a batch of seeds checks its maps
+once and each run draws and steps only.
 The divergence guard names the first state past it (a nan state counts as
 past it), as a check after every step would, and so does the check of
 the residuals rS_inf and r_D, which an attack on measurements alone can
 overflow with every state inside the guard. A trace CSV's body is
 formatted a block of rows at a time, from one row format repeated for
-every row of the block. The ``r_D`` column is filled in a second step
+every row of the block; the attack columns, constant between their
+changes, are written as literal text into the row format of each run of
+equal attack rows. The ``r_D`` column is filled in a second step
 (``trace_csv_template``, then ``fill_trace_csv``), so runs that differ
 only in ``r_D``, such as the filters of a pole sweep, format the other
 columns once.
@@ -34,6 +39,7 @@ import hashlib
 import json
 import math
 import numbers
+from array import array
 
 import numpy as np
 
@@ -44,6 +50,10 @@ from .residual import RealizedFilter, check_finite
 
 DIVERGENCE_GUARD = 1e6
 CSV_BLOCK_ROWS = 16    # rows formatted by one ``%`` in write_csv_table
+#: Most resolved label-map sets kept at once; the oldest is dropped first.
+LABEL_MAP_CACHE_SIZE = 16
+# (label tuples, map keys, map value bits) -> read-only vectors, oldest first
+_label_maps: dict[tuple, tuple] = {}
 
 
 def _sample_index(seconds: float, t_s: float) -> int:
@@ -58,10 +68,12 @@ class Scenario:
     ``load_std`` maps a disturbance label (``<area>.load``) to the standard
     deviation of its i.i.d. zero-mean Gaussian steps; unlisted channels stay
     zero. Noise covariances are diagonal, label-keyed variances. The three
-    label maps are checked against the model by ``simulate`` (see
-    ``label_values``). ``attack_f`` is the constant injection applied
+    label maps are checked against the model once per distinct content, by
+    ``resolve_label_maps`` from ``config.build_scenario`` or ``simulate``,
+    whichever comes first. ``attack_f`` is the constant injection applied
     strictly after ``onset_s`` seconds, that is at the samples
-    k > ``onset_index``.
+    k > ``onset_index``. ``fingerprint`` hashes the content for
+    ``trace_meta.json``; ``simulate`` does not read it.
     """
 
     __slots__ = ("horizon_s", "t_s", "onset_s", "attack_f", "load_std",
@@ -195,12 +207,45 @@ def static_weights(meas_var: np.ndarray, path: str) -> np.ndarray | None:
     return weights
 
 
-def gen_disturbance(scenario: Scenario, rng: np.random.Generator,
-                    labels: tuple[str, ...]) -> np.ndarray:
-    """Per-step disturbance matrix, (n_steps+1, n_d): i.i.d. Gaussian steps
-    with the stds of ``scenario.load_std``."""
-    stds = label_values(scenario.load_std, labels, "load_std")
-    return rng.standard_normal((scenario.n_steps + 1, len(labels))) * stds
+def resolve_label_maps(model: LtiModel, scenario: Scenario,
+                       prefix: str = "") -> tuple:
+    """``scenario``'s label maps as vectors over ``model``'s labels:
+    ``(load stds, sqrt of the process variances, sqrt of the measurement
+    variances, static weights or None)``, every array read-only.
+
+    On a miss, ``label_values`` and ``static_weights`` check the maps,
+    their errors naming ``prefix + <map>``. Entries are kept per process,
+    keyed by the three label tuples, the maps' keys and the bits of their
+    values (so ``0.0`` and ``-0.0`` differ, and a map changed in place is
+    looked up afresh). A map set that fails stores nothing.
+    """
+    maps = (scenario.load_std, scenario.process_noise,
+            scenario.measurement_noise)
+    labels = (model.disturbance_labels, model.state_labels,
+              model.measurement_labels)
+    try:
+        key = (labels, *map(tuple, maps),
+               *(array("d", table.values()).tobytes() for table in maps))
+        entry = _label_maps.get(key)
+    except (TypeError, OverflowError):
+        # a value that is no real number (label_values refuses it) or a
+        # label that cannot be hashed: resolved without the cache
+        key = entry = None
+    if entry is None:
+        stds, proc_var, meas_var = (
+            label_values(table, labs, prefix + name)
+            for table, labs, name in zip(maps, labels, (
+                "load_std", "process_noise", "measurement_noise")))
+        entry = (stds, np.sqrt(proc_var), np.sqrt(meas_var),
+                 static_weights(meas_var, prefix + "measurement_noise"))
+        for vec in entry:
+            if vec is not None:
+                vec.flags.writeable = False
+        if key is not None:
+            if len(_label_maps) >= LABEL_MAP_CACHE_SIZE:
+                del _label_maps[next(iter(_label_maps))]
+            _label_maps[key] = entry
+    return entry
 
 
 def _rowwise(mat: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -226,7 +271,9 @@ def simulate(model: LtiModel, scenario: Scenario,
     lines. A non-finite residual raises
     ``NumericError`` naming its first sample. The scenario must sample at
     the model's ``t_s``, and its label maps must pass ``label_values``
-    against the model's labels.
+    against the model's labels (``resolve_label_maps``, checked once per
+    distinct map set). The trace's metadata holds no scenario fingerprint;
+    ``Scenario.fingerprint`` makes one for the file that records it.
     """
     if scenario.t_s != model.t_s:
         raise ValidationError(f"scenario samples at t_s = {scenario.t_s}, "
@@ -239,16 +286,13 @@ def simulate(model: LtiModel, scenario: Scenario,
             f"model has {n_f} attack channels")
 
     steps = scenario.n_steps
+    load_std, proc_std, meas_std, weights = resolve_label_maps(model,
+                                                               scenario)
     rng = np.random.default_rng(scenario.seed)
-    d_log = gen_disturbance(scenario, rng, model.disturbance_labels)
-    proc_var = label_values(scenario.process_noise, model.state_labels,
-                            "process_noise")
-    meas_var = label_values(scenario.measurement_noise,
-                            model.measurement_labels, "measurement_noise")
-    w_series = rng.standard_normal((steps + 1, n_x)) * np.sqrt(proc_var)
-    v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
+    d_log = rng.standard_normal((steps + 1, load_std.size)) * load_std
+    w_series = rng.standard_normal((steps + 1, n_x)) * proc_std
+    v_series = rng.standard_normal((steps + 1, n_y)) * meas_std
 
-    weights = static_weights(meas_var, "measurement_noise")
     weighted = weights is not None
     proj = weighted_range_projector(model.c, weights)
 
@@ -288,7 +332,6 @@ def simulate(model: LtiModel, scenario: Scenario,
 
     metadata = {
         "seed": scenario.seed,
-        "scenario": scenario.fingerprint(),
         "t_s": scenario.t_s,
         "onset_s": scenario.onset_s,
         "warmup_samples": 0 if dynamic_filter is None else dynamic_filter.d_n,
@@ -344,25 +387,34 @@ def trace_csv_template(trace: SimulationTrace, include_states: bool = False,
     ``%.12g`` (and any ``%`` of the header doubled), so that
     ``fill_trace_csv`` writes the bytes of ``write_trace_csv`` for any
     ``r_D`` series of the trace's length. Every other column is formatted
-    here, once."""
+    here, once: the attack cells once per run of equal attack rows (rows
+    compared bit for bit, so ``-0.0`` and ``0.0`` differ), as literal text
+    in that run's row format."""
     n_d = trace.d.shape[1]
-    n_f = trace.f.shape[1]
+    f = np.asarray(trace.f, dtype=float)
     header = ["k", "t"]
     header += [f"d_{i + 1}" for i in range(n_d)]
-    header += [f"f_{i + 1}" for i in range(n_f)]
+    header += [f"f_{i + 1}" for i in range(f.shape[1])]
     header += ["rS_inf", "r_D"]
-    columns = [np.arange(trace.n_records), trace.t, trace.d, trace.f,
-               trace.rs_inf]
+    columns = [np.arange(trace.n_records), trace.t, trace.d, trace.rs_inf]
     if include_states:
         header += [f"X_{lab}" for lab in trace.metadata["state_labels"]]
         columns.append(trace.x)
     if include_measurements:
         header += [f"Y_{lab}" for lab in trace.metadata["measurement_labels"]]
         columns.append(trace.y)
-    cells = ["%d"] + ["%.12g"] * (len(header) - 1)
-    cells[header.index("r_D")] = "%%.12g"
-    return (",".join(header).replace("%", "%%") + "\n"
-            + _csv_body(np.column_stack(columns), cells))
+    data = np.column_stack(columns)
+    lead = ["%d"] + ["%.12g"] * (1 + n_d)
+    trail = ["%.12g", "%%.12g"] + ["%.12g"] * (data.shape[1] - len(lead) - 1)
+    bits = f.view(np.uint64)
+    starts = np.ones(trace.n_records, dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    bounds = [*np.flatnonzero(starts).tolist(), trace.n_records]
+    body = "".join(
+        _csv_body(data[a:b],
+                  lead + ["%.12g" % v for v in f[a].tolist()] + trail)
+        for a, b in zip(bounds, bounds[1:]))
+    return ",".join(header).replace("%", "%%") + "\n" + body
 
 
 def fill_trace_csv(template: str, r_d: np.ndarray, path) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from agcdiag import cli, linalg
+from agcdiag import cli, linalg, simulate
 from agcdiag import config as cfgmod
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import design_robust, feasible_basis
@@ -52,6 +52,29 @@ def no_kept_projector():
     ``agcdiag.linalg``, so no count of computed projectors depends on
     which tests ran before."""
     linalg._projectors.clear()
+
+
+@pytest.fixture(autouse=True)
+def no_kept_label_maps():
+    """Every test starts with no resolved label maps in
+    ``agcdiag.simulate``, so no count of map checks depends on which tests
+    ran before."""
+    simulate._label_maps.clear()
+
+
+@pytest.fixture
+def label_value_calls(monkeypatch):
+    """Records the map of each ``simulate.label_values`` call, the one
+    check of a scenario's label maps."""
+    calls = []
+    check = simulate.label_values
+
+    def counted(table, labels, path):
+        calls.append(path)
+        return check(table, labels, path)
+
+    monkeypatch.setattr(simulate, "label_values", counted)
+    return calls
 
 
 @pytest.fixture

@@ -20,8 +20,7 @@ import numpy as np
 
 from agcdiag.errors import DivergenceError, ValidationError
 from agcdiag.linalg import weighted_range_projector
-from agcdiag.simulate import (DIVERGENCE_GUARD, SimulationTrace,
-                              gen_disturbance, label_values)
+from agcdiag.simulate import DIVERGENCE_GUARD, SimulationTrace, label_values
 
 
 class StreamingFilter:
@@ -67,7 +66,9 @@ def simulate_reference(model, scenario,
 
     steps = scenario.n_steps
     rng = np.random.default_rng(scenario.seed)
-    d_series = gen_disturbance(scenario, rng, model.disturbance_labels)
+    load_std = label_values(scenario.load_std, model.disturbance_labels,
+                            "load_std")
+    d_series = rng.standard_normal((steps + 1, n_d)) * load_std
     proc_var = label_values(scenario.process_noise, model.state_labels,
                             "process_noise")
     meas_var = label_values(scenario.measurement_noise,

@@ -262,6 +262,58 @@ class TestReportCommand:
         assert dyn.splitlines()[0] == "t,r_D"
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-pole"])
+def test_refused_run_makes_no_output_directory(command, tmp_path,
+                                               monkeypatch, capsys):
+    """A run refused before its first file (here a zero certificate) leaves
+    no output directory behind."""
+    out = tmp_path / "o"
+    code, _, err = run_cli(["--set", "design.d_n=0", "--set",
+                            "attack.mode=worst-case", command],
+                           out, monkeypatch, capsys)
+    assert code == 3 and err.startswith("error: code=infeasible ")
+    assert not out.exists()
+
+
+def test_attack_checks_the_design_section_once(tmp_path, monkeypatch,
+                                               capsys):
+    calls = []
+    check = cfgmod.design_params
+
+    def counted(cfg):
+        calls.append(1)
+        return check(cfg)
+
+    monkeypatch.setattr(cfgmod, "design_params", counted)
+    code, _, _ = run_cli(["attack"], tmp_path, monkeypatch, capsys)
+    assert code == 0 and len(calls) == 1
+
+
+def test_simulate_checks_each_label_map_once(label_value_calls, tmp_path,
+                                             monkeypatch, capsys):
+    """``config.build_scenario`` checks the maps; ``simulate`` finds them
+    resolved."""
+    code, _, _ = run_cli(["simulate"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    assert label_value_calls == ["scenario.load_std", "scenario.process_noise",
+                                 "scenario.measurement_noise"]
+
+
+def test_trace_meta_records_the_scenario_fingerprint(tmp_path, monkeypatch,
+                                                     capsys):
+    """``cmd_simulate`` writes the fingerprint, second after the seed."""
+    code, _, _ = run_cli(["simulate"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    meta = json.loads((tmp_path / "trace_meta.json").read_text())
+    assert list(meta)[:3] == ["seed", "scenario", "t_s"]
+    assert list(meta)[-2:] == ["overrides", "pole"]
+    cfg = cfgmod.default_config()
+    pipe = cli.Pipeline(cfg, [])
+    scenario = cfgmod.build_scenario(cfg, pipe.discrete,
+                                     pipe.attack_vector())
+    assert meta["scenario"] == scenario.fingerprint()
+
+
 class TestSweepPole:
     def test_default_pole_list(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(

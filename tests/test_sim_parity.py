@@ -106,6 +106,35 @@ class TestSignalParity:
         assert got.value.magnitude == ref.value.magnitude
 
 
+SIGNALS = ("t", "d", "f", "x", "y", "rs_inf", "r_d")
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
+@pytest.mark.parametrize("attacked", [True, False],
+                         ids=["attacked", "clean"])
+def test_seed_batch_has_the_reference_bits(chain, attacked, noisy):
+    """Eight seeds of the configured scenario share one resolved map set;
+    every run, and a second run of the same ``Scenario``, has the bits of
+    the per-sample reference in every signal."""
+    f = (synthesize_attack(chain.space, [2.8, 1.0, -2.3]) if attacked
+         else None)
+    filt = realize_filter(chain.design, chain.dae.l)
+    for seed in range(8):
+        cfg = cfgmod.default_config()
+        cfg["scenario"]["seed"] = 1000 + seed
+        if not noisy:
+            cfg["scenario"]["process_noise"] = None
+            cfg["scenario"]["measurement_noise"] = None
+        sc = cfgmod.build_scenario(cfg, chain.discrete, f)
+        first, again = (simulate(chain.discrete, sc, filt) for _ in range(2))
+        ref = simulate_reference(chain.discrete, sc, filt)
+        for name in SIGNALS:
+            bits = getattr(ref, name).tobytes()
+            assert getattr(first, name).tobytes() == bits, (seed, name)
+            assert getattr(again, name).tobytes() == bits, (seed, name)
+        assert first.metadata["weighted_static"] is noisy
+
+
 @pytest.mark.parametrize("blocks", [(0, 2), (1, 0), (1, 1), (2, 0), (2, 1)])
 def test_csv_bytes_at_block_boundaries(chain, blocks, tmp_path):
     """Traces whose length is a whole number of CSV format blocks, or one

@@ -3,14 +3,18 @@ import re
 import numpy as np
 import pytest
 
+from agcdiag import simulate as simmod
 from agcdiag.attacks import synthesize_attack
 from agcdiag.discretize import LtiModel, zoh_discretize
 from agcdiag.errors import (ConfigError, DivergenceError, NumericError,
                             ValidationError)
 from agcdiag.residual import realize_filter
-from agcdiag.simulate import (Scenario, SimulationTrace, fill_trace_csv,
-                              gen_disturbance, label_values, read_trace_csv,
-                              simulate, trace_csv_template, write_trace_csv)
+from agcdiag.simulate import (LABEL_MAP_CACHE_SIZE, Scenario,
+                              SimulationTrace, fill_trace_csv, label_values,
+                              read_trace_csv, resolve_label_maps, simulate,
+                              trace_csv_template, write_trace_csv)
+
+from reference_sim import simulate_reference, write_trace_csv_reference
 
 
 def quiet_scenario(**kw):
@@ -245,27 +249,33 @@ class TestSimulate:
 
 
 class TestDisturbance:
+    """The load steps of a trace: i.i.d. Gaussian with the stds of
+    ``load_std``, the run's first draw."""
+
     def test_zero_std_means_zero(self, chain):
-        sc = Scenario(horizon_s=10.0, t_s=0.5, seed=5)
-        rng = np.random.default_rng(5)
-        d = gen_disturbance(sc, rng, chain.discrete.disturbance_labels)
-        assert np.abs(d).max() == 0.0
+        trace = simulate(chain.discrete, Scenario(horizon_s=10.0, t_s=0.5,
+                                                  seed=5))
+        assert np.abs(trace.d).max() == 0.0
 
     def test_seeded_reproducibility(self, chain):
         sc = quiet_scenario()
-        a = gen_disturbance(sc, np.random.default_rng(7),
-                            chain.discrete.disturbance_labels)
-        b = gen_disturbance(sc, np.random.default_rng(7),
-                            chain.discrete.disturbance_labels)
-        assert np.array_equal(a, b)
+        a = simulate(chain.discrete, sc)
+        b = simulate(chain.discrete, quiet_scenario())
+        assert np.array_equal(a.d, b.d)
+        labels = chain.discrete.disturbance_labels
+        draw = np.random.default_rng(sc.seed).standard_normal(
+            (sc.n_steps + 1, len(labels)))
+        stds = np.array([sc.load_std.get(lab, 0.0) for lab in labels])
+        assert np.array_equal(a.d, draw * stds)
 
-    def test_sample_mean_statistics(self):
+    def test_sample_mean_statistics(self, chain):
         sc = Scenario(horizon_s=50_000.0, t_s=0.5, seed=11,
-                      load_std={"a.load": 0.03})
-        draws = gen_disturbance(sc, np.random.default_rng(11), ("a.load",))
-        n = draws.shape[0]
-        se = 0.03 / np.sqrt(n)
-        assert abs(draws[:, 0].mean()) <= 4 * se
+                      load_std={"area1.load": 0.03})
+        trace = simulate(chain.discrete, sc)
+        draws = trace.d[:, chain.discrete.disturbance_labels.index(
+            "area1.load")]
+        se = 0.03 / np.sqrt(draws.size)
+        assert abs(draws.mean()) <= 4 * se
 
 
 class TestTraceCsv:
@@ -385,3 +395,139 @@ def test_too_small_variance_is_a_config_error(chain):
         with pytest.raises(ConfigError, match="too small") as exc:
             simulate(chain.discrete, sc)
     assert exc.value.field == "measurement_noise"
+
+
+class TestResolvedLabelMaps:
+    """A scenario's label maps are checked and turned into vectors once per
+    distinct map set, keyed by content: a batch of seeds shares one entry,
+    and a map changed in place is checked again."""
+
+    NOISE = {"area1.*": 1e-4, "area2.*": 2e-4, "area3.freq": 1e-5}
+
+    def batch_scenario(self, seed):
+        # fresh dicts of equal content, as config.build_scenario makes them
+        return quiet_scenario(seed=seed, horizon_s=5.0, onset_s=2.0,
+                              process_noise=dict(self.NOISE),
+                              measurement_noise=dict(self.NOISE))
+
+    def test_a_batch_checks_its_maps_once(self, chain, label_value_calls):
+        for seed in range(16):
+            simulate(chain.discrete, self.batch_scenario(seed))
+        assert label_value_calls == ["load_std", "process_noise",
+                                     "measurement_noise"]
+
+    def test_a_map_changed_in_place_is_checked_again(self, chain):
+        sc = self.batch_scenario(1)
+        simulate(chain.discrete, sc)
+        sc.process_noise["area1.typo"] = 1e-4
+        with pytest.raises(ConfigError, match="unknown label") as err:
+            simulate(chain.discrete, sc)
+        assert err.value.field == "process_noise"
+        del sc.process_noise["area1.typo"]
+        sc.measurement_noise["area2.*"] = -1e-4
+        with pytest.raises(ConfigError) as err:
+            simulate(chain.discrete, sc)
+        assert err.value.field == "measurement_noise.area2.*"
+
+    def test_a_failed_map_set_stores_nothing(self, chain, label_value_calls):
+        sc = quiet_scenario(process_noise={"area1.*": np.nan})
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                simulate(chain.discrete, sc)
+        assert simmod._label_maps == {}
+        assert label_value_calls.count("process_noise") == 2
+
+    def test_a_value_that_is_no_number_meets_the_one_check(self, chain):
+        """A map the cache cannot key is still checked by ``label_values``,
+        key by key, so its unknown key is named first."""
+        sc = quiet_scenario(process_noise={"area1.typo": 1e-4,
+                                           "area1.*": "1e-4"})
+        with pytest.raises(ConfigError, match="unknown label") as err:
+            simulate(chain.discrete, sc)
+        assert err.value.field == "process_noise"
+        assert simmod._label_maps == {}
+
+    def test_signed_zeros_are_different_entries(self, chain):
+        """``-0.0`` and ``0.0`` compare equal but draw differently signed
+        zeros, so each map set keeps its own vectors."""
+        plus, minus = (quiet_scenario(load_std={"area1.load": zero})
+                       for zero in (0.0, -0.0))
+        runs = [simulate(chain.discrete, sc) for sc in (plus, minus)]
+        assert len(simmod._label_maps) == 2
+        assert runs[0].d.tobytes() != runs[1].d.tobytes()
+        for sc, run in zip((plus, minus), runs):
+            ref = simulate_reference(chain.discrete, sc)
+            assert run.d.tobytes() == ref.d.tobytes()
+
+    def test_vectors_are_read_only_and_shared(self, chain):
+        first = resolve_label_maps(chain.discrete, self.batch_scenario(1))
+        second = resolve_label_maps(chain.discrete, self.batch_scenario(2))
+        assert all(a is b for a, b in zip(first, second))
+        assert first[3] is None     # area3's measurements are not all noisy
+        for vec in first[:3]:
+            assert not vec.flags.writeable
+
+    def test_the_cache_is_bounded(self, chain, label_value_calls):
+        def scenario(i):
+            return quiet_scenario(load_std={"area1.load": 0.01 * (i + 1)})
+
+        for i in range(LABEL_MAP_CACHE_SIZE + 1):
+            resolve_label_maps(chain.discrete, scenario(i))
+        assert len(simmod._label_maps) == LABEL_MAP_CACHE_SIZE
+        checked = len(label_value_calls)
+        resolve_label_maps(chain.discrete, scenario(LABEL_MAP_CACHE_SIZE))
+        assert len(label_value_calls) == checked
+        resolve_label_maps(chain.discrete, scenario(0))   # dropped first
+        assert len(label_value_calls) == checked + 3
+
+    def test_trace_metadata_holds_no_fingerprint(self, chain):
+        trace = simulate(chain.discrete, quiet_scenario())
+        assert "scenario" not in trace.metadata
+
+
+class TestAttackRunsInTheCsv:
+    """The template formats each run of equal attack rows once; its bytes
+    are those of a writer that formats every cell with ``format``."""
+
+    def assert_reference_bytes(self, trace, tmp_path):
+        for flags in ((False, False), (True, True)):
+            write_trace_csv(trace, tmp_path / "new.csv", *flags)
+            write_trace_csv_reference(trace, tmp_path / "ref.csv", *flags)
+            assert (tmp_path / "new.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
+
+    def test_many_runs_and_signed_zeros(self, chain, tmp_path):
+        base = simulate(chain.discrete, quiet_scenario(
+            measurement_noise={"area1.*": 1e-4}))
+        n = base.n_records
+        rows = np.array([[0.1, 0.0, -0.0, 1e-300, 1.0 / 3.0],
+                         [0.1, -0.0, -0.0, 1e-300, 1.0 / 3.0],
+                         [-2.5, 0.0, 7.0, 0.0, 123456789012.0]])
+        # runs of 3, 1, 5, 1, 2 rows and the rest, with back-to-back repeats
+        pick = np.zeros(n, dtype=int)
+        pick[3:4] = 1
+        pick[4:9] = 2
+        pick[9:10] = 1
+        pick[10:12] = 0
+        pick[12:] = 2
+        trace = SimulationTrace(base.t, base.d, rows[pick], base.x, base.y,
+                                base.rs_inf, base.r_d, base.metadata)
+        self.assert_reference_bytes(trace, tmp_path)
+        text = (tmp_path / "new.csv").read_text().splitlines()
+        assert text[1].split(",")[6] == "0" and text[4].split(",")[6] == "-0"
+
+    def test_trace_with_no_attack(self, chain, tmp_path):
+        trace = simulate(chain.discrete, quiet_scenario())
+        assert np.abs(trace.f).max() == 0.0
+        self.assert_reference_bytes(trace, tmp_path)
+
+    def test_model_with_no_attack_channel(self, tmp_path):
+        model = LtiModel(
+            a_cl=np.array([[0.5, 0.2], [0.0, 0.9]]), b_d=np.ones((2, 1)),
+            b_f=np.zeros((2, 0)), c=np.eye(2), d_f=np.zeros((2, 0)),
+            t_s=1.0, state_labels=("u.x1", "u.x2"),
+            measurement_labels=("u.y1", "u.y2"), attack_labels=(),
+            disturbance_labels=("u.load",))
+        trace = simulate(model, Scenario(horizon_s=40.0, t_s=1.0, seed=3,
+                                         load_std={"u.load": 1.0}))
+        self.assert_reference_bytes(trace, tmp_path)
