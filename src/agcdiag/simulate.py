@@ -49,7 +49,7 @@ from .linalg import weighted_range_projector
 from .residual import RealizedFilter, check_finite
 
 DIVERGENCE_GUARD = 1e6
-CSV_BLOCK_ROWS = 16    # rows formatted by one ``%`` in write_csv_table
+CSV_BLOCK_ROWS = 4     # rows formatted by one ``%`` in _csv_body
 #: Most resolved label-map sets kept at once; the oldest is dropped first.
 LABEL_MAP_CACHE_SIZE = 16
 # (label tuples, map keys, map value bits) -> read-only vectors, oldest first
@@ -353,9 +353,12 @@ def _csv_body(data: np.ndarray, cells: list[str]) -> str:
     """The rows of ``data`` formatted by the cells of one row format; a
     cell without a conversion (``%%``) consumes no value."""
     row = ",".join(cells) + "\n"
-    # one ``%`` per block of rows: a call per row costs more, and one call
-    # per table left peak RSS about 9 MB above row-at-a-time formatting
-    # after 1 000 reproduce passes in one process
+    # one ``%`` per block of rows: a call per row costs more, and larger
+    # blocks fragment the C heap. Over 2 000 passes of perfbench's
+    # reproduce loop in one process, 16-row blocks of the trace template
+    # grew the heap from 6.9 to 11.3 MB (mallinfo2 arena) and 4-row
+    # blocks kept it at 7.0 MB, formatting as fast; one call per table
+    # left peak RSS about 9 MB higher
     n_cols = data.shape[1]
     step = CSV_BLOCK_ROWS * n_cols
     flat = data.ravel().tolist()
