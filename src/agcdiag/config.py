@@ -355,6 +355,6 @@ def build_scenario(cfg: dict, model: LtiModel,
     scenario = Scenario(horizon_s=horizon_s, t_s=t_s, onset_s=onset_s,
                         attack_f=attack_f, seed=seed, **maps)
     # the label maps, checked by the rules simulate applies; simulate finds
-    # them resolved and does not check them again
+    # them resolved, with their projector, and does not check them again
     resolve_label_maps(model, scenario, "scenario.")
     return scenario

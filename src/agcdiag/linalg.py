@@ -2,9 +2,7 @@
 
 Everything here is a pure function of immutable inputs: matrix exponential,
 orthonormal left null bases, and (weighted) range projectors. All matrices
-are plain float64 ``numpy`` arrays in row-major order. Range projectors are
-kept in a small per-process cache, keyed by the exact bytes of their
-inputs, and handed out read-only.
+are plain float64 ``numpy`` arrays in row-major order.
 """
 
 from __future__ import annotations
@@ -25,11 +23,6 @@ _PADE13 = (
 # Largest 1-norm for which the unscaled degree-13 approximant stays at
 # double-precision accuracy (Higham's theta_13).
 _THETA13 = 5.371920351148152
-
-#: Most range projectors kept at once; the oldest entry is dropped first.
-PROJECTOR_CACHE_SIZE = 16
-# (shape, C bytes, W bytes or None) -> read-only projector, oldest first
-_projectors: dict[tuple, np.ndarray] = {}
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -111,16 +104,12 @@ def weighted_range_projector(c, w=None) -> np.ndarray:
     ``w`` is the finite, positive diagonal of the weight as a 1-D vector;
     identity when omitted. Raises ``ValidationError`` if ``C`` is
     column-rank deficient (the message names the deficiency).
-
-    The inputs are checked on every call. The result is cached per
-    process, keyed by the shape and exact bytes of ``C`` and ``w`` (so
-    ``0.0`` and ``-0.0`` are different keys), and returned read-only; a
-    repeat call returns the same array. A call that raises stores nothing.
     """
     cm = as_matrix(c, "projector C")
-    n = cm.shape[0]
-    wdiag = None
-    if w is not None:
+    n, k = cm.shape
+    if w is None:
+        wdiag = np.ones(n)
+    else:
         wdiag = np.asarray(w, dtype=float)
         if wdiag.shape != (n,):
             raise ValidationError(
@@ -128,25 +117,6 @@ def weighted_range_projector(c, w=None) -> np.ndarray:
         if not np.all(np.isfinite(wdiag) & (wdiag > 0)):
             raise ValidationError(
                 "weight diagonal must be finite and strictly positive")
-
-    key = (cm.shape, cm.tobytes(),
-           None if wdiag is None else wdiag.tobytes())
-    proj = _projectors.get(key)
-    if proj is None:
-        proj = _range_projector(cm, wdiag)
-        proj.flags.writeable = False
-        if len(_projectors) >= PROJECTOR_CACHE_SIZE:
-            del _projectors[next(iter(_projectors))]
-        _projectors[key] = proj
-    return proj
-
-
-def _range_projector(cm: np.ndarray, wdiag: np.ndarray | None) -> np.ndarray:
-    """The uncached projector of ``weighted_range_projector``, from checked
-    inputs (identity weight when ``wdiag`` is None)."""
-    n, k = cm.shape
-    if wdiag is None:
-        wdiag = np.ones(n)
     rank = int(np.linalg.matrix_rank(cm, tol=None))
     if rank < k:
         raise ValidationError(

@@ -14,12 +14,11 @@ The input terms, the measurements, the static residual and the filter
 numerator are stacked matrix-vector products over the whole series; each
 row uses the kernel of a one-sample product ``M @ v``, so a trace has the
 same bits as a loop over samples (kept as the test reference in
-``tests/reference_sim.py``). The static-residual projector comes from
-``weighted_range_projector``'s cache, so a batch of runs on one model and
-one noise table builds it once. The scenario's three label maps are turned
-into per-label vectors once per distinct map set (``resolve_label_maps``,
-shared with ``config.build_scenario``), so a batch of seeds checks its maps
-once and each run draws and steps only.
+``tests/reference_sim.py``). The scenario's three label maps are turned
+into per-label vectors, and the static-residual projector is built, once
+per distinct map set and measurement map C (``resolve_label_maps``, shared
+with ``config.build_scenario``), so a batch of seeds checks its maps and
+builds its projector once, and each run draws and steps only.
 The divergence guard names the first state past it (a nan state counts as
 past it), as a check after every step would, and so does the check of
 the residuals rS_inf and r_D, which an attack on measurements alone can
@@ -52,7 +51,8 @@ DIVERGENCE_GUARD = 1e6
 CSV_BLOCK_ROWS = 4     # rows formatted by one ``%`` in _csv_body
 #: Most resolved label-map sets kept at once; the oldest is dropped first.
 LABEL_MAP_CACHE_SIZE = 16
-# (label tuples, map keys, map value bits) -> read-only vectors, oldest first
+# (label tuples, C bytes, map keys, map value bits) -> resolved entry,
+# oldest first
 _label_maps: dict[tuple, tuple] = {}
 
 
@@ -193,38 +193,30 @@ def label_values(table: dict[str, float], labels: tuple[str, ...],
     return out
 
 
-def static_weights(meas_var: np.ndarray, path: str) -> np.ndarray | None:
-    """The static residual's weights ``1 / meas_var``, or None unless every
-    variance is positive. A variance so small that its reciprocal
-    overflows (1e-310) raises ``ConfigError(path, ...)``."""
-    if not np.all(meas_var > 0):
-        return None
-    with np.errstate(over="ignore"):
-        weights = 1.0 / meas_var
-    if not np.all(np.isfinite(weights)):
-        raise ConfigError(path, "a variance is too small to invert: "
-                                f"min {float(meas_var.min())!r}")
-    return weights
-
-
 def resolve_label_maps(model: LtiModel, scenario: Scenario,
                        prefix: str = "") -> tuple:
-    """``scenario``'s label maps as vectors over ``model``'s labels:
-    ``(load stds, sqrt of the process variances, sqrt of the measurement
-    variances, static weights or None)``, every array read-only.
+    """``scenario``'s label maps as vectors over ``model``'s labels, with
+    the static-residual projector they fix: ``(load stds, sqrt of the
+    process variances, sqrt of the measurement variances, projector,
+    weighted)``, every array read-only.
 
-    On a miss, ``label_values`` and ``static_weights`` check the maps,
-    their errors naming ``prefix + <map>``. Entries are kept per process,
-    keyed by the three label tuples, the maps' keys and the bits of their
-    values (so ``0.0`` and ``-0.0`` differ, and a map changed in place is
-    looked up afresh). A map set that fails stores nothing.
+    The projector is ``weighted_range_projector(model.c, 1 / measurement
+    variances)`` when every measurement variance is positive (``weighted``
+    is True), else unweighted. On a miss, ``label_values`` checks the
+    maps, its errors naming ``prefix + <map>``; a variance so small that
+    its reciprocal overflows (1e-310) raises
+    ``ConfigError(prefix + "measurement_noise", ...)``. Entries are kept
+    per process, keyed by the three label tuples, the bytes of C, the
+    maps' keys and the bits of their values (so ``0.0`` and ``-0.0``
+    differ, and a map changed in place is looked up afresh). A map set or
+    a projector that fails stores nothing.
     """
     maps = (scenario.load_std, scenario.process_noise,
             scenario.measurement_noise)
     labels = (model.disturbance_labels, model.state_labels,
               model.measurement_labels)
     try:
-        key = (labels, *map(tuple, maps),
+        key = (labels, model.c.tobytes(), *map(tuple, maps),
                *(array("d", table.values()).tobytes() for table in maps))
         entry = _label_maps.get(key)
     except (TypeError, OverflowError):
@@ -236,11 +228,19 @@ def resolve_label_maps(model: LtiModel, scenario: Scenario,
             label_values(table, labs, prefix + name)
             for table, labs, name in zip(maps, labels, (
                 "load_std", "process_noise", "measurement_noise")))
+        weights = None
+        if np.all(meas_var > 0):
+            with np.errstate(over="ignore"):
+                weights = 1.0 / meas_var
+            if not np.all(np.isfinite(weights)):
+                raise ConfigError(prefix + "measurement_noise",
+                                  "a variance is too small to invert: "
+                                  f"min {float(meas_var.min())!r}")
         entry = (stds, np.sqrt(proc_var), np.sqrt(meas_var),
-                 static_weights(meas_var, prefix + "measurement_noise"))
-        for vec in entry:
-            if vec is not None:
-                vec.flags.writeable = False
+                 weighted_range_projector(model.c, weights),
+                 weights is not None)
+        for vec in entry[:4]:
+            vec.flags.writeable = False
         if key is not None:
             if len(_label_maps) >= LABEL_MAP_CACHE_SIZE:
                 del _label_maps[next(iter(_label_maps))]
@@ -271,8 +271,9 @@ def simulate(model: LtiModel, scenario: Scenario,
     lines. A non-finite residual raises
     ``NumericError`` naming its first sample. The scenario must sample at
     the model's ``t_s``, and its label maps must pass ``label_values``
-    against the model's labels (``resolve_label_maps``, checked once per
-    distinct map set). The trace's metadata holds no scenario fingerprint;
+    against the model's labels. Both the map check and the projector come
+    from ``resolve_label_maps``, once per distinct map set and C. The
+    trace's metadata holds no scenario fingerprint;
     ``Scenario.fingerprint`` makes one for the file that records it.
     """
     if scenario.t_s != model.t_s:
@@ -286,15 +287,12 @@ def simulate(model: LtiModel, scenario: Scenario,
             f"model has {n_f} attack channels")
 
     steps = scenario.n_steps
-    load_std, proc_std, meas_std, weights = resolve_label_maps(model,
-                                                               scenario)
+    load_std, proc_std, meas_std, proj, weighted = resolve_label_maps(
+        model, scenario)
     rng = np.random.default_rng(scenario.seed)
     d_log = rng.standard_normal((steps + 1, load_std.size)) * load_std
     w_series = rng.standard_normal((steps + 1, n_x)) * proc_std
     v_series = rng.standard_normal((steps + 1, n_y)) * meas_std
-
-    weighted = weights is not None
-    proj = weighted_range_projector(model.c, weights)
 
     t = np.arange(steps + 1) * scenario.t_s
     f_log = np.zeros((steps + 1, n_f))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from agcdiag import cli, linalg, simulate
+from agcdiag import cli, simulate
 from agcdiag import config as cfgmod
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import design_robust, feasible_basis
@@ -47,14 +47,6 @@ def no_kept_design(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def no_kept_projector():
-    """Every test starts with an empty projector cache in
-    ``agcdiag.linalg``, so no count of computed projectors depends on
-    which tests ran before."""
-    linalg._projectors.clear()
-
-
-@pytest.fixture(autouse=True)
 def no_kept_label_maps():
     """Every test starts with no resolved label maps in
     ``agcdiag.simulate``, so no count of map checks depends on which tests
@@ -79,16 +71,17 @@ def label_value_calls(monkeypatch):
 
 @pytest.fixture
 def projectors_computed(monkeypatch):
-    """Records each projector that ``weighted_range_projector`` had to
-    compute rather than take from its cache."""
+    """Records each static-residual projector that ``agcdiag.simulate``
+    computes, that is each ``weighted_range_projector`` call it makes
+    rather than taking the projector from a resolved label-map entry."""
     calls = []
-    compute = linalg._range_projector
+    compute = simulate.weighted_range_projector
 
-    def counted(cm, wdiag):
+    def counted(c, w=None):
         calls.append(1)
-        return compute(cm, wdiag)
+        return compute(c, w)
 
-    monkeypatch.setattr(linalg, "_range_projector", counted)
+    monkeypatch.setattr(simulate, "weighted_range_projector", counted)
     return calls
 
 

@@ -77,8 +77,8 @@ def simulate_reference(model, scenario,
     v_series = rng.standard_normal((steps + 1, n_y)) * np.sqrt(meas_var)
 
     r_y = meas_var if np.all(meas_var > 0) else None
-    static_weights = None if r_y is None else 1.0 / r_y
-    proj = weighted_range_projector(model.c, static_weights)
+    weights = None if r_y is None else 1.0 / r_y
+    proj = weighted_range_projector(model.c, weights)
     stream = None
     if dynamic_filter is not None:
         stream = StreamingFilter(dynamic_filter.numerator, dynamic_filter.pole,

@@ -165,6 +165,29 @@ class TestSimulateCommand:
         assert len(f_cols) == 5
         assert all(np.all(cols[k] == 0.0) for k in f_cols)
 
+    def test_gamma_bounds_a_block_gain_not_the_r_d_peak(
+            self, chain, tmp_path, monkeypatch, capsys):
+        """gamma bounds the largest block gain max_j |N_j F F_b' alpha| over
+        the polytope, not the r_D excursion (ROADMAP item 18). This alpha
+        meets the certificate with block gains (-1.21, 3.00, -2.44, 0.65),
+        yet at the shipped pole its noise-free r_D peaks below 0.01 after
+        the onset."""
+        alpha = [4.798, -0.194, -3.104]
+        gains = chain.design.blocks() @ chain.ffb @ np.array(alpha)
+        assert np.abs(gains).max() >= chain.design.gamma * (1 - 1e-9)
+        code, _, _ = run_cli(
+            ["--set", "attack.mode=alpha",
+             "--set", f"attack.alpha={json.dumps(alpha)}",
+             "--set", "scenario.process_noise=null",
+             "--set", "scenario.measurement_noise=null",
+             "--set", "scenario.load_std={}", "simulate"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 0
+        cols = read_trace_csv(tmp_path / "trace.csv")
+        onset = cfgmod.default_config()["scenario"]["onset_s"]
+        peak = np.abs(cols["r_D"][cols["t"] > onset]).max()
+        assert 0 < peak < 0.01
+
 
 class TestAttackCommand:
     def test_writes_alpha_and_f(self, tmp_path, monkeypatch, capsys):
@@ -539,15 +562,23 @@ def test_argv_error_between_calls_changes_nothing(bad, tmp_path, monkeypatch,
 
 
 def test_reproduce_pass_projector_counts(tmp_path, monkeypatch, capsys,
-                                         projectors_computed):
-    """One pass of the reproduce script in this process computes two
+                                         projectors_computed,
+                                         label_value_calls):
+    """The first pass of the reproduce script in this process computes two
     static-residual projectors: C alone, and C weighted by the shipped
-    noise table. Every other call takes one from the cache."""
+    noise table. A second pass finds both, with their label maps, in the
+    resolved entries: it computes no projector and checks no map."""
     monkeypatch.setenv("AGCDIAG_OUTDIR", str(tmp_path))
     monkeypatch.setattr(sys, "argv", [REPRODUCE, "--out", str(tmp_path)])
     runpy.run_path(REPRODUCE, run_name="__main__")
-    capsys.readouterr()
     assert len(projectors_computed) == 2
+    assert label_value_calls
+    projectors_computed.clear()
+    label_value_calls.clear()
+    runpy.run_path(REPRODUCE, run_name="__main__")
+    capsys.readouterr()
+    assert projectors_computed == []
+    assert label_value_calls == []
 
 
 @pytest.fixture

@@ -6,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agcdiag import lp
+from agcdiag.agc import assemble_system
 from agcdiag.dae import attack_gain, build_dae, stack_hbar
 from agcdiag.design import (FeasibleSetBasis, design_robust,
                             design_steady_state, feasible_basis, solve_lp_i,
                             worst_case_alpha)
+from agcdiag.discretize import zoh_discretize
 from agcdiag.errors import NumericError, ValidationError
+
+from helpers import ring_areas, ring_attacked
 
 from oracles import (beta_for_index, brute_force_gamma, build_fbar,
                      check_reformulation_feasible, evaluate_payoff,
@@ -88,6 +92,38 @@ class TestFeasibleBasis:
     def test_bad_eta_or_width_rejected(self, chain, eta, d_n, message):
         with pytest.raises(ValidationError, match=message):
             FeasibleSetBasis(chain.basis.z, eta, d_n)
+
+
+class TestStructuralZeros:
+    """Decoupling forces the state part of the last coefficient block to
+    zero (N_dn H_1 = 0, and H_1's state rows are -I), so those columns of
+    Z are rounding. Z has orthonormal rows, so ||theta||_2 <= eta sqrt(n)
+    over the n ball rows, and a column with ||z_i||_2 sqrt(n) < 1/2 can
+    never bind its ball row (ROADMAP item 16). Exactly the structural
+    columns pass that test, with a wide gap to the next column."""
+
+    @staticmethod
+    def quiet_columns(z, n_x, d_n, gap):
+        score = np.linalg.norm(z, axis=0) * np.sqrt(z.shape[1])
+        quiet = np.flatnonzero(score < 0.5)
+        n_r = z.shape[1] // (d_n + 1)
+        assert quiet.tolist() == list(range(d_n * n_r, d_n * n_r + n_x))
+        assert np.delete(score, quiet).min() >= gap
+
+    @pytest.mark.parametrize("d_n", [3, 6, 10])
+    def test_default_model(self, chain, d_n):
+        basis = feasible_basis(stack_hbar(chain.dae, d_n), 10.0, d_n)
+        assert chain.discrete.n_states == 19
+        self.quiet_columns(basis.z, 19, d_n, 6.0)
+
+    @pytest.mark.parametrize("n_areas, n_x", [(3, 18), (4, 24)])
+    @pytest.mark.parametrize("d_n", [3, 6])
+    def test_rings(self, n_areas, n_x, d_n):
+        model = assemble_system(ring_areas(n_areas), ring_attacked(n_areas))
+        assert model.n_states == n_x
+        dae = build_dae(zoh_discretize(model, 0.5))
+        basis = feasible_basis(stack_hbar(dae, d_n), 10.0, d_n)
+        self.quiet_columns(basis.z, n_x, d_n, 6.4)
 
 
 class TestSolveLpI:

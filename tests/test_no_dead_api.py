@@ -17,6 +17,10 @@ package raises no builtin exception class, so every error it raises is an
 
 Importing the package generates no code: no module imports
 ``dataclasses``, and no import compiles a ``<string>`` source.
+
+The package keeps no module-level mutable state but its two caches:
+``cli._record`` and ``simulate._label_maps`` are the only top-level names
+bound to a dict, list or set.
 """
 
 import ast
@@ -261,3 +265,42 @@ def test_importing_the_package_generates_no_code():
          *outside], env=env, capture_output=True, text=True, timeout=120,
         check=True)
     assert done.stdout.split() == ["0"], done.stderr
+
+
+# container displays whose object a module could mutate at run time
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                    ast.SetComp)
+
+
+def module_level_containers(trees) -> set[str]:
+    """``<module>.<name>`` of each top-level name bound to a dict, list or
+    set display or comprehension."""
+    found = set()
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, MUTABLE_DISPLAYS):
+                found |= {f"{module[:-3]}.{t.id}" for t in targets
+                          if isinstance(t, ast.Name)}
+    return found
+
+
+def test_the_container_scan_sees_both_forms():
+    sample = ast.parse("a = {}\nb: list = []\nc = ()\nd = 1\n"
+                       "e: dict\nf = {k: 1 for k in 'x'}")
+    assert module_level_containers([("m.py", sample)]) == {"m.a", "m.b",
+                                                           "m.f"}
+
+
+def test_the_only_module_level_caches():
+    found = module_level_containers(package_trees())
+    assert found == {"cli._record", "simulate._label_maps"}, (
+        f"module-level mutable state {sorted(found)}: the package keeps the "
+        "CLI's stage record and the simulator's resolved label maps, and "
+        "nothing else; ROADMAP item 19 deletes the second once seeds run "
+        "as a batch")

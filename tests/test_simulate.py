@@ -8,6 +8,7 @@ from agcdiag.attacks import synthesize_attack
 from agcdiag.discretize import LtiModel, zoh_discretize
 from agcdiag.errors import (ConfigError, DivergenceError, NumericError,
                             ValidationError)
+from agcdiag.linalg import weighted_range_projector
 from agcdiag.residual import realize_filter
 from agcdiag.simulate import (LABEL_MAP_CACHE_SIZE, Scenario,
                               SimulationTrace, fill_trace_csv, label_values,
@@ -459,13 +460,74 @@ class TestResolvedLabelMaps:
             ref = simulate_reference(chain.discrete, sc)
             assert run.d.tobytes() == ref.d.tobytes()
 
-    def test_vectors_are_read_only_and_shared(self, chain):
-        first = resolve_label_maps(chain.discrete, self.batch_scenario(1))
-        second = resolve_label_maps(chain.discrete, self.batch_scenario(2))
-        assert all(a is b for a, b in zip(first, second))
-        assert first[3] is None     # area3's measurements are not all noisy
-        for vec in first[:3]:
-            assert not vec.flags.writeable
+    def test_vectors_are_read_only_and_shared(self, chain,
+                                              projectors_computed):
+        """Two scenarios with equal maps share one entry: its vectors and
+        its read-only projector, bit-equal to a fresh one, weighted when
+        every measurement is noisy (``NOISE`` leaves area3's clean)."""
+        noisy = {"area1.*": 1e-4, "area2.*": 2e-4, "area3.*": 1e-5}
+        for noise, weighted in ((self.NOISE, False), (noisy, True)):
+            first, second = (
+                resolve_label_maps(chain.discrete, quiet_scenario(
+                    seed=seed, measurement_noise=dict(noise)))
+                for seed in (1, 2))
+            assert all(a is b for a, b in zip(first, second))
+            assert first[4] is weighted
+            for vec in first[:4]:
+                assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                first[3][0, 0] = 1.0
+            weights = (1.0 / label_values(
+                noise, chain.discrete.measurement_labels, "noise")
+                if weighted else None)
+            fresh = weighted_range_projector(chain.discrete.c, weights)
+            assert first[3].tobytes() == fresh.tobytes()
+        assert projectors_computed == [1, 1]
+
+    @pytest.mark.parametrize("which, index, change", [
+        ("c", (0, 1), np.negative),                  # 0.0 -> -0.0
+        ("c", (0, 0), lambda v: np.nextafter(v, 2.0)),
+        ("noise", "area1.*", lambda v: np.nextafter(v, 1.0)),
+    ], ids=["c-signed-zero", "c-ulp", "noise-ulp"])
+    def test_one_differing_entry_gets_its_own_projector(
+            self, chain, projectors_computed, which, index, change):
+        """A C or a noise variance that differs from the first in one
+        entry, by the sign of a zero or by one ulp, gets its own entry."""
+        noise = {"area1.*": 1e-4, "area2.*": 2e-4, "area3.*": 1e-5}
+        base = resolve_label_maps(chain.discrete, quiet_scenario(
+            measurement_noise=dict(noise)))
+        model = chain.discrete
+        table = model.c.copy() if which == "c" else noise
+        old = np.float64(table[index])
+        table[index] = float(change(old))
+        assert np.float64(table[index]).tobytes() != old.tobytes()
+        if which == "c":
+            model = LtiModel(model.a_cl, model.b_d, model.b_f, table,
+                             model.d_f, model.state_labels,
+                             model.measurement_labels, model.attack_labels,
+                             model.disturbance_labels, model.t_s)
+        other = resolve_label_maps(model, quiet_scenario(
+            measurement_noise=dict(noise)))
+        assert other[3] is not base[3]
+        assert projectors_computed == [1, 1]
+        assert len(simmod._label_maps) == 2
+
+    def test_rank_deficient_c_raises_on_every_run(self, projectors_computed):
+        """A projector that raises stores no entry, so every run on the
+        model computes it again and raises again."""
+        model = LtiModel(
+            a_cl=np.array([[0.5, 0.0], [0.0, 0.25]]), b_d=np.ones((2, 1)),
+            b_f=np.zeros((2, 0)),
+            c=np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
+            d_f=np.zeros((3, 0)), t_s=1.0, state_labels=("u.x1", "u.x2"),
+            measurement_labels=("u.y1", "u.y2", "u.y3"), attack_labels=(),
+            disturbance_labels=("u.load",))
+        for _ in range(3):
+            with pytest.raises(ValidationError,
+                               match="deficient by 1 column"):
+                simulate(model, Scenario(horizon_s=5.0, t_s=1.0))
+        assert projectors_computed == [1, 1, 1]
+        assert simmod._label_maps == {}
 
     def test_the_cache_is_bounded(self, chain, label_value_calls):
         def scenario(i):
