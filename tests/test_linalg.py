@@ -136,3 +136,17 @@ class TestWeightedRangeProjector:
         with pytest.raises(ValidationError, match="finite"):
             weighted_range_projector(np.eye(3)[:, :2],
                                      np.array([bad, 1.0, 1.0]))
+
+    def test_repeat_returns_same_read_only_bits(self):
+        """A pure function: read-only inputs are accepted and left as they
+        were, and a repeat on copies gives the same bits in a new array."""
+        c = np.array([[1.0, 0.5], [0.0, 2.0], [3.0, -1.0], [0.25, 0.0]])
+        w = np.array([1.0, 4.0, 0.5, 2.0])
+        c_bits, w_bits = c.tobytes(), w.tobytes()
+        c.flags.writeable = False
+        w.flags.writeable = False
+        first = weighted_range_projector(c, w)
+        again = weighted_range_projector(c.copy(), w.copy())
+        assert again is not first
+        assert again.tobytes() == first.tobytes()
+        assert c.tobytes() == c_bits and w.tobytes() == w_bits
