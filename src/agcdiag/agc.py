@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import LtiModel
-from .errors import UnknownLabelError, ValidationError
+from .errors import ConfigError, ValidationError
 
 PARTICIPATION_TOL = 1e-12
 
@@ -93,25 +93,26 @@ def assemble_system(areas: list[AreaParams],
 
     Each area's rows are written straight into the global matrices at the
     area's state offset; the tie row to neighbour j carries ``T_ij`` at the
-    area's own frequency column and ``-T_ij`` at j's.
+    area's own frequency column and ``-T_ij`` at j's. A bad topology or
+    attacked label raises ``ConfigError`` naming its argument.
     """
     names = [a.name for a in areas]
     if len(set(names)) != len(names):
-        raise ValidationError("area names must be unique")
+        raise ConfigError("areas", "area names must be unique")
     by_name = {a.name: a for a in areas}
     for a in areas:
         for nb, t in a.neighbors.items():
             if nb not in by_name:
-                raise ValidationError(f"{a.name}: unknown neighbor {nb!r}")
+                raise ConfigError("areas", f"{a.name}: unknown neighbor {nb!r}")
             if nb == a.name:
-                raise ValidationError(f"{a.name}: lists itself as a neighbor")
+                raise ConfigError("areas", f"{a.name}: lists itself as a neighbor")
             back = by_name[nb].neighbors.get(a.name)
             if back is None:
-                raise ValidationError(
-                    f"topology asymmetric: {a.name} lists {nb} but not vice versa")
+                raise ConfigError("areas", f"topology asymmetric: {a.name} "
+                                           f"lists {nb} but not vice versa")
             if back != t:
-                raise ValidationError(
-                    f"T_ij mismatch between {a.name} and {nb}: {t} vs {back}")
+                raise ConfigError("areas", f"T_ij mismatch between {a.name} "
+                                           f"and {nb}: {t} vs {back}")
 
     position = {name: i for i, name in enumerate(names)}
     nbrs = {a.name: sorted(a.neighbors, key=position.__getitem__)
@@ -128,8 +129,8 @@ def assemble_system(areas: list[AreaParams],
     attacked = set(attacked_measurements)
     unknown = attacked - set(meas_labels)
     if unknown:
-        raise UnknownLabelError(
-            f"attacked labels {sorted(unknown)} match no configured measurement")
+        raise ConfigError("attacked_measurements", f"attacked labels "
+                          f"{sorted(unknown)} match no configured measurement")
     attack_labels = [lab for lab in meas_labels if lab in attacked]
 
     n_y, n_f = len(meas_labels), len(attack_labels)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .linalg import weighted_range_projector
 
 STEALTH_TOL = 1e-8
@@ -82,10 +82,15 @@ def validate_attack_space(space: AttackSpace, c, d_f) -> None:
                 f"(residual {resid:.3e} > {STEALTH_TOL:.1e})")
 
 
+@np.errstate(over="ignore")     # an overflow is refused below
 def synthesize_attack(space: AttackSpace, alpha) -> np.ndarray:
-    """Attack vector F_b' alpha = sum_i alpha_i f_i."""
+    """Attack vector F_b' alpha = sum_i alpha_i f_i; ``NumericError`` if
+    it overflows."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != space.dim:
         raise ValidationError(
             f"alpha has length {alpha.size}, expected {space.dim}")
-    return space.basis.T @ alpha
+    f_vec = space.basis.T @ alpha
+    if not np.isfinite(f_vec).all():
+        raise NumericError(f"attack vector F_b' alpha is not finite: {f_vec}")
+    return f_vec

@@ -10,6 +10,8 @@ vector), ``scenario`` (horizon, sampling, onset, load/noise models, seed),
 is the schema: a ``--config`` file, which replaces whole values of the
 entries it names, and the ``--set section.key=value`` overrides after it
 both go through one assignment that rejects any path the default lacks.
+This module checks each entry's type; the library checks its range, and
+``_built`` reports the library's refusal at the entry it came from.
 
 Noise tables map measurement/state labels to variances; ``<area>.*``
 patterns fill whole areas with exact labels taking precedence. The default
@@ -32,7 +34,7 @@ from .agc import AreaParams, GeneratorParams, assemble_system
 from .attacks import AttackSpace, compute_basis, validate_attack_space
 from .dae import check_degree
 from .discretize import LtiModel, zoh_discretize
-from .errors import ConfigError, UnknownLabelError, ValidationError
+from .errors import ConfigError, ValidationError
 from .simulate import Scenario, resolve_label_maps
 
 #: Frequency entries of the "freq-scaled" noise tables are scaled by this.
@@ -186,7 +188,7 @@ def float_vector(value, size: int, path: str) -> np.ndarray:
 
 
 def design_params(cfg: dict) -> dict:
-    """Validated design section: degree, bound, pole, kind, polytope."""
+    """Validated design section: degree, bound, pole, kind, rank tolerance."""
     d = cfg["design"]
     _built(check_degree, "design.d_n", d_n=d["d_n"])
     eta = _number(cfg, "design.eta")
@@ -197,24 +199,9 @@ def design_params(cfg: dict) -> dict:
     if kind not in ("robust", "steady-state"):
         raise ConfigError("design.kind",
                           f"expected 'robust' or 'steady-state', got {kind!r}")
-    a_pol, b_pol = _polytope(cfg)
     rank_tol = _number(cfg, "design.rank_tol", zero_ok=True)
     return {"d_n": d["d_n"], "eta": eta, "pole": pole, "kind": kind,
-            "a_pol": a_pol, "b_pol": b_pol, "rank_tol": rank_tol}
-
-
-def _polytope(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The design section's attack polytope ``(A, b)``, checked."""
-    d = cfg["design"]
-    a_pol = _float_array(d["polytope_a"], "design.polytope_a")
-    b_pol = _float_array(d["polytope_b"], "design.polytope_b")
-    if b_pol.ndim != 1 or b_pol.size == 0:
-        raise ConfigError("design.polytope_b",
-                          "b must be a non-empty list of numbers")
-    if a_pol.ndim != 2 or a_pol.shape[0] != b_pol.size:
-        raise ConfigError("design.polytope_a",
-                          "A must be 2-D with one row per entry of b")
-    return a_pol, b_pol
+            "rank_tol": rank_tol}
 
 
 def output_params(cfg: dict) -> dict:
@@ -230,9 +217,13 @@ def output_params(cfg: dict) -> dict:
 
 
 def _built(make, path: str, **fields):
-    """``make(**fields)``, its ``ValidationError`` reported at ``path``."""
+    """``make(**fields)``; the one place that adds the section: a refusal
+    ``ConfigError(<argument>, ...)`` is reported at ``<path>.<argument>``,
+    any other ``ValidationError`` at ``path``."""
     try:
         return make(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message) from None
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -272,22 +263,18 @@ def build_model(cfg: dict) -> LtiModel:
     if not all(isinstance(label, str) for label in attacked):
         raise ConfigError("model.attacked_measurements",
                           "expected a list of strings")
-    try:
-        return assemble_system(areas, tuple(attacked))
-    except ValidationError as exc:
-        field = ("model.attacked_measurements"
-                 if isinstance(exc, UnknownLabelError) else "model.areas")
-        raise ConfigError(field, str(exc)) from None
+    return _built(assemble_system, "model", areas=areas,
+                  attacked_measurements=tuple(attacked))
 
 
 def build_discrete(cfg: dict, model: LtiModel) -> LtiModel:
-    return zoh_discretize(model, _number(cfg, "scenario.t_s"))
+    return _built(zoh_discretize, "scenario", model=model,
+                  t_s=_entry(cfg, "scenario.t_s", float))
 
 
 def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
     """The stealthy basis of the attack section with the polytope of the
-    design section (checked as ``design_params`` checks it, without the
-    rest of that section)."""
+    design section, its one reader."""
     basis_raw = cfg["attack"]["basis"]
     if basis_raw == "auto":
         basis = compute_basis(model.c, model.d_f)
@@ -296,13 +283,19 @@ def build_attack_space(cfg: dict, model: LtiModel) -> AttackSpace:
         if basis.ndim != 2 or basis.shape[1] != model.n_attacks:
             raise ConfigError("attack.basis",
                               f"rows must have length {model.n_attacks}")
-    a_pol, b_pol = _polytope(cfg)
+    d = cfg["design"]
+    a_pol = _float_array(d["polytope_a"], "design.polytope_a")
+    b_pol = _float_array(d["polytope_b"], "design.polytope_b")
+    if b_pol.ndim != 1 or b_pol.size == 0:
+        raise ConfigError("design.polytope_b",
+                          "b must be a non-empty list of numbers")
+    if a_pol.ndim != 2 or a_pol.shape[0] != b_pol.size:
+        raise ConfigError("design.polytope_a",
+                          "A must be 2-D with one row per entry of b")
     space = _built(AttackSpace, "design.polytope_a", basis=basis,
                    a=a_pol, b=b_pol)
-    try:
-        validate_attack_space(space, model.c, model.d_f)
-    except ValidationError as exc:
-        raise ConfigError("attack.basis", str(exc)) from None
+    _built(validate_attack_space, "attack.basis", space=space, c=model.c,
+           d_f=model.d_f)
     return space
 
 
@@ -335,26 +328,15 @@ def build_scenario(cfg: dict, model: LtiModel,
                    attack_f: np.ndarray | None) -> Scenario:
     sc = cfg["scenario"]
     base = _number(cfg, "scenario.noise_base", zero_ok=True)
-    seed = _entry(cfg, "scenario.seed", int)
-    if seed < 0:
-        raise ConfigError("scenario.seed", "seed must be >= 0")
-    horizon_s = _number(cfg, "scenario.horizon_s")
-    t_s = _number(cfg, "scenario.t_s")
-    if not math.isfinite(horizon_s / t_s):
-        raise ConfigError("scenario.horizon_s",
-                          f"horizon_s / t_s is not a finite sample count "
-                          f"at t_s = {t_s!r}, got {horizon_s!r}")
-    onset_s = _number(cfg, "scenario.onset_s", zero_ok=True)
-    if onset_s > horizon_s:
-        raise ConfigError("scenario.onset_s",
-                          f"must be <= horizon_s = {horizon_s!r}, got {onset_s!r}")
-    maps = {"load_std": _float_map(sc["load_std"], "scenario.load_std")}
+    fields = {key: _entry(cfg, f"scenario.{key}", kind) for key, kind in (
+        ("horizon_s", float), ("t_s", float), ("onset_s", float),
+        ("seed", int))}
+    fields["load_std"] = _float_map(sc["load_std"], "scenario.load_std")
     for name, labels in (("process_noise", model.state_labels),
                          ("measurement_noise", model.measurement_labels)):
-        maps[name] = _noise_table(sc[name], base, labels, f"scenario.{name}")
-    scenario = Scenario(horizon_s=horizon_s, t_s=t_s, onset_s=onset_s,
-                        attack_f=attack_f, seed=seed, **maps)
+        fields[name] = _noise_table(sc[name], base, labels, f"scenario.{name}")
+    scenario = _built(Scenario, "scenario", attack_f=attack_f, **fields)
     # the label maps, checked by the rules simulate applies; simulate finds
     # them resolved, with their projector, and does not check them again
-    resolve_label_maps(model, scenario, "scenario.")
+    _built(resolve_label_maps, "scenario", model=model, scenario=scenario)
     return scenario

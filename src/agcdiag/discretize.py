@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .linalg import expm
 
 
@@ -58,12 +58,13 @@ def zoh_discretize(model: LtiModel, t_s: float) -> LtiModel:
     Both input matrices go through the same integral transform as the state
     matrix, computed exactly via the exponential of the augmented block
     matrix ``[[A, B], [0, 0]] * t_s`` (the input integral is the top-right
-    block). C, D_f and the labels pass through unchanged.
+    block). C, D_f and the labels pass through unchanged. A ``t_s`` not
+    in (0, inf), nan included, raises ``ConfigError("t_s", ...)``.
     """
     if model.t_s != 0:
         raise ValidationError(f"model is already sampled at t_s = {model.t_s}")
-    if t_s <= 0:
-        raise ValidationError(f"sampling period must be > 0, got {t_s}")
+    if not 0 < t_s < np.inf:
+        raise ConfigError("t_s", f"must be finite and > 0, got {t_s!r}")
     n, n_d = model.n_states, model.n_disturbances
     b_all = np.hstack([model.b_d, model.b_f])
     m = b_all.shape[1]

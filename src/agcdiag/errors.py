@@ -1,12 +1,11 @@
 """Exception types shared across the package.
 
-Every package error is an ``AgcDiagError``. There is one class per way a
-caller handles a failure, and no other: the CLI maps ``ConfigError`` to
-exit 2, ``InfeasibleDesignError`` to exit 3 and any other class to exit 1;
-the config layer reports a ``ValidationError`` at the config entry it came
-from (``UnknownLabelError`` at the label list); the design names its LP in
-a ``NumericError``. Bad input of any kind (a shape, a sign, a pole, an empty
-attack set) raises ``ValidationError``; the message tells the cases apart.
+Every package error is an ``AgcDiagError``, with one class per way a
+caller handles a failure: the CLI maps ``ConfigError`` to exit 2,
+``InfeasibleDesignError`` to exit 3 and any other class to exit 1; the
+design names its LP in a ``NumericError``. Bad input raises
+``ValidationError``, or ``ConfigError(<argument>, ...)`` when it can name
+its argument, which the config layer reports at ``<section>.<argument>``.
 """
 
 
@@ -18,21 +17,18 @@ class ValidationError(AgcDiagError):
     """Model, scenario or call data violates a structural invariant."""
 
 
-class UnknownLabelError(ValidationError):
-    """A configured label names no measurement, state or area of the model."""
-
-
 class ConfigError(ValidationError):
-    """Bad or missing run-configuration data, or a bad entry of a
-    scenario's label map.
+    """Bad or missing run-configuration data, or a library argument named
+    by its refusal.
 
-    ``field`` carries the dotted path of the offending entry so the CLI can
-    report it.
+    ``field`` is the entry's dotted path or the argument's name, for the
+    CLI to report; ``message`` is the text without it.
     """
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 class NumericError(AgcDiagError):

@@ -73,7 +73,8 @@ class Scenario:
     whichever comes first. ``attack_f`` is the constant injection applied
     strictly after ``onset_s`` seconds, that is at the samples
     k > ``onset_index``. ``fingerprint`` hashes the content for
-    ``trace_meta.json``; ``simulate`` does not read it.
+    ``trace_meta.json``; ``simulate`` does not read it. A bad ``horizon_s``,
+    ``t_s``, ``onset_s`` or ``seed`` raises ``ConfigError(<its name>, ...)``.
     """
 
     __slots__ = ("horizon_s", "t_s", "onset_s", "attack_f", "load_std",
@@ -85,19 +86,19 @@ class Scenario:
                  process_noise: dict[str, float] | None = None,
                  measurement_noise: dict[str, float] | None = None,
                  seed: int = 0):
-        if not (horizon_s > 0 and t_s > 0):
-            raise ValidationError("horizon and sampling period must be > 0")
+        for name, value in (("horizon_s", horizon_s), ("t_s", t_s)):
+            if not value > 0:
+                raise ConfigError(name, f"must be > 0, got {value!r}")
         if not math.isfinite(float(horizon_s) / float(t_s)):
-            raise ValidationError(
-                f"horizon_s / t_s is not a finite sample count "
-                f"at t_s = {t_s!r}, got {horizon_s!r}")
+            raise ConfigError("horizon_s",
+                              f"horizon_s / t_s is not a finite sample count "
+                              f"at t_s = {t_s!r}, got {horizon_s!r}")
         if not 0 <= onset_s <= horizon_s:
-            raise ValidationError(
-                f"attack onset {onset_s} outside [0, {horizon_s}]")
+            raise ConfigError("onset_s", f"must be in [0, horizon_s = "
+                                         f"{horizon_s!r}], got {onset_s!r}")
         if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
                 or seed < 0):
-            raise ValidationError(
-                f"seed must be an integer >= 0, got {seed!r}")
+            raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
         if attack_f is not None:
             attack_f = np.atleast_1d(np.asarray(attack_f, dtype=float))
             if attack_f.ndim != 1 or not np.isfinite(attack_f).all():
@@ -193,8 +194,7 @@ def label_values(table: dict[str, float], labels: tuple[str, ...],
     return out
 
 
-def resolve_label_maps(model: LtiModel, scenario: Scenario,
-                       prefix: str = "") -> tuple:
+def resolve_label_maps(model: LtiModel, scenario: Scenario) -> tuple:
     """``scenario``'s label maps as vectors over ``model``'s labels, with
     the static-residual projector they fix: ``(load stds, sqrt of the
     process variances, sqrt of the measurement variances, projector,
@@ -203,9 +203,9 @@ def resolve_label_maps(model: LtiModel, scenario: Scenario,
     The projector is ``weighted_range_projector(model.c, 1 / measurement
     variances)`` when every measurement variance is positive (``weighted``
     is True), else unweighted. On a miss, ``label_values`` checks the
-    maps, its errors naming ``prefix + <map>``; a variance so small that
-    its reciprocal overflows (1e-310) raises
-    ``ConfigError(prefix + "measurement_noise", ...)``. Entries are kept
+    maps, its errors naming ``<map>`` or ``<map>.<key>``; a variance so
+    small that its reciprocal overflows (1e-310) raises
+    ``ConfigError("measurement_noise", ...)``. Entries are kept
     per process, keyed by the three label tuples, the bytes of C, the
     maps' keys and the bits of their values (so ``0.0`` and ``-0.0``
     differ, and a map changed in place is looked up afresh). A map set or
@@ -225,7 +225,7 @@ def resolve_label_maps(model: LtiModel, scenario: Scenario,
         key = entry = None
     if entry is None:
         stds, proc_var, meas_var = (
-            label_values(table, labs, prefix + name)
+            label_values(table, labs, name)
             for table, labs, name in zip(maps, labels, (
                 "load_std", "process_noise", "measurement_noise")))
         weights = None
@@ -233,7 +233,7 @@ def resolve_label_maps(model: LtiModel, scenario: Scenario,
             with np.errstate(over="ignore"):
                 weights = 1.0 / meas_var
             if not np.all(np.isfinite(weights)):
-                raise ConfigError(prefix + "measurement_noise",
+                raise ConfigError("measurement_noise",
                                   "a variance is too small to invert: "
                                   f"min {float(meas_var.min())!r}")
         entry = (stds, np.sqrt(proc_var), np.sqrt(meas_var),

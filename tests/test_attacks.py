@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from agcdiag.attacks import (AttackSpace, compute_basis, synthesize_attack,
                              validate_attack_space)
-from agcdiag.errors import ValidationError
+from agcdiag.errors import NumericError, ValidationError
 
 from oracles import in_polytope, stealth_residual
 
@@ -92,6 +92,13 @@ class TestSynthesize:
         with pytest.raises(ValidationError,
                            match=r"^alpha has length 2, expected 3$"):
             synthesize_attack(self.space(), np.zeros(2))
+
+    def test_overflow_raises_numeric_error(self):
+        # finite alpha, non-finite F_b' alpha; no overflow warning either
+        with pytest.raises(NumericError,
+                           match=r"^attack vector F_b' alpha is not finite"):
+            synthesize_attack(AttackSpace(basis=[[10.0, 0.0]], a=[[1.0]],
+                                          b=[1.0]), [1e308])
 
 
 class TestPolytope:

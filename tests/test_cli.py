@@ -318,8 +318,8 @@ def test_simulate_checks_each_label_map_once(label_value_calls, tmp_path,
     resolved."""
     code, _, _ = run_cli(["simulate"], tmp_path, monkeypatch, capsys)
     assert code == 0
-    assert label_value_calls == ["scenario.load_std", "scenario.process_noise",
-                                 "scenario.measurement_noise"]
+    assert label_value_calls == ["load_std", "process_noise",
+                                 "measurement_noise"]
 
 
 def test_trace_meta_records_the_scenario_fingerprint(tmp_path, monkeypatch,
@@ -714,7 +714,7 @@ class TestDesignMemo:
         again = cli.Pipeline(cfgmod.default_config(), [])
         assert again.discrete is pipe.discrete
         for arr in (again.discrete.a_cl, again.model.c, again.dae.h0,
-                    again.space.basis, again.params["a_pol"], again.ffb):
+                    again.space.basis, again.space.a, again.ffb):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
         assert chain_builds == {"assemble_system": 1, "zoh_discretize": 1}
@@ -967,6 +967,23 @@ class TestErrors:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == ('error: code=runtime field=- msg="expm input '
                                'contains non-finite entries"\n')
+
+    def test_overflowing_attack_vector_exits_1(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a stealthy basis ten times the default's and a finite alpha whose
+        # F_b' alpha overflows: refused where it is made, with no numpy
+        # overflow warning (an error under this suite)
+        basis = [[1, 0, 1, 0, 0], [1, 1.5, 2.5, 0, 0], [0, 0, 0, 1, 1]]
+        code, out, err = run_cli(
+            ["--set", "attack.basis=" + json.dumps(basis),
+             "--set", "attack.mode=alpha",
+             "--set", "attack.alpha=[1e308,1e308,1e308]", "simulate"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith('error: code=runtime field=- msg="attack '
+                              "vector F_b' alpha is not finite: ")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_large_polytope_offset_is_no_empty_attack_set(
             self, tmp_path, monkeypatch, capsys):

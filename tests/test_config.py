@@ -4,7 +4,10 @@ from importlib import resources
 import pytest
 
 from agcdiag import config as cfgmod
-from agcdiag.errors import ConfigError
+from agcdiag.agc import assemble_system
+from agcdiag.discretize import zoh_discretize
+from agcdiag.errors import ConfigError, NumericError, ValidationError
+from agcdiag.simulate import Scenario, resolve_label_maps
 
 
 class TestDefaults:
@@ -32,7 +35,7 @@ class TestValidation:
     def test_design_params_happy_path(self):
         p = cfgmod.design_params(cfgmod.default_config())
         assert p["d_n"] == 3 and p["eta"] == 10.0 and p["kind"] == "robust"
-        assert p["a_pol"].shape == (1, 3)
+        assert set(p) == {"d_n", "eta", "pole", "kind", "rank_tol"}
 
     def test_bad_degree_type(self):
         cfg = cfgmod.default_config()
@@ -54,11 +57,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfgmod.design_params(cfg)
 
-    def test_polytope_shape_mismatch(self):
+    def test_polytope_shape_mismatch(self, chain):
+        # the polytope is read by build_attack_space alone
         cfg = cfgmod.default_config()
         cfg["design"]["polytope_b"] = [1.5, 2.0]
-        with pytest.raises(ConfigError):
-            cfgmod.design_params(cfg)
+        cfgmod.design_params(cfg)
+        with pytest.raises(ConfigError) as err:
+            cfgmod.build_attack_space(cfg, chain.model)
+        assert err.value.field == "design.polytope_a"
 
     @pytest.mark.parametrize("section, key, value", [
         ("design", "rank_tol", -1e-9),
@@ -93,3 +99,116 @@ class TestValidation:
         table = cfgmod.noise_pattern(chain.model.measurement_labels, 0.03)
         assert table["area1.freq"] == pytest.approx(0.0009)
         assert table["area1.tie_area2"] == pytest.approx(0.03)
+
+
+def asymmetric_areas():
+    """The default areas with area2's tie to area3 left out."""
+    areas = cfgmod.default_config()["model"]["areas"]
+    areas[1]["neighbors"].pop("area3")
+    return areas
+
+
+def scenario_call(cfg, chain):
+    sc = cfg["scenario"]
+    return Scenario(**{key: sc[key]
+                       for key in ("horizon_s", "t_s", "onset_s", "seed")})
+
+
+def label_map_call(name):
+    def call(cfg, chain):
+        return resolve_label_maps(chain.discrete, Scenario(
+            horizon_s=60.0, t_s=0.5, **{name: cfg["scenario"][name]}))
+    return call
+
+
+def areas_call(cfg, chain):
+    return assemble_system(cfgmod.build_areas(cfg),
+                           tuple(cfg["model"]["attacked_measurements"]))
+
+
+def zoh_call(cfg, chain):
+    return zoh_discretize(chain.model, cfg["scenario"]["t_s"])
+
+
+def build_scenario(cfg, chain):
+    return cfgmod.build_scenario(cfg, chain.discrete, None)
+
+
+def build_model(cfg, chain):
+    return cfgmod.build_model(cfg)
+
+
+def build_discrete(cfg, chain):
+    return cfgmod.build_discrete(cfg, chain.model)
+
+
+TINY_VARIANCES = {"area1.*": 1e-310, "area2.*": 1e-310, "area3.*": 1e-310}
+
+
+@pytest.mark.parametrize("path, value, call, build, field", [
+    ("scenario.horizon_s", 0.0, scenario_call, build_scenario, "horizon_s"),
+    ("scenario.t_s", 1e-320, scenario_call, build_scenario, "horizon_s"),
+    ("scenario.t_s", 0.0, scenario_call, build_scenario, "t_s"),
+    ("scenario.onset_s", 100.0, scenario_call, build_scenario, "onset_s"),
+    ("scenario.seed", -1, scenario_call, build_scenario, "seed"),
+    ("model.areas", asymmetric_areas(), areas_call, build_model, "areas"),
+    ("model.attacked_measurements", ["area1.nope"], areas_call, build_model,
+     "attacked_measurements"),
+    ("scenario.t_s", -0.5, zoh_call, build_discrete, "t_s"),
+    ("scenario.load_std", {"areaX.load": 0.1}, label_map_call("load_std"),
+     build_scenario, "load_std"),
+    ("scenario.process_noise", {"area1.freq": -1.0},
+     label_map_call("process_noise"), build_scenario,
+     "process_noise.area1.freq"),
+    ("scenario.measurement_noise", TINY_VARIANCES,
+     label_map_call("measurement_noise"), build_scenario,
+     "measurement_noise"),
+], ids=["horizon_s", "sample-count", "t_s", "onset_s", "seed", "areas",
+        "attacked_measurements", "zoh-t_s", "load_std", "process_noise-key",
+        "measurement_noise"])
+def test_a_library_refusal_names_its_argument(chain, path, value, call, build,
+                                              field):
+    """The library names the bad argument; the config builder adds the
+    section and keeps the message."""
+    cfg = cfgmod.default_config()
+    section, key = path.split(".")
+    cfg[section][key] = value
+    with pytest.raises(ConfigError) as lib:
+        call(cfg, chain)
+    assert isinstance(lib.value, ValidationError)
+    assert lib.value.field == field
+    assert str(lib.value) == f"{field}: {lib.value.message}"
+    with pytest.raises(ConfigError) as built:
+        build(cfg, chain)
+    assert built.value.field == f"{section}.{field}"
+    assert built.value.message == lib.value.message
+
+
+class TestBuilt:
+    def test_a_named_argument_gets_the_section(self):
+        def refuse(seed):
+            raise ConfigError("seed", f"bad seed {seed}")
+
+        with pytest.raises(ConfigError) as err:
+            cfgmod._built(refuse, "scenario", seed=-1)
+        assert err.value.field == "scenario.seed"
+        assert err.value.message == "bad seed -1"
+        assert str(err.value) == "scenario.seed: bad seed -1"
+
+    def test_any_other_refusal_is_reported_at_the_path(self):
+        def refuse(t_ch):
+            raise ValidationError(f"t_ch {t_ch} is bad")
+
+        with pytest.raises(ConfigError) as err:
+            cfgmod._built(refuse, "model.areas[0].generators[1]", t_ch=0.0)
+        assert err.value.field == "model.areas[0].generators[1]"
+        assert err.value.message == "t_ch 0.0 is bad"
+
+    def test_the_made_value_and_other_errors_pass_through(self):
+        assert cfgmod._built(dict, "design", a=1) == {"a": 1}
+
+        def overflow():
+            raise NumericError("expm input contains non-finite entries")
+
+        with pytest.raises(NumericError):
+            cfgmod._built(overflow, "scenario")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agcdiag.discretize import LtiModel, zoh_discretize
-from agcdiag.errors import ValidationError
+from agcdiag.errors import ConfigError, ValidationError
 from agcdiag.linalg import expm
 
 from helpers import fine_step_response, random_stable_continuous
@@ -100,6 +100,16 @@ class TestZoh:
         m = wrap([[-1.0]], [[1.0]])
         with pytest.raises(ValidationError):
             zoh_discretize(m, 0.0)
+
+    @pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_period(self, t_s):
+        # refused before the exponential: no NumericError from expm and,
+        # under the suite's filterwarnings = error, no overflow warning
+        m = wrap([[-1.0]], [[1.0]])
+        with pytest.raises(ConfigError,
+                           match=r"^t_s: must be finite and > 0, got ") as err:
+            zoh_discretize(m, t_s)
+        assert err.value.field == "t_s"
 
 
 def test_overflowing_dynamics_raise_numeric_error():

@@ -152,17 +152,20 @@ def names_in(node) -> set[str]:
     return set()
 
 
+def handled_in(node) -> set[str]:
+    """The class names ``node`` handles when it is an ``except`` clause or
+    an ``isinstance`` call; empty otherwise."""
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        return names_in(node.type)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "isinstance" and len(node.args) == 2:
+        return names_in(node.args[1])
+    return set()
+
+
 def handled_names(trees) -> set[str]:
-    handled = set()
-    for _, tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                handled |= names_in(node.type)
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id == "isinstance" and len(node.args) == 2:
-                handled |= names_in(node.args[1])
-    return handled
+    return {name for _, tree in trees for node in ast.walk(tree)
+            for name in handled_in(node)}
 
 
 def unhandled_error_classes() -> list[str]:
@@ -190,14 +193,40 @@ def builtin_raises(trees) -> list[str]:
 
 
 def test_the_error_scans_see_the_package():
+    handled = handled_names(package_trees())
     assert {"ConfigError", "InfeasibleDesignError", "AgcDiagError",
-            "NumericError", "ValidationError",
-            "UnknownLabelError"} <= handled_names(package_trees())
+            "NumericError", "ValidationError"} <= handled
     assert names_in(ast.parse("(a.B, C)", mode="eval").body) == {"B", "C"}
     sample = ast.parse("raise ValueError('x')\nraise KeyError\n"
                        "raise ValidationError('y')\nraise")
     assert builtin_raises([("m.py", sample)]) == ["m.py:1: ValueError",
                                                   "m.py:2: KeyError"]
+
+
+def error_owners(tree, errors: set[str]) -> list[str]:
+    """The top-level function (``<module>`` outside one) of each ``except``
+    clause or ``isinstance`` call in ``tree`` that names a class of
+    ``errors``."""
+    return [getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top) if handled_in(node) & errors]
+
+
+def test_config_maps_a_package_error_only_in_built():
+    """``config._built`` is the one place that turns a library refusal into
+    a config field: no other ``except`` of a package error and no
+    ``isinstance`` mapping of one in ``config.py``."""
+    tree = ast.parse(read(os.path.join(PACKAGE, "errors.py")))
+    errors = {node.name for node in tree.body
+              if isinstance(node, ast.ClassDef)}
+    assert {"ConfigError", "ValidationError"} <= errors
+    sample = ast.parse("def f():\n    try:\n        pass\n"
+                       "    except (KeyError, ValidationError):\n"
+                       "        pass\n"
+                       "g = lambda exc: isinstance(exc, errors.ConfigError)\n"
+                       "try:\n    pass\nexcept OSError:\n    pass\n")
+    assert error_owners(sample, errors) == ["f", "<module>"]
+    config = ast.parse(read(os.path.join(PACKAGE, "config.py")))
+    assert error_owners(config, errors) == ["_built", "_built"]
 
 
 def test_every_error_class_is_handled_or_carries_data():

@@ -38,8 +38,11 @@ class TestScenario:
     @pytest.mark.parametrize("horizon_s, t_s", [
         (10.0, np.nan), (np.nan, 0.5), (10.0, 0.0), (-1.0, 0.5)])
     def test_bad_horizon_or_period_rejected(self, horizon_s, t_s):
-        with pytest.raises(ValidationError, match="sampling period"):
+        field = "t_s" if horizon_s > 0 else "horizon_s"
+        with pytest.raises(ValidationError,
+                           match=rf"^{field}: must be > 0, got ") as err:
             Scenario(horizon_s=horizon_s, t_s=t_s)
+        assert err.value.field == field
 
     @pytest.mark.parametrize("horizon_s, t_s", [
         (np.inf, 0.5), (1e308, 1e-300),
@@ -47,13 +50,14 @@ class TestScenario:
     ], ids=["inf", "overflow", "numpy-overflow"])
     def test_non_finite_sample_count_rejected(self, horizon_s, t_s):
         with pytest.raises(ValidationError,
-                           match=r"^horizon_s / t_s is not a finite sample "
-                                 rf"count at t_s = {re.escape(repr(t_s))}, "):
+                           match=r"^horizon_s: horizon_s / t_s is not a "
+                                 r"finite sample count at t_s = "
+                                 rf"{re.escape(repr(t_s))}, "):
             Scenario(horizon_s=horizon_s, t_s=t_s)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(ValidationError, match=r"^seed must be an "
+        with pytest.raises(ValidationError, match=r"^seed: must be an "
                                                   r"integer >= 0, got "):
             Scenario(horizon_s=10.0, t_s=0.5, seed=seed)
 
